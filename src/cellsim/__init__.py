@@ -9,9 +9,9 @@ from .data import (DatasetManifest, Trajectory, ablate, collect, collect_medium_
 from .env import CellularNetworkEnv, decode_action, encode_action
 from .harness import EvalResult, SweepReport, evaluate, fading_sweep, rescale
 from .mac import (ConcavityReport, JensenReport, concavity_probe, connections,
-                  data_rate, ratefair_fractions, reward, reward_terms, user_rate,
-                  user_rates, utility, verify_jensen)
-from .mobility import UeMotionState, init_positions, sample_waypoint, step_motion
+                  data_rate, ratefair_fractions, reward, reward_terms, user_rates,
+                  utility, verify_jensen)
+from .mobility import MotionState, init_positions, sample_waypoint, step_motion
 from .policies import GreedyExpertPolicy, MediumPolicy, RandomPolicy, make_policy
 from .radio import fade_matrix, normalize_snr, raw_snr, sample_fading, snr_matrix
 
@@ -28,12 +28,12 @@ __all__ = [
     "JensenReport",
     "MediumPolicy",
     "MobilityConfig",
+    "MotionState",
     "NetworkConfig",
     "RadioParams",
     "RandomPolicy",
     "SweepReport",
     "Trajectory",
-    "UeMotionState",
     "UtilityParams",
     "ablate",
     "collect",
@@ -66,7 +66,6 @@ __all__ = [
     "save_config",
     "snr_matrix",
     "step_motion",
-    "user_rate",
     "user_rates",
     "utility",
     "verify_jensen",

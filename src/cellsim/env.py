@@ -14,7 +14,10 @@ perturbs only the reward path; the state SNR matrix stays clean.
 Reset derives three independent RNG streams from the seed: mobility (one
 child stream per user), fading, and policy noise.  Everything downstream
 is a pure function of (config, seed, actions), which is what makes
-collected trajectories reproducible byte for byte.
+collected trajectories reproducible byte for byte.  The next motion state
+and SNR matrix do not depend on the action: ``preview_step_rewards``
+advances the per-user streams once and caches them, with every action's
+fading-free reward, for the next ``step``; ``clone()`` copies that cache.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class CellularNetworkEnv:
         self._action_deltas = np.array(
             [decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)], dtype=float)
         self._motion = None
+        self._upcoming = None
         self._done = True
 
     # -- lifecycle -----------------------------------------------------
@@ -76,8 +80,9 @@ class CellularNetworkEnv:
         self._rng_policy = np.random.Generator(np.random.PCG64(policy_ss))
         self._motion = mobility.init_positions(self.cfg.mobility, self.cfg.n_ues,
                                                self._ue_rngs)
+        self._upcoming = None
         self._thresholds = np.full(self.cfg.n_bs, 0.5)
-        self._snr = self._compute_snr()
+        self._snr = radio.snr_matrix(self._bs, self._motion.position, self.cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
         # state so the first observation already has the in-episode shape.
         _, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
@@ -94,11 +99,15 @@ class CellularNetworkEnv:
         deltas = np.asarray(decode_action(action, self.cfg.n_bs), dtype=float)
         self._thresholds = np.clip(
             self._thresholds + deltas * self.cfg.threshold_step, 0.0, 1.0)
-        self._motion = [mobility.step_motion(s, self.cfg.mobility, g)
-                        for s, g in zip(self._motion, self._ue_rngs)]
-        self._snr = self._compute_snr()
-        rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
-                                self.cfg.utility, self._rng_fading)
+        self._motion, self._snr, previewed = self._next_state()
+        self._upcoming = None
+        if previewed is not None and self.cfg.fading.kind == "none":
+            # The preview already holds this action's fading-free reward.
+            code = int(action)
+            rew, utils = float(previewed[0][code]), previewed[1][code]
+        else:
+            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
+                                    self.cfg.utility, self._rng_fading)
         self._prev_utilities = utils
         self._t += 1
         self._done = self._t >= self.cfg.horizon
@@ -106,9 +115,8 @@ class CellularNetworkEnv:
         return self._observation(), rew, self._done, info
 
     def clone(self) -> "CellularNetworkEnv":
-        """Deep copy, RNG streams included; stepping the clone leaves the
-
-        original untouched."""
+        """Deep copy, RNG streams and cached next state included; stepping
+        the clone leaves the original untouched."""
         return copy.deepcopy(self)
 
     # -- policy support ------------------------------------------------
@@ -116,23 +124,26 @@ class CellularNetworkEnv:
     def preview_step_rewards(self) -> np.ndarray:
         """Fading-free one-step reward for every action, without advancing.
 
-        Motion is previewed on a snapshot of the per-user RNG streams, so
-        every candidate action sees the identical upcoming positions and the
-        real streams are left untouched.
+        Every action sees the same upcoming positions, cached for ``step``.
         """
         if self._done or self._motion is None:
             raise RuntimeError("environment must be mid-episode to preview")
-        saved = [g.bit_generator.state for g in self._ue_rngs]
-        next_motion = [mobility.step_motion(s, self.cfg.mobility, g)
-                       for s, g in zip(self._motion, self._ue_rngs)]
-        for g, state in zip(self._ue_rngs, saved):
-            g.bit_generator.state = state
-        snr = radio.snr_matrix(self._bs, [m.position for m in next_motion],
-                               self.cfg.radio)
-        taus = np.clip(self._thresholds[None, :]
-                       + self._action_deltas * self.cfg.threshold_step, 0.0, 1.0)
-        rewards, _ = mac.reward_terms(snr, taus, self.cfg.utility)
-        return rewards
+        motion, snr, previewed = self._next_state()
+        if previewed is None:
+            taus = np.clip(self._thresholds[None, :]
+                           + self._action_deltas * self.cfg.threshold_step, 0.0, 1.0)
+            previewed = mac.reward_terms(snr, taus, self.cfg.utility)
+            self._upcoming = (motion, snr, previewed)
+        return previewed[0].copy()
+
+    def _next_state(self):
+        """(motion, SNR matrix, preview or None) of the next step, computed
+        once; stepping motion advances the per-user streams."""
+        if self._upcoming is None:
+            motion = mobility.step_motion(self._motion, self.cfg.mobility, self._ue_rngs)
+            snr = radio.snr_matrix(self._bs, motion.position, self.cfg.radio)
+            self._upcoming = (motion, snr, None)
+        return self._upcoming
 
     # -- views ---------------------------------------------------------
 
@@ -162,16 +173,12 @@ class CellularNetworkEnv:
 
     @property
     def ue_positions(self) -> np.ndarray:
-        return np.array([m.position for m in self._motion])
+        return self._motion.position.copy()
 
     @property
     def policy_rng(self) -> np.random.Generator:
         """Policy-noise stream derived from the episode seed."""
         return self._rng_policy
-
-    def _compute_snr(self) -> np.ndarray:
-        return radio.snr_matrix(self._bs, [m.position for m in self._motion],
-                                self.cfg.radio)
 
     def _observation(self) -> np.ndarray:
         return np.concatenate([self._thresholds, self._snr.ravel(),

@@ -29,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FadingModel, UtilityParams
-from .radio import sample_fading
+from .radio import fade_matrix, sample_fading
 
 __all__ = [
     "data_rate",
     "connections",
     "ratefair_fractions",
     "user_rates",
-    "user_rate",
     "utility",
     "reward_terms",
     "reward",
@@ -75,7 +74,11 @@ def ratefair_fractions(snr, conn, bandwidth: float) -> np.ndarray:
     ``a_ij d_ij`` is the same for every connected user j, namely
     ``1 / sum_k c_ik / d_ik``.
     """
-    rates = data_rate(snr, bandwidth)
+    return _fractions_from_rates(data_rate(snr, bandwidth), conn)
+
+
+def _fractions_from_rates(rates, conn) -> np.ndarray:
+    """``ratefair_fractions`` from the state rates ``b log2(1 + gamma)``."""
     conn = np.asarray(conn, dtype=bool)
     safe = np.where(conn, rates, 1.0)
     load = np.where(conn, 1.0 / safe, 0.0).sum(axis=-1, keepdims=True)
@@ -99,12 +102,6 @@ def user_rates(conn, alloc, rates, aggregate: str = "mean") -> np.ndarray:
     return np.divide(total, n, out=np.zeros_like(total), where=n > 0)
 
 
-def user_rate(snr, conn, alloc, bandwidth: float, j: int, aggregate: str = "mean") -> float:
-    """Delivered rate of a single user (see ``user_rates``)."""
-    rates = data_rate(snr, bandwidth)
-    return float(user_rates(conn, alloc, rates, aggregate)[..., j])
-
-
 def utility(rate, params: UtilityParams):
     """Clipped log utility of a delivered rate, rescaled onto [0, 1]."""
     r = np.asarray(rate, dtype=float)
@@ -124,8 +121,9 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     """
     snr_state = np.asarray(snr_state, dtype=float)
     conn = connections(snr_state, tau)
-    alloc = ratefair_fractions(snr_state, conn, params.bandwidth)
-    rates = data_rate(snr_state if reward_snr is None else reward_snr, params.bandwidth)
+    state_rates = data_rate(snr_state, params.bandwidth)
+    alloc = _fractions_from_rates(state_rates, conn)
+    rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
     utils = utility(user_rates(conn, alloc, rates, params.aggregate), params)
     return utils.mean(axis=-1), utils
 
@@ -136,12 +134,9 @@ def reward(snr_state, tau, fading: FadingModel | None, params: UtilityParams, rn
     Deterministic whenever fading is off; otherwise each station-user pair
     is scaled by an independent |H|^2 draw before the rate terms.
     """
-    if fading is None or fading.kind == "none":
-        rew, utils = reward_terms(snr_state, tau, params)
-    else:
-        gains = np.asarray(sample_fading(fading, rng, size=np.shape(snr_state))) ** 2
-        rew, utils = reward_terms(snr_state, tau, params,
-                                  reward_snr=np.asarray(snr_state, dtype=float) * gains)
+    faded = (None if fading is None or fading.kind == "none"
+             else fade_matrix(snr_state, fading, rng))
+    rew, utils = reward_terms(snr_state, tau, params, reward_snr=faded)
     return float(rew), utils
 
 

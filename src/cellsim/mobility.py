@@ -6,30 +6,30 @@ waypoint is sampled.  The ``full`` variant draws waypoints uniformly over
 the whole map; the ``limited`` variant confines each user to a disc around
 a per-user anchor, which yields the low-mobility regime.
 
-Every user owns its own RNG stream, so users can be stepped in any order
-(or concurrently) without changing the draws any one of them sees.
+All users' state is held in arrays (``MotionState``) and ``step_motion``
+advances every user in one call.  Each user owns its own RNG stream and
+draws from it only on reaching its waypoint.  States are never modified in
+place; a stepped state may share unchanged arrays with the old one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import MobilityConfig
 
-__all__ = ["UeMotionState", "init_positions", "sample_waypoint", "step_motion"]
+__all__ = ["MotionState", "init_positions", "sample_waypoint", "step_motion"]
 
 
-@dataclass
-class UeMotionState:
-    """Motion bookkeeping for one user."""
+class MotionState(NamedTuple):
+    """Motion bookkeeping for all users, one row per user."""
 
-    position: np.ndarray
-    waypoint: np.ndarray
-    anchor: np.ndarray | None
-    ue_index: int
+    position: np.ndarray       # (n_ues, 2)
+    waypoint: np.ndarray       # (n_ues, 2)
+    anchor: np.ndarray | None  # (n_ues, 2) for ``limited``, else None
 
 
 def _uniform_in_map(cfg: MobilityConfig, rng) -> np.ndarray:
@@ -51,55 +51,52 @@ def _uniform_in_disc(center, radius, cfg: MobilityConfig, rng) -> np.ndarray:
             return np.array([x, y])
 
 
-def sample_waypoint(cfg: MobilityConfig, state: UeMotionState, rng) -> np.ndarray:
-    """Next waypoint for a user: map-wide, or near the anchor when limited."""
+def sample_waypoint(cfg: MobilityConfig, anchor, rng) -> np.ndarray:
+    """Next waypoint for one user: map-wide, or near its anchor when limited."""
     if cfg.variant == "limited":
-        return _uniform_in_disc(state.anchor, cfg.waypoint_radius, cfg, rng)
+        return _uniform_in_disc(anchor, cfg.waypoint_radius, cfg, rng)
     return _uniform_in_map(cfg, rng)
 
 
-def init_positions(cfg: MobilityConfig, n_ues: int, rngs) -> list[UeMotionState]:
+def init_positions(cfg: MobilityConfig, n_ues: int, rngs) -> MotionState:
     """Draw initial motion state for every user, one RNG stream each."""
     if len(rngs) != n_ues:
         raise ValueError(f"expected {n_ues} rng streams, got {len(rngs)}")
-    states = []
-    for idx in range(n_ues):
-        rng = rngs[idx]
-        if cfg.variant == "limited":
-            if cfg.anchors is not None:
-                anchor = np.array(cfg.anchors[idx], dtype=float)
-            else:
-                anchor = _uniform_in_map(cfg, rng)
-            position = _uniform_in_disc(anchor, cfg.init_radius, cfg, rng)
-        else:
-            anchor = None
-            position = _uniform_in_map(cfg, rng)
-        state = UeMotionState(position=position, waypoint=position, anchor=anchor,
-                              ue_index=idx)
-        state.waypoint = sample_waypoint(cfg, state, rng)
-        states.append(state)
-    return states
+    if cfg.variant == "full":
+        position = np.array([_uniform_in_map(cfg, g) for g in rngs])
+        waypoint = np.array([_uniform_in_map(cfg, g) for g in rngs])
+        return MotionState(position=position, waypoint=waypoint, anchor=None)
+    if cfg.anchors is None:
+        anchor = np.array([_uniform_in_map(cfg, g) for g in rngs])
+    else:
+        anchor = np.array(cfg.anchors[:n_ues], dtype=float)
+    position = np.array([_uniform_in_disc(a, cfg.init_radius, cfg, g)
+                         for a, g in zip(anchor, rngs, strict=True)])
+    waypoint = np.array([_uniform_in_disc(a, cfg.waypoint_radius, cfg, g)
+                         for a, g in zip(anchor, rngs)])
+    return MotionState(position=position, waypoint=waypoint, anchor=anchor)
 
 
-def step_motion(state: UeMotionState, cfg: MobilityConfig, rng) -> UeMotionState:
-    """Advance one user by one step; returns a new state.
+def step_motion(state: MotionState, cfg: MobilityConfig, rngs) -> MotionState:
+    """Advance every user by one step; ``rngs[j]`` is user j's stream.
 
-    Zero speed freezes the user entirely (waypoint included).  When the
-    waypoint is closer than one step, the user lands on it exactly and the
-    leftover distance is discarded.
+    Zero speed freezes every user entirely (waypoints included).  A user
+    whose waypoint is no farther than one step lands on it exactly, the
+    leftover distance is discarded, and it draws its next waypoint.
     """
     if cfg.speed <= 0.0:
-        return UeMotionState(position=state.position.copy(),
-                             waypoint=state.waypoint.copy(),
-                             anchor=state.anchor, ue_index=state.ue_index)
+        return state
     delta = state.waypoint - state.position
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist <= cfg.speed:
-        new = UeMotionState(position=state.waypoint.copy(),
-                            waypoint=state.waypoint.copy(),
-                            anchor=state.anchor, ue_index=state.ue_index)
-        new.waypoint = sample_waypoint(cfg, new, rng)
-        return new
-    return UeMotionState(position=state.position + delta * (cfg.speed / dist),
-                         waypoint=state.waypoint.copy(),
-                         anchor=state.anchor, ue_index=state.ue_index)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    # The maximum keeps the factor finite for arriving users (dist <= speed,
+    # possibly 0), whose rows are overwritten with their waypoint below.
+    position = state.position + delta * (cfg.speed / np.maximum(dist, cfg.speed))[:, None]
+    arrived = np.flatnonzero(dist <= cfg.speed)
+    if arrived.size == 0:
+        return state._replace(position=position)
+    position[arrived] = state.waypoint[arrived]
+    waypoint = state.waypoint.copy()
+    for j in arrived:
+        waypoint[j] = sample_waypoint(
+            cfg, None if state.anchor is None else state.anchor[j], rngs[j])
+    return MotionState(position=position, waypoint=waypoint, anchor=state.anchor)

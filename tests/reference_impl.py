@@ -1,15 +1,23 @@
-"""Scalar reference for the station-user reward pipeline.
+"""Scalar references for the reward pipeline and for user motion.
 
-Everything here is plain Python loops over lists plus the math module, so
-the vectorized implementation has an independent comparison point.  The
-pipeline: a user j connects to station i when its state SNR meets the
+Everything here is plain Python loops over lists or one user at a time, so
+the vectorized implementation has an independent comparison point.
+
+Reward: a user j connects to station i when its state SNR meets the
 station threshold, each station splits its bandwidth so every connected
 user gets the same delivered rate (the harmonic share), a user's rate is
 aggregated over its serving stations, squashed through the clipped log
 utility, and the reward is the mean utility over users.
+
+Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
+that user's own RNG stream.  This is the per-user loop the array kernel in
+``cellsim.mobility`` replaced; it must stay bit-equal to it, draws included.
 """
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
@@ -64,3 +72,74 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
         utilities.append((g - clip_low) / (clip_high - clip_low))
 
     return sum(utilities) / n_ue, utilities
+
+
+@dataclass
+class UeMotionState:
+    """Motion bookkeeping for one user."""
+
+    position: np.ndarray
+    waypoint: np.ndarray
+    anchor: np.ndarray | None
+    ue_index: int
+
+
+def _uniform_in_map(cfg, rng):
+    return np.array([rng.random() * cfg.map_width, rng.random() * cfg.map_height])
+
+
+def _uniform_in_disc(center, radius, cfg, rng):
+    cx, cy = float(center[0]), float(center[1])
+    while True:
+        r = radius * math.sqrt(rng.random())
+        theta = 2.0 * math.pi * rng.random()
+        x, y = cx + r * math.cos(theta), cy + r * math.sin(theta)
+        if 0.0 <= x <= cfg.map_width and 0.0 <= y <= cfg.map_height:
+            return np.array([x, y])
+
+
+def sample_waypoint(cfg, state, rng):
+    """Next waypoint for a user: map-wide, or near the anchor when limited."""
+    if cfg.variant == "limited":
+        return _uniform_in_disc(state.anchor, cfg.waypoint_radius, cfg, rng)
+    return _uniform_in_map(cfg, rng)
+
+
+def init_positions(cfg, n_ues, rngs):
+    """Initial motion state of every user, one RNG stream each."""
+    states = []
+    for idx in range(n_ues):
+        rng = rngs[idx]
+        if cfg.variant == "limited":
+            if cfg.anchors is not None:
+                anchor = np.array(cfg.anchors[idx], dtype=float)
+            else:
+                anchor = _uniform_in_map(cfg, rng)
+            position = _uniform_in_disc(anchor, cfg.init_radius, cfg, rng)
+        else:
+            anchor = None
+            position = _uniform_in_map(cfg, rng)
+        state = UeMotionState(position=position, waypoint=position, anchor=anchor,
+                              ue_index=idx)
+        state.waypoint = sample_waypoint(cfg, state, rng)
+        states.append(state)
+    return states
+
+
+def step_motion(state, cfg, rng):
+    """Advance one user by one step; returns a new state."""
+    if cfg.speed <= 0.0:
+        return UeMotionState(position=state.position.copy(),
+                             waypoint=state.waypoint.copy(),
+                             anchor=state.anchor, ue_index=state.ue_index)
+    delta = state.waypoint - state.position
+    dist = float(np.hypot(delta[0], delta[1]))
+    if dist <= cfg.speed:
+        new = UeMotionState(position=state.waypoint.copy(),
+                            waypoint=state.waypoint.copy(),
+                            anchor=state.anchor, ue_index=state.ue_index)
+        new.waypoint = sample_waypoint(cfg, new, rng)
+        return new
+    return UeMotionState(position=state.position + delta * (cfg.speed / dist),
+                         waypoint=state.waypoint.copy(),
+                         anchor=state.anchor, ue_index=state.ue_index)

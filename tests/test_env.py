@@ -155,25 +155,52 @@ class TestDeterminism:
 
 
 class TestPreview:
+    @staticmethod
+    def _replayed(cfg, seed, actions):
+        """A fresh env stepped through ``actions`` without any preview."""
+        env = CellularNetworkEnv(cfg)
+        env.reset(seed=seed)
+        for a in actions:
+            env.step(a)
+        return env
+
     def test_preview_matches_cloned_steps(self, default_cfg):
-        env = CellularNetworkEnv(default_cfg)
-        env.reset(seed=21)
-        env.step(13)
+        history = [13, 5, 22]
+        env = self._replayed(default_cfg, 21, history)
         preview = env.preview_step_rewards()
         assert preview.shape == (27,)
+        assert np.array_equal(env.preview_step_rewards(), preview), "idempotent"
         for action in range(27):
-            branch = env.clone()
-            _, reward, _, _ = branch.step(action)
-            assert preview[action] == pytest.approx(reward, abs=1e-12), \
-                f"action {action}"
+            obs, reward, done, info = self._replayed(default_cfg, 21, history).step(action)
+            assert preview[action] == reward, f"action {action}"
+            # A clone carries the preview; stepping it must give the same
+            # transition as the env that never previewed.
+            c_obs, c_reward, c_done, c_info = env.clone().step(action)
+            assert np.array_equal(c_obs, obs) and c_reward == reward and c_done == done
+            assert info.keys() == c_info.keys()
+            for key in info:
+                assert np.array_equal(c_info[key], info[key]), key
 
-    def test_preview_does_not_disturb_the_episode(self, default_cfg):
-        a = CellularNetworkEnv(default_cfg)
-        b = CellularNetworkEnv(default_cfg)
-        a.reset(seed=33)
-        b.reset(seed=33)
-        for t in range(15):
-            a.preview_step_rewards()
-            obs_a = a.step(t % 27)[0]
-            obs_b = b.step(t % 27)[0]
-            assert np.array_equal(obs_a, obs_b), f"divergence at step {t}"
+    def test_preview_does_not_disturb_the_episode(self):
+        # The medium policy previews on its expert steps only, so previewed
+        # and un-previewed steps mix; the replay never previews.
+        for fading in ("none", "rayleigh", "rician:3"):
+            cfg = cs.default_config(fading=fading, horizon=40)
+            policy = cs.MediumPolicy(epsilon=0.5)
+            a = CellularNetworkEnv(cfg)
+            b = CellularNetworkEnv(cfg)
+            assert np.array_equal(a.reset(seed=33), b.reset(seed=33))
+            previews = []
+            preview = a.preview_step_rewards
+            a.preview_step_rewards = lambda: previews.append(1) or preview()
+            for t in range(40):
+                action = policy(a)
+                obs_a, rew_a, done_a, info_a = a.step(action)
+                obs_b, rew_b, done_b, info_b = b.step(action)
+                where = f"{fading}, step {t}"
+                assert np.array_equal(obs_a, obs_b), where
+                assert rew_a == rew_b and done_a == done_b, where
+                assert info_a.keys() == info_b.keys()
+                for key in info_a:
+                    assert np.array_equal(info_a[key], info_b[key]), f"{key}: {where}"
+            assert 0 < len(previews) < 40, f"{fading}: previewed and plain steps must mix"
