@@ -4,7 +4,10 @@ A refactor of the step kernel must not shift one bit of any dataset, so
 these digests were recorded once and are compared exactly.  They cover
 every fading model under both mobility variants, a limited scenario whose
 anchors are drawn per episode, the speed-0 scenario, and the plain
-``env.step`` path of ``evaluate`` with the random policy.  A digest that
+``env.step`` path of ``evaluate`` with the random policy.  The config
+format is pinned too, because every dataset line embeds the config hash:
+the canonical JSON of three configs, a ``save_config`` file, and the
+stdout of one ``simulate`` run.  A digest that
 changes means the simulator's output changed: update it only together with
 a deliberate change of behaviour.
 """
@@ -16,6 +19,7 @@ import json
 import pytest
 
 import cellsim as cs
+from cellsim.cli import main
 from cellsim.config import MobilityConfig, NetworkConfig
 
 HORIZON = 20
@@ -74,3 +78,47 @@ def test_evaluate_random_digest(name):
                       seed_base=11)
     blob = json.dumps([float(r) for r in res.returns]).encode("ascii")
     assert hashlib.sha256(blob).hexdigest() == EVALUATE_DIGESTS[name]
+
+
+CONFIG_DIGESTS = {
+    "default":
+        "2b4dcd01c843c72c56ad9b3a5ce9dfafc6198c372bd7c5df4b8a9429a329ba2f",
+    "limited/rician:3":
+        "6ccd94bc9e0f5e93c1e96c765a835e20115711efea37ccb51b806d465ee91342",
+    "limited-drawn-anchors":
+        "9ce5c4ea7a2bf08acf789f0ebc0514f331fa4e93201e291ac4e0d3ceed8f44ff",
+}
+
+SAVED_CONFIG_DIGEST = "712c75c419e411c6da100bf2b2825f7f15d9f5cce8aee22174fdb61ca714a713"
+
+SIMULATE_ARGV = ["simulate", "--steps", "20", "--policy", "medium", "--seed", "9",
+                 "--fading", "rayleigh"]
+SIMULATE_DIGEST = "db5258384df07d679278853ab409fe5e44a1827d3f8c94cefaacb1a658e20198"
+
+
+def _full_config(name):
+    if name == "default":
+        return cs.default_config()
+    if name == "limited-drawn-anchors":
+        return NetworkConfig(mobility=MobilityConfig(variant="limited"))
+    return cs.default_config(*name.split("/"))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_DIGESTS))
+def test_canonical_json_digest(name):
+    cfg = _full_config(name)
+    digest = hashlib.sha256(cfg.canonical_json().encode("utf-8")).hexdigest()
+    assert digest == CONFIG_DIGESTS[name]
+    assert cfg.canonical_hash() == digest
+
+
+def test_saved_config_digest(tmp_path):
+    path = tmp_path / "scenario.json"
+    cs.save_config(_full_config("limited/rician:3"), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_CONFIG_DIGEST
+
+
+def test_simulate_stdout_digest(capsys):
+    assert main(SIMULATE_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SIMULATE_DIGEST
