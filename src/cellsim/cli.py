@@ -20,9 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import harness, mac
-from .config import (DEFAULT_MEDIUM_EPSILON, FadingModel, MobilityConfig,
-                     default_config, load_config, parse_fading)
-from .env import CellularNetworkEnv
+from .config import DEFAULT_MEDIUM_EPSILON, default_config, load_config, parse_fading
 from .policies import make_policy
 
 _POLICY_CHOICES = ("expert", "medium", "random")
@@ -131,14 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args, horizon=args.steps)
     policy = make_policy(args.policy, epsilon=args.epsilon)
-    env = CellularNetworkEnv(cfg)
-    env.reset(args.seed)
+    traj = data_mod.collect_trajectory(cfg, policy, args.seed)
     total = 0.0
-    done = False
-    while not done:
-        action = policy(env)
-        _, rew, done, _ = env.step(action)
-        print(f"t={env.t - 1} action={action} reward={rew!r}")
+    for t, (action, rew) in enumerate(zip(traj.actions.tolist(), traj.rewards.tolist())):
+        print(f"t={t} action={action} reward={rew!r}")
         total += rew
     print(f"total_return={total!r}")
     return 0

@@ -5,6 +5,12 @@ mapping, user mobility, channel fading, and episode settings.  Configs
 serialize to a sectioned JSON document whose canonical SHA-256 hash stamps
 every dataset built from them, so a trajectory file can always be traced
 back to the exact scenario that produced it.
+
+The ``radio``, ``utility``, ``mobility`` and ``fading`` sections are
+serialized from their dataclass fields; ``network`` and ``episode`` regroup
+``NetworkConfig``'s own fields.  Loading rejects unknown keys (a missing key
+takes its default), and every section rejects non-finite numbers, so a bad
+config raises a ``ValueError`` that names the offending field.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,6 +83,39 @@ _DEFAULT_UPPER_REF = _default_ref(DEFAULT_UPPER_REF_DISTANCE)
 _DEFAULT_LOWER_REF = _default_ref(math.hypot(DEFAULT_MAP_SIZE, DEFAULT_MAP_SIZE) / 2.0)
 
 
+def _finite_real(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _check_numbers(obj) -> None:
+    """Require every float field of a config dataclass to hold a finite real
+    number and every int field an integer; a bool is neither."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" and not _finite_real(value) or f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            kind = "an integer" if f.type == "int" else "a finite number"
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be {kind}, "
+                             f"got {value!r}")
+
+
+def _points(value, what: str, width: float, height: float) -> tuple:
+    """``value`` as a tuple of ``(x, y)`` float pairs, each inside the map."""
+    try:
+        ok = all(_finite_real(x) and _finite_real(y) for x, y in value)
+    except (TypeError, ValueError):  # not a list of pairs
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} positions must be a list of [x, y] pairs of finite "
+                         f"numbers, got {value!r}")
+    points = tuple((float(x), float(y)) for x, y in value)
+    for x, y in points:
+        if not (0 <= x <= width and 0 <= y <= height):
+            raise ValueError(f"{what} ({x}, {y}) outside map")
+    return points
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Log-distance path loss constants plus the SNR normalization window.
@@ -95,6 +135,7 @@ class RadioParams:
     snr_lower_ref: float = _DEFAULT_LOWER_REF
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.reference_distance <= 0:
             raise ValueError("reference_distance must be positive")
         if self.pathloss_exponent <= 0:
@@ -107,30 +148,6 @@ class RadioParams:
         return _snr_from_distance(distance, self.tx_power_dbm, self.noise_dbm,
                                   self.reference_pathloss_db, self.pathloss_exponent,
                                   self.reference_distance)
-
-    @classmethod
-    def for_map(cls, map_width, map_height,
-                upper_ref_distance=DEFAULT_UPPER_REF_DISTANCE,
-                lower_ref_distance=None,
-                tx_power_dbm=_TX_POWER_DBM, noise_dbm=_NOISE_DBM,
-                pathloss_exponent=_PATHLOSS_EXPONENT,
-                reference_distance=_REFERENCE_DISTANCE,
-                reference_pathloss_db=_REFERENCE_PATHLOSS_DB) -> "RadioParams":
-        """Build params with references derived from the map geometry.
-
-        The upper reference is the raw SNR at ``upper_ref_distance``; the
-        lower reference defaults to the raw SNR at half the map diagonal.
-        """
-        if lower_ref_distance is None:
-            lower_ref_distance = math.hypot(map_width, map_height) / 2.0
-        args = (tx_power_dbm, noise_dbm, reference_pathloss_db,
-                pathloss_exponent, reference_distance)
-        return cls(tx_power_dbm=tx_power_dbm, noise_dbm=noise_dbm,
-                   pathloss_exponent=pathloss_exponent,
-                   reference_distance=reference_distance,
-                   reference_pathloss_db=reference_pathloss_db,
-                   snr_upper_ref=float(_snr_from_distance(upper_ref_distance, *args)),
-                   snr_lower_ref=float(_snr_from_distance(lower_ref_distance, *args)))
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,7 @@ class UtilityParams:
     aggregate: str = "mean"
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
         if self.w2 <= 0:
@@ -183,6 +201,7 @@ class MobilityConfig:
     anchors: tuple | None = None
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.variant not in ("full", "limited"):
             raise ValueError(f"unknown mobility variant {self.variant!r}")
         if self.speed < 0:
@@ -192,11 +211,8 @@ class MobilityConfig:
         if self.init_radius < 0 or self.waypoint_radius < 0:
             raise ValueError("radii must be non-negative")
         if self.anchors is not None:
-            anchors = tuple((float(x), float(y)) for x, y in self.anchors)
-            object.__setattr__(self, "anchors", anchors)
-            for x, y in anchors:
-                if not (0 <= x <= self.map_width and 0 <= y <= self.map_height):
-                    raise ValueError(f"anchor ({x}, {y}) outside map")
+            object.__setattr__(self, "anchors", _points(self.anchors, "anchor",
+                                                        self.map_width, self.map_height))
 
 
 @dataclass(frozen=True)
@@ -213,6 +229,7 @@ class FadingModel:
     k_factor: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.kind not in ("none", "rayleigh", "rician"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.omega <= 0:
@@ -239,6 +256,27 @@ def parse_fading(spec: str) -> FadingModel:
     raise ValueError(f"unknown fading spec {spec!r}")
 
 
+# The sections serialized from their own dataclass fields, by JSON name.
+_SECTIONS = {"radio": RadioParams, "utility": UtilityParams,
+             "mobility": MobilityConfig, "fading": FadingModel}
+# The sections that regroup NetworkConfig's own fields.
+_OWN_SECTIONS = {"network": ("n_bs", "n_ues", "bs_positions"),
+                 "episode": ("horizon", "threshold_step")}
+# The keys each section of the JSON document may hold.
+_KEYS = {**_OWN_SECTIONS,
+         **{name: [f.name for f in fields(cls)] for name, cls in _SECTIONS.items()}}
+
+
+def _json_object(value, what: str, keys) -> dict:
+    """``value`` checked to be a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    return value
+
+
 def _default_bs_positions():
     # Three stations evenly spaced on the horizontal midline of the map.
     w, h = DEFAULT_MAP_SIZE, DEFAULT_MAP_SIZE
@@ -260,16 +298,14 @@ class NetworkConfig:
     threshold_step: float = DEFAULT_THRESHOLD_STEP
 
     def __post_init__(self):
-        positions = tuple((float(x), float(y)) for x, y in self.bs_positions)
+        _check_numbers(self)
+        m = self.mobility
+        positions = _points(self.bs_positions, "station", m.map_width, m.map_height)
         object.__setattr__(self, "bs_positions", positions)
         if self.n_bs < 1 or self.n_ues < 1:
             raise ValueError("need at least one station and one user")
         if len(positions) != self.n_bs:
             raise ValueError(f"expected {self.n_bs} station positions, got {len(positions)}")
-        m = self.mobility
-        for x, y in positions:
-            if not (0 <= x <= m.map_width and 0 <= y <= m.map_height):
-                raise ValueError(f"station at ({x}, {y}) outside map")
         if m.anchors is not None and len(m.anchors) != self.n_ues:
             raise ValueError(f"expected {self.n_ues} anchors, got {len(m.anchors)}")
         if self.horizon < 1:
@@ -286,70 +322,23 @@ class NetworkConfig:
         return self.n_bs + self.n_bs * self.n_ues + self.n_ues
 
     def to_dict(self) -> dict:
-        m, r, u, f = self.mobility, self.radio, self.utility, self.fading
-        return {
-            "network": {
-                "n_bs": self.n_bs,
-                "n_ues": self.n_ues,
-                "bs_positions": [list(p) for p in self.bs_positions],
-            },
-            "radio": {
-                "tx_power_dbm": r.tx_power_dbm,
-                "noise_dbm": r.noise_dbm,
-                "pathloss_exponent": r.pathloss_exponent,
-                "reference_distance": r.reference_distance,
-                "reference_pathloss_db": r.reference_pathloss_db,
-                "snr_upper_ref": r.snr_upper_ref,
-                "snr_lower_ref": r.snr_lower_ref,
-            },
-            "utility": {
-                "bandwidth": u.bandwidth,
-                "w1": u.w1,
-                "w2": u.w2,
-                "w3": u.w3,
-                "clip_low": u.clip_low,
-                "clip_high": u.clip_high,
-                "aggregate": u.aggregate,
-            },
-            "mobility": {
-                "variant": m.variant,
-                "speed": m.speed,
-                "map_width": m.map_width,
-                "map_height": m.map_height,
-                "init_radius": m.init_radius,
-                "waypoint_radius": m.waypoint_radius,
-                "anchors": None if m.anchors is None else [list(a) for a in m.anchors],
-            },
-            "fading": {
-                "kind": f.kind,
-                "omega": f.omega,
-                "k_factor": f.k_factor,
-            },
-            "episode": {
-                "horizon": self.horizon,
-                "threshold_step": self.threshold_step,
-            },
-        }
+        doc = {name: {key: getattr(self, key) for key in keys}
+               for name, keys in _OWN_SECTIONS.items()}
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            doc[name] = {f.name: getattr(section, f.name) for f in fields(section)}
+        return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "NetworkConfig":
-        net = doc["network"]
-        mob = dict(doc["mobility"])
-        anchors = mob.get("anchors")
-        if anchors is not None:
-            mob["anchors"] = tuple(tuple(a) for a in anchors)
-        episode = doc["episode"]
-        return cls(
-            n_bs=int(net["n_bs"]),
-            n_ues=int(net["n_ues"]),
-            bs_positions=tuple(tuple(p) for p in net["bs_positions"]),
-            radio=RadioParams(**doc["radio"]),
-            utility=UtilityParams(**doc["utility"]),
-            mobility=MobilityConfig(**mob),
-            fading=FadingModel(**doc["fading"]),
-            horizon=int(episode["horizon"]),
-            threshold_step=float(episode["threshold_step"]),
-        )
+    def from_dict(cls, doc) -> "NetworkConfig":
+        kwargs = {}
+        for name, values in _json_object(doc, "config", _KEYS).items():
+            values = _json_object(values, f"config section {name!r}", _KEYS[name])
+            if name in _SECTIONS:
+                kwargs[name] = _SECTIONS[name](**values)
+            else:
+                kwargs.update(values)
+        return cls(**kwargs)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -64,15 +64,10 @@ class Trajectory:
         return len(self.actions)
 
     def to_record(self) -> dict:
-        steps = []
-        for t in range(len(self)):
-            steps.append({
-                "t": t,
-                "obs": [float(x) for x in self.observations[t]],
-                "action": int(self.actions[t]),
-                "reward": float(self.rewards[t]),
-                "rtg": float(self.returns_to_go[t]),
-            })
+        columns = zip(self.observations.tolist(), self.actions.tolist(),
+                      self.rewards.tolist(), self.returns_to_go.tolist())
+        steps = [{"t": t, "obs": obs, "action": a, "reward": r, "rtg": g}
+                 for t, (obs, a, r, g) in enumerate(columns)]
         return {
             "seed": int(self.seed),
             "policy_id": self.policy_id,
@@ -83,7 +78,11 @@ class Trajectory:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Trajectory":
+        if not isinstance(rec, dict):
+            raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
         steps = rec["steps"]
+        if not steps:
+            raise ValueError("trajectory record has no steps")
         traj = cls(
             seed=int(rec["seed"]),
             policy_id=rec["policy_id"],
@@ -113,11 +112,8 @@ def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
         rewards.append(rew)
         obs = next_obs
     rewards_arr = np.asarray(rewards, dtype=float)
-    rtg = np.empty_like(rewards_arr)
-    acc = 0.0
-    for t in range(len(rewards_arr) - 1, -1, -1):  # exact backward recurrence
-        acc = rewards_arr[t] + acc
-        rtg[t] = acc
+    # Sequential sum from the last step: rtg[t] == rewards[t] + rtg[t + 1] exactly.
+    rtg = np.cumsum(rewards_arr[::-1])[::-1].copy()
     return Trajectory(seed=seed, policy_id=policy.policy_id,
                       config_hash=cfg.canonical_hash(),
                       observations=np.asarray(observations, dtype=float),
@@ -180,19 +176,25 @@ def _tier_sort_key(tier: str):
         return (1, tier)
 
 
+def map_seeds(fn, cfg: NetworkConfig, policy, seed_base: int, n: int,
+              workers: int) -> list:
+    """``[fn(cfg, policy, seed_base + k) for k in range(n)]``, spread over a
+    process pool when ``workers > 1`` and ``n > 1``; results stay in seed
+    order, so they do not depend on the worker count."""
+    seeds = range(seed_base, seed_base + n)
+    if workers > 1 and n > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, [cfg] * n, [policy] * n, seeds,
+                                 chunksize=max(1, n // (workers * 4))))
+    return [fn(cfg, policy, s) for s in seeds]
+
+
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
             workers: int = 1) -> DatasetManifest:
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
     if n_traj < 0:
         raise ValueError("n_traj must be non-negative")
-    seeds = [seed_base + k for k in range(n_traj)]
-    if workers > 1 and n_traj > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_traj // (workers * 4))
-            trajs = list(pool.map(collect_trajectory, [cfg] * n_traj,
-                                  [policy] * n_traj, seeds, chunksize=chunk))
-    else:
-        trajs = [collect_trajectory(cfg, policy, s) for s in seeds]
+    trajs = map_seeds(collect_trajectory, cfg, policy, seed_base, n_traj, workers)
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
     eps = getattr(policy, "epsilon", None)
     if eps is not None:
@@ -261,26 +263,17 @@ def return_stats(manifest: DatasetManifest, bins: int = 30) -> dict:
     """Per-tier return statistics with histograms over the pooled range."""
     if bins < 1:
         raise ValueError("bins must be positive")
-    pooled = np.concatenate([manifest.tier_returns(t) for t in manifest.tiers
-                             if len(manifest.tiers[t])] or [np.array([])])
-    if pooled.size == 0:
+    summary = manifest.summary_stats()
+    if not summary:
         return {"bin_edges": [], "tiers": {}}
-    edges = np.histogram_bin_edges(pooled, bins=bins)
-    out = {"bin_edges": edges.tolist(), "tiers": {}}
-    for tier in sorted(manifest.tiers, key=_tier_sort_key):
-        rets = manifest.tier_returns(tier)
-        if len(rets) == 0:
-            continue
-        hist, _ = np.histogram(rets, bins=edges)
-        out["tiers"][tier] = {
-            "n": int(len(rets)),
-            "mean": float(rets.mean()),
-            "std": float(rets.std()),
-            "min": float(rets.min()),
-            "max": float(rets.max()),
-            "histogram": hist.tolist(),
-        }
-    return out
+    edges = np.histogram_bin_edges(
+        np.concatenate([manifest.tier_returns(t) for t in summary]), bins=bins)
+    tiers = {}
+    for tier, stats in summary.items():
+        hist, _ = np.histogram(manifest.tier_returns(tier), bins=edges)
+        tiers[tier] = {**{k.removesuffix("_return"): v for k, v in stats.items()},
+                       "histogram": hist.tolist()}
+    return {"bin_edges": edges.tolist(), "tiers": tiers}
 
 
 def histogram_overlap(stats: dict, tier_a: str, tier_b: str) -> float:
@@ -319,31 +312,37 @@ def load_dataset(path) -> DatasetManifest:
     """Read a JSONL dataset back into a manifest.
 
     Tier membership comes from each line's policy_id; all lines must carry
-    the same config hash.  The sidecar, when present, restores metadata.
+    the same config hash.  A malformed line raises ``ValueError`` naming its
+    1-based line number.  The sidecar, when present, restores metadata.
     """
     path = str(path)
     tiers: dict = {}
     config_hash = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            traj = Trajectory.from_record(json.loads(line))
-            if config_hash is None:
-                config_hash = traj.config_hash
-            elif traj.config_hash != config_hash:
-                raise ValueError("dataset mixes trajectories from different configs")
+            try:
+                traj = Trajectory.from_record(json.loads(line))
+                if config_hash is None:
+                    config_hash = traj.config_hash
+                elif traj.config_hash != config_hash:
+                    raise ValueError("dataset mixes trajectories from different configs")
+            except KeyError as exc:
+                raise ValueError(f"{path} line {lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
             tiers.setdefault(traj.policy_id, []).append(traj)
     if config_hash is None:
         raise ValueError(f"dataset {path} is empty")
-    meta, warnings = {}, []
     try:
         with open(path + ".manifest.json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        meta = sidecar.get("meta", {})
-        warnings = sidecar.get("warnings", [])
     except FileNotFoundError:
-        pass
+        sidecar = {}
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}.manifest.json: expected a JSON object")
     return DatasetManifest(tiers=tiers, config_hash=config_hash,
-                           meta=meta, warnings=warnings)
+                           meta=sidecar.get("meta", {}),
+                           warnings=sidecar.get("warnings", []))

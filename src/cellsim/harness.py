@@ -11,13 +11,12 @@ the fading effect.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from .config import FadingModel, NetworkConfig
-from .data import collect_trajectory
+from .data import collect_trajectory, map_seeds
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
 
@@ -45,14 +44,7 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
     """Mean and population std of returns over seeds seed_base..+n-1."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
-    seeds = [seed_base + k for k in range(n_episodes)]
-    if workers > 1 and n_episodes > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, n_episodes // (workers * 4))
-            rets = list(pool.map(_episode_return, [cfg] * n_episodes,
-                                 [policy] * n_episodes, seeds, chunksize=chunk))
-    else:
-        rets = [_episode_return(cfg, policy, s) for s in seeds]
+    rets = map_seeds(_episode_return, cfg, policy, seed_base, n_episodes, workers)
     arr = np.asarray(rets, dtype=float)
     return EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
                       seed_base=seed_base, mean=float(arr.mean()),
@@ -121,16 +113,11 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     adjacent pair whose mean gap drops below -2 paired SEMs.
     """
     models = list(models)
-    results = []
-    for model in models:
-        res = evaluate(dc_replace(cfg, fading=model), policy,
-                       n_episodes=n_episodes, seed_base=seed_base, workers=workers)
-        results.append(res)
+    results = [evaluate(dc_replace(cfg, fading=model), policy, n_episodes=n_episodes,
+                        seed_base=seed_base, workers=workers) for model in models]
     rows = []
     for model, res in zip(models, results):
-        score = None
-        if baselines is not None:
-            score = rescale(res.mean, baselines[0], baselines[1])
+        score = None if baselines is None else rescale(res.mean, *baselines)
         rows.append(SweepRow(policy_id=policy.policy_id, fading=model.label(),
                              mobility_variant=cfg.mobility.variant,
                              n_episodes=n_episodes, mean=res.mean, std=res.std,

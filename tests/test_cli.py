@@ -1,6 +1,7 @@
 """Command line interface: every subcommand driven through main(argv)."""
 
 import json
+import math
 
 import pytest
 
@@ -213,6 +214,66 @@ class TestShowConfig:
                            str(tmp_path / "absent.json"))
         assert code == 1
         assert "error:" in err
+
+
+def _config_with(**sections):
+    doc = default_config().to_dict()
+    for name, values in sections.items():
+        doc[name] = {**doc[name], **values}
+    return doc
+
+
+_EMPTY_STEPS = {"seed": 0, "policy_id": "random", "config_hash": "x",
+                "total_return": 0.0, "steps": []}
+
+
+class TestMalformedInputs:
+    """Every malformed config, flag or dataset exits 1 with an ``error:``
+    line on stderr, never with a traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        _config_with(radio={"bogus": 1}),
+        dict(_config_with(), network=[]),
+        [],
+        _config_with(mobility={"speed": "fast"}),
+        _config_with(mobility={"anchors": 5}),
+        _config_with(fading={"kind": "rician", "omega": math.nan}),
+        _config_with(network={"n_bs": 2.5}),
+        _config_with(episode={"horizon": True}),
+    ], ids=["unknown-key", "section-not-object", "document-not-object",
+            "string-speed", "scalar-anchors", "nan-omega", "fractional-n-bs",
+            "bool-horizon"])
+    @pytest.mark.parametrize("command", ["simulate", "show-config"])
+    def test_bad_config_file(self, capsys, tmp_path, doc, command):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("spec", ["rician:nan", "rician:inf"])
+    def test_non_finite_fading_flag(self, capsys, spec):
+        code, out, err = run(capsys, "simulate", "--steps", "30", "--policy",
+                             "random", "--fading", spec)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("line", [json.dumps(_EMPTY_STEPS), "[]"],
+                             ids=["empty-steps", "not-an-object"])
+    @pytest.mark.parametrize("command", ["stats", "ablate"])
+    def test_bad_dataset_line(self, capsys, tmp_path, line, command):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        argv = [command, "--in", str(path)]
+        if command == "ablate":
+            argv += ["--drop-expert", "0.5", "--out", str(tmp_path / "out.jsonl")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "line 1:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestUsageErrors:

@@ -1,11 +1,14 @@
 """Scenario configs: the JSON round trip and the checks at the config boundary."""
 
 import json
+import math
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellsim.config import (FadingModel, MobilityConfig, NetworkConfig, UtilityParams,
-                            load_config, save_config)
+                            default_config, load_config, parse_fading, save_config)
 
 
 def _positive():
@@ -42,3 +45,78 @@ class TestRoundTrip:
         loaded = load_config(path)
         assert loaded == cfg
         assert loaded.canonical_hash() == cfg.canonical_hash()
+
+
+def _doc(**sections):
+    """The default config document with the given sections updated."""
+    doc = default_config().to_dict()
+    for name, values in sections.items():
+        doc[name] = {**doc[name], **values}
+    return doc
+
+
+class TestFromDictBoundary:
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config must be a JSON object"),
+        ({"network": []}, "config section 'network' must be a JSON object"),
+        ({"radio": "x"}, "config section 'radio' must be a JSON object"),
+        ({"radoi": {}}, "config has unknown key 'radoi'"),
+        ({"radio": {"bogus": 1}}, "config section 'radio' has unknown key 'bogus'"),
+        ({"episode": {"seed": 1}}, "config section 'episode' has unknown key 'seed'"),
+    ])
+    def test_structure_errors_name_section_and_key(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NetworkConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("radio", "noise_dbm", math.nan),
+        ("radio", "snr_upper_ref", math.inf),
+        ("utility", "bandwidth", "600"),
+        ("utility", "w1", True),
+        ("mobility", "speed", "fast"),
+        ("mobility", "map_width", -math.inf),
+        ("fading", "omega", math.nan),
+        ("fading", "k_factor", None),
+        ("episode", "threshold_step", math.nan),
+        ("network", "n_bs", 2.5),
+        ("network", "n_ues", True),
+        ("episode", "horizon", 10.5),
+    ])
+    def test_bad_numbers_rejected(self, section, key, value):
+        with pytest.raises(ValueError, match=rf"\.{key} must be"):
+            NetworkConfig.from_dict(_doc(**{section: {key: value}}))
+
+    @pytest.mark.parametrize("anchors", [5, [[1.0]], [["a", 1.0]] * 5,
+                                         [[math.nan, 1.0]] * 5, [[True, 1.0]] * 5])
+    def test_bad_anchors_rejected(self, anchors):
+        with pytest.raises(ValueError, match="anchor positions must be"):
+            NetworkConfig.from_dict(_doc(mobility={"anchors": anchors}))
+
+    def test_bad_station_positions_rejected(self):
+        with pytest.raises(ValueError, match="station positions must be"):
+            NetworkConfig.from_dict(_doc(network={"bs_positions": [[1.0, None]] * 3}))
+        with pytest.raises(ValueError, match=r"station \(250.0, 1.0\) outside map"):
+            NetworkConfig.from_dict(_doc(network={"bs_positions": [[250.0, 1.0]] * 3}))
+
+    def test_missing_keys_take_defaults(self):
+        cfg = NetworkConfig.from_dict({"fading": {"kind": "rayleigh"},
+                                       "episode": {"horizon": 7}, "radio": {}})
+        assert cfg == NetworkConfig(fading=FadingModel(kind="rayleigh"), horizon=7)
+        assert NetworkConfig.from_dict({}) == NetworkConfig()
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = NetworkConfig.from_dict(_doc(mobility={"speed": 3}))
+        assert cfg.mobility.speed == 3
+
+    def test_direct_construction_checks_numbers(self):
+        with pytest.raises(ValueError, match=r"FadingModel\.omega must be a finite number"):
+            FadingModel(kind="rayleigh", omega=math.inf)
+        with pytest.raises(ValueError, match=r"NetworkConfig\.horizon must be an integer"):
+            NetworkConfig(horizon=2.0)
+
+
+class TestParseFading:
+    @pytest.mark.parametrize("spec", ["rician:nan", "rician:inf", "rician:-inf"])
+    def test_non_finite_k_rejected(self, spec):
+        with pytest.raises(ValueError, match="k_factor must be a finite number"):
+            parse_fading(spec)

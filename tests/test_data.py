@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,30 @@ class TestDatasetFiles:
         path = tmp_path / "mixed.jsonl"
         path.write_text(json.dumps(rec) + "\n" + json.dumps(other) + "\n")
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("[]", "line 2: expected a JSON object, got list"),
+        ("7", "line 2: expected a JSON object, got int"),
+        ("EMPTY_STEPS", "line 2: trajectory record has no steps"),
+        ("{\"seed\": 1}", "line 2: missing field 'steps'"),
+        ("{not json", "line 2: Expecting property name"),
+    ])
+    def test_malformed_line_names_its_line_number(self, short_cfg, tmp_path,
+                                                  bad_line, message):
+        rec = collect_trajectory(short_cfg, make_policy("random"), 0).to_record()
+        if bad_line == "EMPTY_STEPS":
+            bad_line = json.dumps(dict(rec, steps=[]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + bad_line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+            load_dataset(path)
+
+    def test_sidecar_must_be_an_object(self, short_cfg, tmp_path):
+        path = tmp_path / "set.jsonl"
+        write_dataset(collect(short_cfg, make_policy("random"), 1), path)
+        (tmp_path / "set.jsonl.manifest.json").write_text("[]\n")
+        with pytest.raises(ValueError, match="manifest.json: expected a JSON object"):
             load_dataset(path)
 
     def test_sidecar_stats_match_manifest(self, short_cfg, tmp_path):

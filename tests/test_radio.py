@@ -53,11 +53,6 @@ class TestPathLoss:
         assert params.snr_upper_ref == pytest.approx(12500.0, rel=1e-12)
         assert params.snr_lower_ref == pytest.approx(25.0 * math.sqrt(2), rel=1e-12)
 
-    def test_for_map_matches_direct_evaluation(self):
-        params = RadioParams.for_map(200.0, 200.0, upper_ref_distance=20.0)
-        assert params.snr_upper_ref == pytest.approx(12500.0, rel=1e-12)
-        assert params.snr_lower_ref == pytest.approx(25.0 * math.sqrt(2), rel=1e-12)
-
     def test_non_finite_position_rejected(self):
         params = RadioParams()
         with pytest.raises(ValueError):
