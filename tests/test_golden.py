@@ -7,7 +7,8 @@ anchors are drawn per episode, the speed-0 scenario, and the plain
 ``env.step`` path of ``evaluate`` with the random policy.  The config
 format is pinned too, because every dataset line embeds the config hash:
 the canonical JSON of three configs, a ``save_config`` file, and the
-stdout of one ``simulate`` run.  A digest that
+stdout of one ``simulate`` run.  The ``verify`` stdout of three fading
+models pins the Monte Carlo bound and the concavity probe.  A digest that
 changes means the simulator's output changed: update it only together with
 a deliberate change of behaviour.
 """
@@ -122,3 +123,21 @@ def test_simulate_stdout_digest(capsys):
     assert main(SIMULATE_ARGV) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SIMULATE_DIGEST
+
+
+VERIFY_DIGESTS = {
+    "--fading rayleigh --fixed-allocation":
+        "f7fdfd447fc6064e26b9dd198c25473c370399791a1bfb1d7801d588207a5c45",
+    "--fading rician:3 --format csv --seed 4":
+        "e378123bd6284f7061f65c5adac698716bb902ebb1ea263d755598adaa32b231",
+    "--fading none":
+        "205b3591f0d0a77c2e0450fa4aa4314350875707c88dc19c47a12e747d093f42",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(args, capsys):
+    argv = ["verify", *args.split(), "--samples", "20000", "--trials", "3000"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[args]

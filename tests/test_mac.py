@@ -7,6 +7,7 @@ delivered rate of 9 maps to utility 0.75 under the default shape because
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsim.config import FadingModel, UtilityParams
 from cellsim import mac
@@ -168,6 +169,52 @@ class TestRewardTerms:
         a = mac.reward(snr, tau, FadingModel("none"), UtilityParams())
         b = mac.reward(snr, tau, None, UtilityParams())
         assert a[0] == b[0]
+
+
+@st.composite
+def reward_cases(draw):
+    """An SNR matrix with some all-zero station rows, a batch of threshold
+    vectors with exact ties at ``gamma == tau``, and maybe a faded matrix."""
+    n_bs, n_ues = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    # Positive SNRs below 1e-12 are left out for now: 1 + gamma rounds to 1
+    # there, so a connected link gets rate 0 and the harmonic share divides
+    # by it.
+    entry = st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(1e-12, 1.0)
+    snr = np.array(draw(st.lists(st.lists(entry, min_size=n_ues, max_size=n_ues),
+                                 min_size=n_bs, max_size=n_bs)))
+    snr[draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))] = 0.0
+    # A threshold either copies one of its station's SNRs (a tie) or is free.
+    tie = st.integers(0, n_ues - 1) | st.floats(0.0, 1.0)
+    picks = draw(st.lists(st.lists(tie, min_size=n_bs, max_size=n_bs),
+                          min_size=1, max_size=4))
+    taus = np.array([[snr[i, p] if isinstance(p, int) else p for i, p in enumerate(row)]
+                     for row in picks])
+    faded = None
+    if draw(st.booleans()):
+        gains = draw(st.lists(st.floats(0.0, 10.0), min_size=n_bs * n_ues,
+                              max_size=n_bs * n_ues))
+        faded = snr * np.reshape(gains, snr.shape)
+    return snr, taus, faded, draw(st.sampled_from(["mean", "sum"]))
+
+
+class TestRewardTermsMatchesReference:
+    """The vectorized reward against the scalar loops in ``reference_impl``,
+    one threshold row of the batch at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=reward_cases())
+    def test_batched_rows_match_scalar_reference(self, case):
+        snr, taus, faded, aggregate = case
+        params = UtilityParams(aggregate=aggregate)
+        rews, utils = mac.reward_terms(snr, taus, params, reward_snr=faded)
+        assert rews.shape == (len(taus),)
+        assert utils.shape == (len(taus), snr.shape[1])
+        for b, tau in enumerate(taus):
+            want_rew, want_utils = reference_reward(
+                snr.tolist(), tau.tolist(), params.bandwidth, aggregate=aggregate,
+                snr_reward=None if faded is None else faded.tolist())
+            assert rews[b] == pytest.approx(want_rew, abs=1e-12)
+            assert utils[b].tolist() == pytest.approx(want_utils, abs=1e-12)
 
 
 class TestJensenBound:
