@@ -13,7 +13,7 @@ from .mac import (ConcavityReport, JensenReport, concavity_probe, connections,
                   utility, verify_jensen)
 from .mobility import MotionState, init_positions, sample_waypoint, step_motion
 from .policies import GreedyExpertPolicy, MediumPolicy, RandomPolicy, make_policy
-from .radio import fade_matrix, normalize_snr, raw_snr, sample_fading, snr_matrix
+from .radio import fade_matrix, normalize_snr, sample_fading, snr_matrix
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "normalize_snr",
     "parse_fading",
     "ratefair_fractions",
-    "raw_snr",
     "rescale",
     "return_stats",
     "reward",

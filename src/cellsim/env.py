@@ -182,4 +182,4 @@ class CellularNetworkEnv:
 
     def _observation(self) -> np.ndarray:
         return np.concatenate([self._thresholds, self._snr.ravel(),
-                               self._prev_utilities]).astype(float)
+                               self._prev_utilities])

@@ -4,7 +4,7 @@ Given a normalized SNR matrix ``gamma`` (stations x users) and per-station
 association thresholds ``tau``:
 
     d_ij = b log2(1 + gamma_ij)                      achievable rate
-    c_ij = 1 iff gamma_ij >= tau_i and gamma_ij > 0  connection indicator
+    c_ij = 1 iff gamma_ij >= tau_i and d_ij > 0      connection indicator
     a_ij = 1 / sum_k c_ik d_ij / d_ik                rate-fair time fraction
 
 so every user connected to station i is delivered the same rate
@@ -19,6 +19,11 @@ from the state SNR matrix, while the faded (unclipped) SNR enters only the
 upper bound on the expected faded reward, which ``verify_jensen`` checks by
 Monte Carlo and ``concavity_probe`` supports by probing concavity of the
 composed per-user utility.
+
+The kernels take float arrays as they are and do not re-check them; the
+config validates every parameter and position.  Only ``verify_jensen`` and
+``concavity_probe``, which take SNRs or thresholds from their caller,
+convert and check them.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FadingModel, UtilityParams
-from .radio import fade_matrix, sample_fading
+from .radio import fade_matrix
 
 __all__ = [
     "data_rate",
@@ -46,40 +51,32 @@ __all__ = [
 ]
 
 
+
+
 def data_rate(gamma, bandwidth: float):
-    """Achievable rate b log2(1 + gamma); gamma must be non-negative."""
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
-        raise ValueError("SNR must be non-negative")
-    out = bandwidth * np.log2(1.0 + g)
-    return float(out) if out.ndim == 0 else out
+    """Achievable rate b log2(1 + gamma) of a non-negative SNR."""
+    return bandwidth * np.log2(1.0 + gamma)
 
 
 def connections(snr, tau) -> np.ndarray:
-    """Boolean connection matrix: gamma_ij >= tau_i and gamma_ij > 0.
+    """Boolean connection matrix: gamma_ij >= tau_i and d_ij > 0.
 
-    ``snr`` has shape (..., n_bs, n_ues) and ``tau`` (..., n_bs); leading
-    axes broadcast, so a single SNR matrix can be evaluated against a batch
-    of threshold vectors at once.
+    A rate is positive exactly when gamma_ij > 2**-53; at or below that,
+    1 + gamma rounds to 1.  ``snr`` has shape (..., n_bs, n_ues) and ``tau``
+    (..., n_bs); leading axes broadcast, so a single SNR matrix can be
+    evaluated against a batch of threshold vectors at once.
     """
-    snr = np.asarray(snr, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return (snr >= tau[..., None]) & (snr > 0.0)
+    return (snr >= tau[..., None]) & (snr > 2.0 ** -53)
 
 
-def ratefair_fractions(snr, conn, bandwidth: float) -> np.ndarray:
-    """Time fraction a_ij each station grants each connected user.
+def ratefair_fractions(rates, conn) -> np.ndarray:
+    """Time fraction a_ij each station grants each connected user, from the
+    state rates ``d_ij = b log2(1 + gamma_ij)``.
 
     Disconnected pairs get 0.  For station i the delivered rate
     ``a_ij d_ij`` is the same for every connected user j, namely
     ``1 / sum_k c_ik / d_ik``.
     """
-    return _fractions_from_rates(data_rate(snr, bandwidth), conn)
-
-
-def _fractions_from_rates(rates, conn) -> np.ndarray:
-    """``ratefair_fractions`` from the state rates ``b log2(1 + gamma)``."""
-    conn = np.asarray(conn, dtype=bool)
     safe = np.where(conn, rates, 1.0)
     load = np.where(conn, 1.0 / safe, 0.0).sum(axis=-1, keepdims=True)
     share = np.divide(1.0, load, out=np.zeros_like(load), where=load > 0)
@@ -93,7 +90,6 @@ def user_rates(conn, alloc, rates, aggregate: str = "mean") -> np.ndarray:
     faded SNR matrix); ``conn`` and ``alloc`` always come from the state.
     Users with no connection get 0.
     """
-    conn = np.asarray(conn, dtype=bool)
     delivered = np.where(conn, alloc * rates, 0.0)
     total = delivered.sum(axis=-2)
     if aggregate == "sum":
@@ -104,11 +100,9 @@ def user_rates(conn, alloc, rates, aggregate: str = "mean") -> np.ndarray:
 
 def utility(rate, params: UtilityParams):
     """Clipped log utility of a delivered rate, rescaled onto [0, 1]."""
-    r = np.asarray(rate, dtype=float)
-    g = np.clip(params.w1 * np.log(params.w2 + r) / np.log(params.w3),
+    g = np.clip(params.w1 * np.log(params.w2 + rate) / np.log(params.w3),
                 params.clip_low, params.clip_high)
-    out = (g - params.clip_low) / (params.clip_high - params.clip_low)
-    return float(out) if out.ndim == 0 else out
+    return (g - params.clip_low) / (params.clip_high - params.clip_low)
 
 
 def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
@@ -119,23 +113,21 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    snr_state = np.asarray(snr_state, dtype=float)
     conn = connections(snr_state, tau)
     state_rates = data_rate(snr_state, params.bandwidth)
-    alloc = _fractions_from_rates(state_rates, conn)
+    alloc = ratefair_fractions(state_rates, conn)
     rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
     utils = utility(user_rates(conn, alloc, rates, params.aggregate), params)
     return utils.mean(axis=-1), utils
 
 
-def reward(snr_state, tau, fading: FadingModel | None, params: UtilityParams, rng=None):
+def reward(snr_state, tau, fading: FadingModel, params: UtilityParams, rng=None):
     """One step reward: (reward in [0, 1], per-user utilities).
 
     Deterministic whenever fading is off; otherwise each station-user pair
     is scaled by an independent |H|^2 draw before the rate terms.
     """
-    faded = (None if fading is None or fading.kind == "none"
-             else fade_matrix(snr_state, fading, rng))
+    faded = None if fading.kind == "none" else fade_matrix(snr_state, fading, rng)
     rew, utils = reward_terms(snr_state, tau, params, reward_snr=faded)
     return float(rew), utils
 
@@ -175,7 +167,7 @@ class JensenReport:
         return header + "\n" + row
 
 
-def verify_jensen(snr, tau, fading: FadingModel | None, params: UtilityParams,
+def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
                   n_samples: int = 100_000, fixed_allocation: bool = True,
                   rng=None) -> JensenReport:
     """Check E[reward under fading] <= reward without fading by Monte Carlo.
@@ -184,22 +176,21 @@ def verify_jensen(snr, tau, fading: FadingModel | None, params: UtilityParams,
     their state values (the regime in which the bound is a theorem) and the
     check asserts ``mean_R <= r + 3 std_R / sqrt(n)``.  Without it the whole
     pipeline is recomputed from every faded draw and the report is
-    informational only.
+    informational only.  ``snr`` must be finite and non-negative.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
     snr = np.asarray(snr, dtype=float)
-    label = "none" if fading is None else fading.label()
-    r, _ = reward_terms(snr, tau, params)
-    r = float(r)
-    if fading is None or fading.kind == "none":
+    tau = np.asarray(tau, dtype=float)
+    if not (np.isfinite(snr).all() and (snr >= 0.0).all()):
+        raise ValueError("SNR must be finite and non-negative")
+    r = float(reward_terms(snr, tau, params)[0])
+    if fading.kind == "none":
         # Degenerate distribution: every sample equals r exactly.
-        return JensenReport(model=label, n_samples=n_samples,
+        return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    rng = np.random.default_rng(rng)
-    gains = sample_fading(fading, rng, size=(n_samples,) + snr.shape) ** 2
-    faded = snr * gains
+    faded = fade_matrix(np.broadcast_to(snr, (n_samples,) + snr.shape), fading, rng)
     if fixed_allocation:
         samples, _ = reward_terms(snr, tau, params, reward_snr=faded)
     else:
@@ -207,7 +198,7 @@ def verify_jensen(snr, tau, fading: FadingModel | None, params: UtilityParams,
     mean_r = float(samples.mean())
     std_r = float(samples.std())
     holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)
-    return JensenReport(model=label, n_samples=n_samples,
+    return JensenReport(model=fading.label(), n_samples=n_samples,
                         fixed_allocation=fixed_allocation,
                         r=r, mean_R=mean_r, std_R=std_r, holds=bool(holds))
 
@@ -228,33 +219,27 @@ class ConcavityReport:
                 f" max_violation={self.max_violation!r} passed={self.passed}")
 
 
-def concavity_probe(params: UtilityParams, tau, conn=None, n_trials: int = 10_000,
+def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
                     rng=None, n_ues: int = 5, gamma_high: float = 3.0,
                     tol: float = 1e-9) -> ConcavityReport:
     """Probe concavity of gamma -> utility(user rate) at frozen allocations.
 
-    For each trial a base SNR matrix fixes the connection matrix (unless
-    ``conn`` is supplied) and the allocation fractions; two random matrices
-    x, y >= 0 and a random lambda then must satisfy
+    For each trial a base SNR matrix fixes the connection matrix and the
+    allocation fractions (``tau = 0`` connects every pair); two random
+    matrices x, y >= 0 and a random lambda then must satisfy
 
         G(lambda x + (1 - lambda) y) >= lambda G(x) + (1 - lambda) G(y) - tol
 
-    for every user, where G composes the frozen-allocation rate with the
-    clipped log utility.
+    for every user, where G is the per-user utility of ``reward_terms`` with
+    x, y or their mix as the rate-term SNR.
     """
     rng = np.random.default_rng(rng)
     tau = np.asarray(tau, dtype=float)
     shape = (n_trials, tau.shape[-1], n_ues)
-    base = 1.0 - rng.random(shape)  # entries in (0, 1], so rates stay positive
-    if conn is None:
-        c = connections(base, tau)
-    else:
-        c = np.broadcast_to(np.asarray(conn, dtype=bool), shape)
-    alloc = ratefair_fractions(base, c, params.bandwidth)
+    base = 1.0 - rng.random(shape)  # entries in (0, 1]
 
     def composed(g):
-        rates = data_rate(g, params.bandwidth)
-        return utility(user_rates(c, alloc, rates, params.aggregate), params)
+        return reward_terms(base, tau, params, reward_snr=g)[1]
 
     x = rng.random(shape) * gamma_high
     y = rng.random(shape) * gamma_high

@@ -7,6 +7,10 @@ Raw SNR follows a log-distance path loss law,
 and is converted to a linear ratio.  State SNRs are then rescaled onto
 [0, 1] between a fixed lower and upper reference.  Fading scales a linear
 SNR by |H|^2 where the amplitude H is drawn per link and per step.
+
+These functions take float arrays as they are: ``NetworkConfig`` checks
+station positions and constants, motion stays on the map, and a
+``FadingModel`` of kind ``none`` is the one way to switch fading off.
 """
 
 from __future__ import annotations
@@ -17,68 +21,49 @@ import numpy as np
 
 from .config import FadingModel, RadioParams
 
-__all__ = ["raw_snr", "normalize_snr", "snr_matrix", "sample_fading", "fade_matrix"]
-
-
-def raw_snr(bs_position, ue_position, params: RadioParams) -> float:
-    """Linear SNR of a single station-user link."""
-    bx, by = float(bs_position[0]), float(bs_position[1])
-    ux, uy = float(ue_position[0]), float(ue_position[1])
-    if not all(map(math.isfinite, (bx, by, ux, uy))):
-        raise ValueError("positions must have finite coordinates")
-    return float(params.raw_snr_at_distance(math.hypot(bx - ux, by - uy)))
+__all__ = ["normalize_snr", "snr_matrix", "sample_fading", "fade_matrix"]
 
 
 def normalize_snr(raw, params: RadioParams):
     """Rescale a linear SNR onto [0, 1] between the configured references."""
     span = params.snr_upper_ref - params.snr_lower_ref
-    out = np.clip((np.asarray(raw, dtype=float) - params.snr_lower_ref) / span, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip((raw - params.snr_lower_ref) / span, 0.0, 1.0)
 
 
-def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
-    """Normalized SNR for every station-user pair, shape (n_bs, n_ues)."""
-    bs = np.asarray(bs_positions, dtype=float)
-    ue = np.asarray(ue_positions, dtype=float)
-    if not (np.isfinite(bs).all() and np.isfinite(ue).all()):
-        raise ValueError("positions must have finite coordinates")
+def snr_matrix(bs: np.ndarray, ue: np.ndarray, params: RadioParams) -> np.ndarray:
+    """Normalized SNR for every station-user pair, shape (n_bs, n_ues), from
+    (n_bs, 2) station and (n_ues, 2) user position arrays."""
     dist = np.hypot(bs[:, None, 0] - ue[None, :, 0], bs[:, None, 1] - ue[None, :, 1])
     return normalize_snr(params.raw_snr_at_distance(dist), params)
 
 
-def sample_fading(model: FadingModel | None, rng, size=None):
+def sample_fading(model: FadingModel, rng, size=None):
     """Draw fading amplitudes H with E[H^2] = omega.
 
     Returns a scalar when ``size`` is None, else an array of that shape.
-    ``none`` (or a None model) yields exactly 1.
+    ``none`` yields exactly 1.
     """
-    if model is None or model.kind == "none":
+    if model.kind == "none":
         return 1.0 if size is None else np.ones(size)
     rng = np.random.default_rng(rng)
     omega = model.omega
     if model.kind == "rayleigh":
         # Inverse CDF of the Rayleigh amplitude law; 1 - U keeps the log finite.
         u = 1.0 - rng.random(size)
-        h = np.sqrt(-omega * np.log(u))
-    else:
-        k = model.k_factor
-        mean = math.sqrt(k * omega / (k + 1.0))
-        sigma = math.sqrt(omega / (2.0 * (k + 1.0)))
-        re = mean + sigma * rng.standard_normal(size)
-        im = sigma * rng.standard_normal(size)
-        h = np.hypot(re, im)
-    return float(h) if size is None else h
+        return np.sqrt(-omega * np.log(u))
+    k = model.k_factor
+    mean = math.sqrt(k * omega / (k + 1.0))
+    sigma = math.sqrt(omega / (2.0 * (k + 1.0)))
+    re = mean + sigma * rng.standard_normal(size)
+    im = sigma * rng.standard_normal(size)
+    return np.hypot(re, im)
 
 
-def fade_matrix(snr: np.ndarray, model: FadingModel | None, rng) -> np.ndarray:
+def fade_matrix(snr: np.ndarray, model: FadingModel, rng) -> np.ndarray:
     """Scale each SNR entry by an independent |H|^2 draw.
 
     The result is intentionally left unclipped: faded entries may exceed 1
     and feed the reward computation as-is.  Clip to [0, 1] only if the
-    result is ever exposed as state.
+    result is ever exposed as state.  Without fading this is an exact copy.
     """
-    snr = np.asarray(snr, dtype=float)
-    if model is None or model.kind == "none":
-        return snr.copy()
-    gains = np.asarray(sample_fading(model, rng, size=snr.shape)) ** 2
-    return snr * gains
+    return snr * sample_fading(model, rng, size=snr.shape) ** 2

@@ -34,10 +34,11 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
     if snr_reward is None:
         snr_reward = snr_state
 
-    conn = [[snr_state[i][j] >= tau[i] and snr_state[i][j] > 0.0
-             for j in range(n_ue)] for i in range(n_bs)]
     rate_state = [[bandwidth * math.log2(1.0 + snr_state[i][j])
                    for j in range(n_ue)] for i in range(n_bs)]
+    # A link with no rate (zero SNR, or 1 + SNR rounding to 1) never connects.
+    conn = [[snr_state[i][j] >= tau[i] and rate_state[i][j] > 0.0
+             for j in range(n_ue)] for i in range(n_bs)]
     rate_reward = [[bandwidth * math.log2(1.0 + snr_reward[i][j])
                     for j in range(n_ue)] for i in range(n_bs)]
 

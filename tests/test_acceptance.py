@@ -235,8 +235,8 @@ def test_fair_shares_and_reward_extremes():
     snr = rng.random((10_000, 3, 5))
     tau = rng.random((10_000, 3))
     conn = mac.connections(snr, tau)
-    alloc = mac.ratefair_fractions(snr, conn, params.bandwidth)
-    delivered = np.where(conn, alloc * mac.data_rate(snr, params.bandwidth), 0.0)
+    rates = mac.data_rate(snr, params.bandwidth)
+    delivered = np.where(conn, mac.ratefair_fractions(rates, conn) * rates, 0.0)
     hi = np.where(conn, delivered, -np.inf).max(axis=-1)
     lo = np.where(conn, delivered, np.inf).min(axis=-1)
     spread = np.where(conn.any(axis=-1), hi - lo, 0.0)

@@ -25,10 +25,6 @@ class TestDataRate:
     def test_zero_snr_zero_rate(self):
         assert mac.data_rate(0.0, 600.0) == 0.0
 
-    def test_negative_snr_rejected(self):
-        with pytest.raises(ValueError):
-            mac.data_rate(-0.1, 600.0)
-
 
 class TestConnections:
     def test_threshold_comparison(self):
@@ -42,6 +38,17 @@ class TestConnections:
         conn = mac.connections(np.zeros((3, 5)), np.zeros(3))
         assert not conn.any()
 
+    def test_zero_rate_link_never_connects(self):
+        # At or below 2**-53, 1 + gamma rounds to 1: such a link has rate 0
+        # and would make the harmonic share divide by zero.
+        tiny = 2.0 ** -53
+        snr = np.array([[tiny, np.nextafter(tiny, 1.0), 5e-324, 0.5]])
+        conn = mac.connections(snr, np.zeros(1))
+        assert conn.tolist() == [[False, True, False, True]]
+        assert mac.data_rate(snr, 600.0)[0, 1] > 0.0
+        rew, utils = mac.reward_terms(snr, np.zeros(1), UtilityParams())
+        assert np.isfinite(utils).all() and 0.0 <= rew <= 1.0
+
     def test_threshold_batch_broadcasts(self):
         snr = np.array([[0.5, 0.2]])
         taus = np.array([[0.0], [0.3], [0.6]])
@@ -54,7 +61,7 @@ class TestRateFair:
     def test_equal_rates_split_in_half(self):
         snr = np.array([[1.0, 1.0]])
         conn = mac.connections(snr, np.zeros(1))
-        alloc = mac.ratefair_fractions(snr, conn, 600.0)
+        alloc = mac.ratefair_fractions(mac.data_rate(snr, 600.0), conn)
         assert np.allclose(alloc, 0.5, atol=1e-12)
 
     def test_unequal_rates_equalize_delivery(self):
@@ -62,8 +69,8 @@ class TestRateFair:
         # each (fractions 2/3 and 1/3).
         snr = np.array([[1.0, 3.0]])
         conn = np.array([[True, True]])
-        alloc = mac.ratefair_fractions(snr, conn, 3.0)
         rates = mac.data_rate(snr, 3.0)
+        alloc = mac.ratefair_fractions(rates, conn)
         delivered = alloc * rates
         assert np.allclose(delivered, 2.0, atol=1e-12)
         assert np.allclose(alloc, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
@@ -71,14 +78,14 @@ class TestRateFair:
     def test_solo_user_gets_everything(self):
         snr = np.array([[0.7, 0.2]])
         conn = np.array([[True, False]])
-        alloc = mac.ratefair_fractions(snr, conn, 10.0)
+        alloc = mac.ratefair_fractions(mac.data_rate(snr, 10.0), conn)
         assert alloc[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert alloc[0, 1] == 0.0
 
     def test_empty_station_all_zero(self):
         snr = np.array([[0.7, 0.2]])
         conn = np.zeros((1, 2), dtype=bool)
-        alloc = mac.ratefair_fractions(snr, conn, 10.0)
+        alloc = mac.ratefair_fractions(mac.data_rate(snr, 10.0), conn)
         assert np.all(alloc == 0.0)
 
     def test_fractions_sum_to_one_when_loaded(self):
@@ -86,7 +93,7 @@ class TestRateFair:
         for _ in range(200):
             snr = rng.random((3, 5))
             conn = mac.connections(snr, rng.random(3) * 0.5)
-            alloc = mac.ratefair_fractions(snr, conn, 600.0)
+            alloc = mac.ratefair_fractions(mac.data_rate(snr, 600.0), conn)
             loaded = conn.any(axis=1)
             sums = alloc.sum(axis=1)
             assert np.allclose(sums[loaded], 1.0, atol=1e-9)
@@ -97,8 +104,8 @@ class TestRateFair:
         for _ in range(200):
             snr = rng.random((3, 5))
             conn = mac.connections(snr, rng.random(3) * 0.5)
-            alloc = mac.ratefair_fractions(snr, conn, 600.0)
-            delivered = alloc * mac.data_rate(snr, 600.0)
+            rates = mac.data_rate(snr, 600.0)
+            delivered = mac.ratefair_fractions(rates, conn) * rates
             for i in range(3):
                 row = delivered[i][conn[i]]
                 if row.size > 1:
@@ -166,9 +173,9 @@ class TestRewardTerms:
     def test_reward_without_fading_is_deterministic(self):
         snr = np.random.default_rng(6).random((3, 5))
         tau = np.full(3, 0.3)
-        a = mac.reward(snr, tau, FadingModel("none"), UtilityParams())
-        b = mac.reward(snr, tau, None, UtilityParams())
-        assert a[0] == b[0]
+        a = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), rng=1)
+        b = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), rng=2)
+        assert a[0] == b[0] == float(mac.reward_terms(snr, tau, UtilityParams())[0])
 
 
 @st.composite
@@ -176,10 +183,8 @@ def reward_cases(draw):
     """An SNR matrix with some all-zero station rows, a batch of threshold
     vectors with exact ties at ``gamma == tau``, and maybe a faded matrix."""
     n_bs, n_ues = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    # Positive SNRs below 1e-12 are left out for now: 1 + gamma rounds to 1
-    # there, so a connected link gets rate 0 and the harmonic share divides
-    # by it.
-    entry = st.sampled_from([0.0, 0.1, 0.5, 1.0]) | st.floats(1e-12, 1.0)
+    # 2**-53 and 5e-324 have rate 0 although they are positive.
+    entry = st.sampled_from([0.0, 2.0 ** -53, 5e-324, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0)
     snr = np.array(draw(st.lists(st.lists(entry, min_size=n_ues, max_size=n_ues),
                                  min_size=n_bs, max_size=n_bs)))
     snr[draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))] = 0.0
@@ -227,6 +232,15 @@ class TestJensenBound:
         with pytest.raises(ValueError):
             mac.verify_jensen(snr, tau, FadingModel("rayleigh"), UtilityParams(),
                               n_samples=100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_bad_snr_rejected(self, bad):
+        # The one public entry that takes an SNR matrix from its caller.
+        snr, tau = self._instance()
+        snr[1, 2] = bad
+        with pytest.raises(ValueError, match="SNR must be finite and non-negative"):
+            mac.verify_jensen(snr, tau, FadingModel("rayleigh"), UtilityParams(),
+                              n_samples=10_000, rng=0)
 
     def test_no_fading_is_exact(self):
         snr, tau = self._instance()
@@ -277,9 +291,9 @@ class TestConcavityProbe:
         assert rep.violations == 0
         assert rep.max_violation <= 1e-9
 
-    def test_probe_with_pinned_connections(self):
-        conn = np.ones((3, 5), dtype=bool)
-        rep = mac.concavity_probe(UtilityParams(), np.full(3, 0.4), conn=conn,
+    def test_probe_with_every_pair_connected(self):
+        # tau = 0 connects every pair, since every base SNR is positive.
+        rep = mac.concavity_probe(UtilityParams(), np.zeros(3),
                                   n_trials=2_000, rng=3)
         assert rep.passed
         assert rep.n_checks == 2_000 * 5

@@ -17,33 +17,31 @@ from cellsim import radio
 
 class TestPathLoss:
     def test_snr_at_100_units_is_100(self):
-        params = RadioParams()
-        got = radio.raw_snr((0.0, 0.0), (100.0, 0.0), params)
+        got = RadioParams().raw_snr_at_distance(100.0)
         assert got == pytest.approx(100.0, rel=1e-12)
 
     def test_snr_at_reference_distance(self):
-        params = RadioParams()
-        got = radio.raw_snr((0.0, 0.0), (1.0, 0.0), params)
+        got = RadioParams().raw_snr_at_distance(1.0)
         assert got == pytest.approx(1e8, rel=1e-12)
 
     def test_distances_below_reference_clamp(self):
         params = RadioParams()
-        at_ref = radio.raw_snr((0.0, 0.0), (1.0, 0.0), params)
-        closer = radio.raw_snr((0.0, 0.0), (0.25, 0.0), params)
+        at_ref = params.raw_snr_at_distance(1.0)
+        closer = params.raw_snr_at_distance(0.25)
         assert closer == at_ref
 
     def test_doubling_distance_exponent_two(self):
         # With exponent 2 the linear SNR scales as 1/d^2, so doubling the
         # distance divides it by exactly 4.
         params = RadioParams(pathloss_exponent=2.0)
-        near = radio.raw_snr((0.0, 0.0), (30.0, 0.0), params)
-        far = radio.raw_snr((0.0, 0.0), (60.0, 0.0), params)
+        near = params.raw_snr_at_distance(30.0)
+        far = params.raw_snr_at_distance(60.0)
         assert far / near == pytest.approx(0.25, rel=1e-12)
 
     def test_doubling_distance_exponent_three(self):
         params = RadioParams()
-        near = radio.raw_snr((0.0, 0.0), (30.0, 0.0), params)
-        far = radio.raw_snr((0.0, 0.0), (60.0, 0.0), params)
+        near = params.raw_snr_at_distance(30.0)
+        far = params.raw_snr_at_distance(60.0)
         assert far / near == pytest.approx(0.125, rel=1e-12)
 
     def test_default_reference_window(self):
@@ -52,11 +50,6 @@ class TestPathLoss:
         params = RadioParams()
         assert params.snr_upper_ref == pytest.approx(12500.0, rel=1e-12)
         assert params.snr_lower_ref == pytest.approx(25.0 * math.sqrt(2), rel=1e-12)
-
-    def test_non_finite_position_rejected(self):
-        params = RadioParams()
-        with pytest.raises(ValueError):
-            radio.raw_snr((0.0, 0.0), (math.nan, 0.0), params)
 
 
 class TestNormalization:
@@ -92,18 +85,17 @@ class TestSnrMatrix:
         cfg = default_config()
         ue_positions = np.array([[60.0, 110.0], [150.0, 100.0], [10.0, 10.0],
                                  [100.0, 60.0], [190.0, 190.0]])
-        mat = radio.snr_matrix(cfg.bs_positions, ue_positions, cfg.radio)
+        mat = radio.snr_matrix(np.array(cfg.bs_positions), ue_positions, cfg.radio)
         assert mat.shape == (3, 5)
         assert np.all((mat >= 0.0) & (mat <= 1.0))
-        # Spot-check one entry against the scalar path.
-        want = radio.normalize_snr(
-            radio.raw_snr(cfg.bs_positions[1], ue_positions[3], cfg.radio),
-            cfg.radio)
-        assert mat[1, 3] == pytest.approx(want, rel=1e-12)
+        # Spot-check one entry against the law at its one distance.
+        (bx, by), (ux, uy) = cfg.bs_positions[1], ue_positions[3]
+        raw = cfg.radio.raw_snr_at_distance(math.hypot(bx - ux, by - uy))
+        assert mat[1, 3] == pytest.approx(radio.normalize_snr(raw, cfg.radio), rel=1e-12)
 
     def test_user_on_top_of_station_saturates(self):
         cfg = default_config()
-        mat = radio.snr_matrix(cfg.bs_positions, np.array([[50.0, 100.0]]),
+        mat = radio.snr_matrix(np.array(cfg.bs_positions), np.array([[50.0, 100.0]]),
                                cfg.radio)
         assert mat[0, 0] == 1.0
 
