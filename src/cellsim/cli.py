@@ -6,7 +6,8 @@ config file (built-in defaults otherwise) with individual flags winning
 over the file.  Every subcommand is reproducible from its flags alone.
 
 Exit codes: 0 success, 1 domain error (bad config, bad data file), 2 usage
-error.
+error.  Domain errors are the ``ValueError``, ``RuntimeError`` and ``OSError``
+raised at the boundaries; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,7 +90,9 @@ def _finite_real(value) -> bool:
 
 def _check_numbers(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
-    number and every int field an integer; a bool is neither."""
+    number and every int field an integer; a bool is neither.  A float field
+    given an integer stores it as a float, so ``3`` and ``3.0`` describe, and
+    hash as, the same scenario."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "float" and not _finite_real(value) or f.type == "int" and (
@@ -98,6 +100,8 @@ def _check_numbers(obj) -> None:
             kind = "an integer" if f.type == "int" else "a finite number"
             raise ValueError(f"{type(obj).__name__}.{f.name} must be {kind}, "
                              f"got {value!r}")
+        if f.type == "float" and not isinstance(value, float):
+            object.__setattr__(obj, f.name, float(value))
 
 
 def _points(value, what: str, width: float, height: float) -> tuple:

@@ -8,7 +8,10 @@ A dataset is a JSON Lines file, one trajectory per line:
 Numbers serialize as the shortest decimal that round-trips a 64-bit float,
 so parse-then-serialize reproduces the file byte for byte.  A manifest
 sidecar (``<file>.manifest.json``) records tier counts, return statistics,
-and the SHA-256 of the data file.  Collection is deterministic: trajectory
+and the SHA-256 of the data file; both files are written to temporary
+files first and then moved into place, so a failed write leaves no partial
+file behind.  Loading checks each record's returns-to-go and the sidecar's
+digest against the bytes read.  Collection is deterministic: trajectory
 k of a tier uses seed ``seed_base + k``, and worker-parallel collection
 assembles results in seed order so the output is independent of the worker
 count.
@@ -16,9 +19,12 @@ count.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
+import os
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -95,7 +101,15 @@ class Trajectory:
         if float(rec["total_return"]) != traj.total_return:
             raise ValueError(f"trajectory seed={traj.seed}: total_return does not "
                              "match its first return-to-go")
+        if not np.array_equal(traj.returns_to_go, _returns_to_go(traj.rewards)):
+            raise ValueError(f"trajectory seed={traj.seed}: returns-to-go are not "
+                             "the reversed cumulative sum of the rewards")
         return traj
+
+
+def _returns_to_go(rewards: np.ndarray) -> np.ndarray:
+    """Sequential sum from the last step: rtg[t] == rewards[t] + rtg[t + 1] exactly."""
+    return np.cumsum(rewards[::-1])[::-1].copy()
 
 
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
@@ -112,13 +126,11 @@ def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
         rewards.append(rew)
         obs = next_obs
     rewards_arr = np.asarray(rewards, dtype=float)
-    # Sequential sum from the last step: rtg[t] == rewards[t] + rtg[t + 1] exactly.
-    rtg = np.cumsum(rewards_arr[::-1])[::-1].copy()
     return Trajectory(seed=seed, policy_id=policy.policy_id,
                       config_hash=cfg.canonical_hash(),
                       observations=np.asarray(observations, dtype=float),
                       actions=np.asarray(actions, dtype=np.int64),
-                      rewards=rewards_arr, returns_to_go=rtg)
+                      rewards=rewards_arr, returns_to_go=_returns_to_go(rewards_arr))
 
 
 @dataclass
@@ -284,27 +296,43 @@ def histogram_overlap(stats: dict, tier_a: str, tier_b: str) -> float:
     return float(np.minimum(ha / ha.sum(), hb / hb.sum()).sum())
 
 
+@contextlib.contextmanager
+def _staged(path: str, mode: str, **kwargs):
+    """A new temporary file beside ``path``, moved onto ``path`` when the
+    block completes and removed if it raises."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_dataset(manifest: DatasetManifest, path) -> str:
     """Write the JSONL data file and its manifest sidecar; returns the
-    SHA-256 hex digest of the data file."""
+    SHA-256 hex digest of the data file.  Neither target is touched unless
+    both files were written in full."""
     path = str(path)
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with _staged(path, "xb") as data_fh, \
+            _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh:
         for traj in manifest.all_trajectories():
             line = json.dumps(traj.to_record(), separators=(",", ":")).encode("utf-8")
-            fh.write(line + b"\n")
+            data_fh.write(line + b"\n")
             digest.update(line + b"\n")
-    sidecar = {
-        "config_hash": manifest.config_hash,
-        "counts": manifest.counts(),
-        "stats": manifest.summary_stats(),
-        "meta": manifest.meta,
-        "warnings": manifest.warnings,
-        "data_sha256": digest.hexdigest(),
-    }
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        sidecar = {
+            "config_hash": manifest.config_hash,
+            "counts": manifest.counts(),
+            "stats": manifest.summary_stats(),
+            "meta": manifest.meta,
+            "warnings": manifest.warnings,
+            "data_sha256": digest.hexdigest(),
+        }
+        json.dump(sidecar, sidecar_fh, indent=2, sort_keys=True)
+        sidecar_fh.write("\n")
     return digest.hexdigest()
 
 
@@ -313,13 +341,17 @@ def load_dataset(path) -> DatasetManifest:
 
     Tier membership comes from each line's policy_id; all lines must carry
     the same config hash.  A malformed line raises ``ValueError`` naming its
-    1-based line number.  The sidecar, when present, restores metadata.
+    1-based line number.  The sidecar, when present, restores metadata; its
+    ``meta`` must be an object, its ``warnings`` a list of strings, and its
+    ``data_sha256`` the digest of the data file.
     """
     path = str(path)
     tiers: dict = {}
     config_hash = None
-    with open(path, "r", encoding="utf-8") as fh:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
+            digest.update(line)
             line = line.strip()
             if not line:
                 continue
@@ -343,6 +375,12 @@ def load_dataset(path) -> DatasetManifest:
         sidecar = {}
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}.manifest.json: expected a JSON object")
-    return DatasetManifest(tiers=tiers, config_hash=config_hash,
-                           meta=sidecar.get("meta", {}),
-                           warnings=sidecar.get("warnings", []))
+    meta, warnings = sidecar.get("meta", {}), sidecar.get("warnings", [])
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}.manifest.json: meta must be a JSON object")
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ValueError(f"{path}.manifest.json: warnings must be a list of strings")
+    if sidecar.get("data_sha256", digest.hexdigest()) != digest.hexdigest():
+        raise ValueError(f"{path}.manifest.json: data_sha256 does not match {path}")
+    return DatasetManifest(tiers=tiers, config_hash=config_hash, meta=meta,
+                           warnings=warnings)

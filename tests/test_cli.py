@@ -276,6 +276,60 @@ class TestMalformedInputs:
         assert not (tmp_path / "out.jsonl").exists()
 
 
+_SIDECAR_EDITS = {"meta-int": {"meta": 5}, "warnings-int": {"warnings": 7},
+                  "digest": {"data_sha256": "0" * 64}}
+
+
+class TestMalformedDatasetFiles:
+    """A malformed sidecar or a tampered record exits 1 with an ``error:``
+    line and writes no output."""
+
+    @pytest.fixture
+    def dataset(self, capsys, tmp_path):
+        path = tmp_path / "base.jsonl"
+        run(capsys, "collect", "--tier", "random", "--n", "2", "--horizon", "10",
+            "--out", str(path))
+        return path
+
+    def _run(self, capsys, command, path):
+        argv = [command, "--in", str(path)]
+        if command == "ablate":
+            argv += ["--drop-medium", "0.5", "--out", str(path.parent / "out.jsonl")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (path.parent / "out.jsonl").exists()
+        return err
+
+    @pytest.mark.parametrize("edit", sorted(_SIDECAR_EDITS))
+    @pytest.mark.parametrize("command", ["stats", "ablate"])
+    def test_bad_sidecar(self, capsys, dataset, command, edit):
+        sidecar_path = dataset.parent / (dataset.name + ".manifest.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar_path.write_text(json.dumps({**sidecar, **_SIDECAR_EDITS[edit]}))
+        assert "manifest.json:" in self._run(capsys, command, dataset)
+
+    @pytest.mark.parametrize("command", ["stats", "ablate"])
+    def test_edited_returns_to_go(self, capsys, dataset, command):
+        first, second = dataset.read_text().splitlines()
+        rec = json.loads(second)
+        rec["steps"][0]["rtg"] += 1.0
+        rec["total_return"] += 1.0
+        dataset.write_text(first + "\n" + json.dumps(rec) + "\n")
+        assert "line 2:" in self._run(capsys, command, dataset)
+
+
+class TestUnexpectedErrors:
+    def test_key_error_propagates(self, capsys, monkeypatch, tmp_path):
+        # Only domain errors exit 1; a KeyError is a bug and keeps its traceback.
+        def broken(path):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("cellsim.data.load_dataset", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["stats", "--in", str(tmp_path / "x.jsonl")])
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

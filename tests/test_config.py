@@ -108,6 +108,19 @@ class TestFromDictBoundary:
         cfg = NetworkConfig.from_dict(_doc(mobility={"speed": 3}))
         assert cfg.mobility.speed == 3
 
+    def test_integer_float_field_hashes_like_its_float_spelling(self, tmp_path):
+        # One scenario, one config hash: an int in a float field is stored as a float.
+        as_int = NetworkConfig(mobility=MobilityConfig(speed=3), threshold_step=1)
+        as_float = NetworkConfig(mobility=MobilityConfig(speed=3.0), threshold_step=1.0)
+        assert type(as_int.mobility.speed) is float and type(as_int.threshold_step) is float
+        assert as_int == as_float
+        assert as_int.canonical_hash() == as_float.canonical_hash()
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_doc(mobility={"speed": 3})))
+        loaded = load_config(path)
+        assert loaded.canonical_hash() == NetworkConfig.from_dict(
+            _doc(mobility={"speed": 3.0})).canonical_hash()
+
     def test_direct_construction_checks_numbers(self):
         with pytest.raises(ValueError, match=r"FadingModel\.omega must be a finite number"):
             FadingModel(kind="rayleigh", omega=math.inf)

@@ -58,6 +58,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory.from_record(rec)
 
+    def test_edited_returns_to_go_rejected(self, short_cfg):
+        # total_return still matches rtg[0], but the recurrence is broken.
+        rec = collect_trajectory(short_cfg, make_policy("random"), 0).to_record()
+        rec["steps"][0]["rtg"] += 1.0
+        rec["total_return"] += 1.0
+        with pytest.raises(ValueError, match="reversed cumulative sum of the rewards"):
+            Trajectory.from_record(rec)
+
 
 class TestCollect:
     def test_counts_seeds_and_steps(self, short_cfg):
@@ -276,6 +284,64 @@ class TestDatasetFiles:
         (tmp_path / "set.jsonl.manifest.json").write_text("[]\n")
         with pytest.raises(ValueError, match="manifest.json: expected a JSON object"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"meta": 5}, "meta must be a JSON object"),
+        ({"warnings": 7}, "warnings must be a list of strings"),
+        ({"warnings": ["ok", 1]}, "warnings must be a list of strings"),
+        ({"data_sha256": "0" * 64}, "data_sha256 does not match"),
+    ], ids=["meta-int", "warnings-int", "warnings-non-string", "digest"])
+    def test_malformed_sidecar_rejected(self, short_cfg, tmp_path, edit, message):
+        path = tmp_path / "set.jsonl"
+        write_dataset(collect(short_cfg, make_policy("random"), 2), path)
+        sidecar_path = tmp_path / "set.jsonl.manifest.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar_path.write_text(json.dumps({**sidecar, **edit}))
+        with pytest.raises(ValueError, match=re.escape(f"manifest.json: {message}")):
+            load_dataset(path)
+
+    def test_edited_data_fails_the_sidecar_digest(self, short_cfg, tmp_path):
+        path = tmp_path / "set.jsonl"
+        write_dataset(collect(short_cfg, make_policy("random"), 2), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["steps"][3]["obs"][0] = 0.25  # passes every per-record check
+        path.write_text(lines[0] + "\n" + json.dumps(rec, separators=(",", ":")) + "\n")
+        with pytest.raises(ValueError, match="data_sha256 does not match"):
+            load_dataset(path)
+
+    def test_line_errors_come_before_the_digest(self, short_cfg, tmp_path):
+        path = tmp_path / "set.jsonl"
+        write_dataset(collect(short_cfg, make_policy("random"), 2), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["steps"][0]["rtg"] += 1.0
+        rec["total_return"] += 1.0
+        path.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: trajectory")):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_partial_file(self, short_cfg, tmp_path,
+                                                 monkeypatch, existing):
+        path = tmp_path / "set.jsonl"
+        if existing:
+            write_dataset(collect(short_cfg, make_policy("random"), 1, seed_base=9), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+        to_record = Trajectory.to_record
+
+        def fail_on_second(traj):
+            calls.append(traj.seed)
+            if len(calls) == 2:
+                raise RuntimeError("serialization failed")
+            return to_record(traj)
+
+        monkeypatch.setattr(Trajectory, "to_record", fail_on_second)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            write_dataset(collect(short_cfg, make_policy("random"), 3), path)
+        assert len(calls) == 2  # the first record was written before the failure
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_sidecar_stats_match_manifest(self, short_cfg, tmp_path):
         man = collect(short_cfg, make_policy("random"), 3, seed_base=2)
