@@ -317,8 +317,8 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
     both files were written in full."""
     path = str(path)
     digest = hashlib.sha256()
-    with _staged(path, "xb") as data_fh, \
-            _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh:
+    with (_staged(path, "xb") as data_fh,
+          _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh):
         for traj in manifest.all_trajectories():
             line = json.dumps(traj.to_record(), separators=(",", ":")).encode("utf-8")
             data_fh.write(line + b"\n")

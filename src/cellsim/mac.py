@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 
-
-
 def data_rate(gamma, bandwidth: float):
     """Achievable rate b log2(1 + gamma) of a non-negative SNR."""
     return bandwidth * np.log2(1.0 + gamma)

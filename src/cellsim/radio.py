@@ -30,9 +30,10 @@ def normalize_snr(raw, params: RadioParams):
     return np.clip((raw - params.snr_lower_ref) / span, 0.0, 1.0)
 
 
-def snr_matrix(bs: np.ndarray, ue: np.ndarray, params: RadioParams) -> np.ndarray:
+def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
     """Normalized SNR for every station-user pair, shape (n_bs, n_ues), from
     (n_bs, 2) station and (n_ues, 2) user position arrays."""
+    bs, ue = bs_positions, ue_positions
     dist = np.hypot(bs[:, None, 0] - ue[None, :, 0], bs[:, None, 1] - ue[None, :, 1])
     return normalize_snr(params.raw_snr_at_distance(dist), params)
 
