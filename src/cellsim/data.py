@@ -302,7 +302,11 @@ def _staged(path: str, mode: str, **kwargs):
     block completes and removed if it raises."""
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

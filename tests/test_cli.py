@@ -64,6 +64,13 @@ class TestCollect:
         assert "tier=medium trajectories=2" in out
         assert load_dataset(out_file).counts() == {"expert": 2, "medium": 2}
 
+    def test_missing_output_directory_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "x.jsonl"
+        code, out, err = run(capsys, "collect", "--tier", "random", "--n", "1",
+                             "--horizon", "5", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"'{target}'" in err and ".tmp" not in err
+
     def test_zero_count_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "collect", "--tier", "random", "--n", "0",
                            "--out", str(tmp_path / "x.jsonl"))
