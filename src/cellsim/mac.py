@@ -235,16 +235,13 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
     tau = np.asarray(tau, dtype=float)
     shape = (n_trials, tau.shape[-1], n_ues)
     base = 1.0 - rng.random(shape)  # entries in (0, 1]
-
-    def composed(g):
-        return reward_terms(base, tau, params, reward_snr=g)[1]
-
     x = rng.random(shape) * gamma_high
     y = rng.random(shape) * gamma_high
     lam = rng.random((n_trials, 1))
-    mid = composed(lam[..., None] * x + (1.0 - lam[..., None]) * y)
-    chord = lam * composed(x) + (1.0 - lam) * composed(y)
-    gap = chord - mid  # positive gap above tol is a violation
+    mix = lam[..., None] * x + (1.0 - lam[..., None]) * y
+    # One call: the three rate-term SNRs share base's connections and shares.
+    g_mix, g_x, g_y = reward_terms(base, tau, params, reward_snr=np.stack([mix, x, y]))[1]
+    gap = lam * g_x + (1.0 - lam) * g_y - g_mix  # positive gap above tol is a violation
     violations = int((gap > tol).sum())
     return ConcavityReport(n_trials=n_trials, n_checks=int(gap.size),
                            violations=violations,
