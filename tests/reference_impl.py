@@ -4,10 +4,11 @@ Everything here is plain Python loops over lists or one user at a time, so
 the vectorized implementation has an independent comparison point.
 
 Reward: a user j connects to station i when its state SNR meets the
-station threshold, each station splits its bandwidth so every connected
-user gets the same delivered rate (the harmonic share), a user's rate is
-aggregated over its serving stations, squashed through the clipped log
-utility, and the reward is the mean utility over users.
+station threshold and the link's rate is positive, each station splits its
+bandwidth so every connected user gets the same delivered rate (the
+harmonic share), a user's rate is aggregated over its serving stations,
+squashed through the clipped log utility, and the reward is the mean
+utility over users.
 
 Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
 that user's own RNG stream.  This is the per-user loop the array kernel in
