@@ -81,6 +81,48 @@ def test_evaluate_random_digest(name):
     assert hashlib.sha256(blob).hexdigest() == EVALUATE_DIGESTS[name]
 
 
+EVALUATE_POLICY_DIGESTS = {
+    ("expert", "full/rician:3"):
+        "1b8284db23b091e173d7ab2315d1773f9a59df6683c3ea7c98e8bb9e6e50b29c",
+    ("expert", "limited/none"):
+        "d9027b2f13e4ae3ffd0f497f23771c3e1c20d66c1a633aec40585948f42e1a9d",
+    ("medium", "full/rician:3"):
+        "4ebf0851ffcf0ae55fadefbecb72fca34d49d551d75a103d07315b29ffad28e9",
+    ("medium", "limited/none"):
+        "d837e60f17be838121eeb97d5df6d297ee0624e1f53928b4cc97c8c822aac9e1",
+}
+
+
+@pytest.mark.parametrize("policy,name", sorted(EVALUATE_POLICY_DIGESTS))
+def test_evaluate_policy_digest(policy, name):
+    res = cs.evaluate(_config(name), cs.make_policy(policy), n_episodes=9,
+                      seed_base=11)
+    blob = json.dumps([float(r) for r in res.returns]).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == EVALUATE_POLICY_DIGESTS[policy, name]
+
+
+NINE_PER_TIER_DIGEST = "247e2e45a597b9b32a76775e801f157285264e97a04ff62e06003ee17242dcd1"
+
+
+def test_nine_per_tier_dataset_digest(tmp_path):
+    manifest = cs.collect_medium_expert(_config("limited/rayleigh"), n_per_tier=9,
+                                        seed_base=5)
+    path = tmp_path / "golden.jsonl"
+    assert cs.write_dataset(manifest, path) == NINE_PER_TIER_DIGEST
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NINE_PER_TIER_DIGEST
+
+
+SWEEP_CSV_DIGEST = "f29125bdc809afe338841a8032079dc816de5ef31ea556ab78672a82c254852a"
+
+
+def test_fading_sweep_csv_digest():
+    models = [cs.parse_fading(s) for s in ("none", "rician:3", "rayleigh")]
+    report = cs.fading_sweep(cs.default_config(horizon=HORIZON), cs.make_policy("expert"),
+                             models, n_episodes=6, seed_base=3)
+    digest = hashlib.sha256(report.to_csv().encode("utf-8")).hexdigest()
+    assert digest == SWEEP_CSV_DIGEST
+
+
 CONFIG_DIGESTS = {
     "default":
         "2b4dcd01c843c72c56ad9b3a5ce9dfafc6198c372bd7c5df4b8a9429a329ba2f",
