@@ -11,13 +11,23 @@ integer in [0, 3**n_bs).  A step applies the deltas (thresholds move by
 the SNR matrix, and emits the mean-utility reward.  Fading, when enabled,
 perturbs only the reward path; the state SNR matrix stays clean.
 
-Reset derives three independent RNG streams from the seed: mobility (one
-child stream per user), fading, and policy noise.  Everything downstream
-is a pure function of (config, seed, actions), which is what makes
-collected trajectories reproducible byte for byte.  The next motion state
-and SNR matrix do not depend on the action: ``preview_step_rewards``
-advances the per-user streams once and caches them, with every action's
-fading-free reward, for the next ``step``; ``clone()`` copies that cache.
+``EpisodeBatch`` is the one implementation of reset, step, preview and
+observation.  It holds B episodes of one config and steps them in
+lockstep: positions and waypoints are (B, n_ues, 2) arrays, thresholds
+(B, n_bs) and the SNR matrix (B, n_bs, n_ues), and each stage is one numpy
+pass over the whole batch.  The horizon is fixed, so all B episodes end
+together.  ``CellularNetworkEnv`` is its B=1 view.
+
+Random streams stay per episode.  Reset derives three independent streams
+from each episode's seed: mobility (one child stream per user), fading,
+and policy noise.  A user draws a waypoint from its own stream only on
+arrival, and a faded episode draws one (n_bs, n_ues) block per step from
+its own fading stream.  So an episode is a pure function of (config,
+seed, actions), whatever batch it runs in, which is what makes collected
+trajectories reproducible byte for byte.  The next motion state and SNR
+matrix do not depend on the action: ``preview_step_rewards`` advances the
+per-user streams once and caches them, with every action's fading-free
+reward, for the next ``step``; ``clone()`` copies that cache.
 """
 
 from __future__ import annotations
@@ -56,63 +66,132 @@ def encode_action(deltas, n_bs: int | None = None) -> int:
     return sum((d + 1) * 3 ** (n - 1 - i) for i, d in enumerate(deltas))
 
 
-class CellularNetworkEnv:
-    """Multi-cell network with threshold-based user association."""
+class EpisodeBatch:
+    """B episodes of one config, stepped in lockstep."""
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         self._bs = np.asarray(cfg.bs_positions, dtype=float)
-        self._action_deltas = np.array(
-            [decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)], dtype=float)
+        deltas = np.array([decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)],
+                          dtype=float)
+        self._moves = deltas * cfg.threshold_step  # (n_actions, n_bs)
         self._motion = None
         self._upcoming = None
         self._done = True
+
+    @property
+    def n_actions(self) -> int:
+        return self.cfg.n_actions
+
+    def reset(self, seeds) -> np.ndarray:
+        """Start one fresh episode per seed; returns the (B, obs_dim)
+        initial observations."""
+        cfg = self.cfg
+        self._ue_rngs, self._fading_rngs, self.policy_rngs = [], [], []
+        motions = []
+        for seed in seeds:
+            mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
+            ue_rngs = [np.random.Generator(np.random.PCG64(ss))
+                       for ss in mobility_ss.spawn(cfg.n_ues)]
+            self._ue_rngs.append(ue_rngs)
+            self._fading_rngs.append(np.random.Generator(np.random.PCG64(fading_ss)))
+            self.policy_rngs.append(np.random.Generator(np.random.PCG64(policy_ss)))
+            motions.append(mobility.init_positions(cfg.mobility, cfg.n_ues, ue_rngs))
+        self._motion = mobility.MotionState(*(
+            None if field[0] is None else np.stack(field) for field in zip(*motions)))
+        self._upcoming = None
+        self._thresholds = np.full((len(motions), cfg.n_bs), 0.5)
+        self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
+        # Seed the previous-utility slot with the utilities of the initial
+        # state so the first observation already has the in-episode shape.
+        _, self._prev_utilities = self._reward()
+        self._t = 0
+        self._done = False
+        return self._observation()
+
+    def step(self, actions):
+        """Apply one action code per episode; returns (obs (B, obs_dim),
+        rewards (B,), done)."""
+        if self._done:
+            raise RuntimeError("episode is done; call reset() first")
+        self._thresholds = np.clip(self._thresholds + self._moves[actions], 0.0, 1.0)
+        self._motion, self._snr, previewed = self._next_state()
+        self._upcoming = None
+        if previewed is not None and self.cfg.fading.kind == "none":
+            # The preview already holds each action's fading-free reward.
+            rows = np.arange(len(actions))
+            rew, utils = previewed[0][rows, actions], previewed[1][rows, actions]
+        else:
+            rew, utils = self._reward()
+        self._prev_utilities = utils
+        self._t += 1
+        self._done = self._t >= self.cfg.horizon
+        return self._observation(), rew, self._done
+
+    def preview_step_rewards(self) -> np.ndarray:
+        """Fading-free one-step reward of every action in every episode,
+        (B, n_actions), without advancing.
+
+        Every action sees the same upcoming positions, cached for ``step``.
+        """
+        if self._done or self._motion is None:
+            raise RuntimeError("environment must be mid-episode to preview")
+        motion, snr, previewed = self._next_state()
+        if previewed is None:
+            taus = np.clip(self._thresholds[:, None, :] + self._moves, 0.0, 1.0)
+            previewed = mac.reward_terms(snr[:, None], taus, self.cfg.utility)
+            self._upcoming = (motion, snr, previewed)
+        return previewed[0]
+
+    def _next_state(self):
+        """(motion, SNR matrix, preview or None) of the next step, computed
+        once; stepping motion advances the per-user streams."""
+        if self._upcoming is None:
+            motion = mobility.step_motion(self._motion, self.cfg.mobility, self._ue_rngs)
+            snr = radio.snr_matrix(self._bs, motion.position, self.cfg.radio)
+            self._upcoming = (motion, snr, None)
+        return self._upcoming
+
+    def _reward(self):
+        """(rewards, per-user utilities) of the current state; a faded
+        config draws one block per episode from that episode's stream."""
+        faded = None
+        fading = self.cfg.fading
+        if fading.kind != "none":
+            faded = np.stack([radio.fade_matrix(snr, fading, g)
+                              for snr, g in zip(self._snr, self._fading_rngs)])
+        return mac.reward_terms(self._snr, self._thresholds, self.cfg.utility,
+                                reward_snr=faded)
+
+    def _observation(self) -> np.ndarray:
+        return np.concatenate([self._thresholds,
+                               self._snr.reshape(len(self._snr), -1),
+                               self._prev_utilities], axis=-1)
+
+
+class CellularNetworkEnv:
+    """Multi-cell network with threshold-based user association: one
+    episode, the B=1 view of ``EpisodeBatch``."""
+
+    def __init__(self, cfg: NetworkConfig):
+        self.cfg = cfg
+        self._batch = EpisodeBatch(cfg)
 
     # -- lifecycle -----------------------------------------------------
 
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh episode; returns the initial observation."""
-        root = np.random.SeedSequence(seed)
-        mobility_ss, fading_ss, policy_ss = root.spawn(3)
-        self._ue_rngs = [np.random.Generator(np.random.PCG64(ss))
-                         for ss in mobility_ss.spawn(self.cfg.n_ues)]
-        self._rng_fading = np.random.Generator(np.random.PCG64(fading_ss))
-        self._rng_policy = np.random.Generator(np.random.PCG64(policy_ss))
-        self._motion = mobility.init_positions(self.cfg.mobility, self.cfg.n_ues,
-                                               self._ue_rngs)
-        self._upcoming = None
-        self._thresholds = np.full(self.cfg.n_bs, 0.5)
-        self._snr = radio.snr_matrix(self._bs, self._motion.position, self.cfg.radio)
-        # Seed the previous-utility slot with the utilities of the initial
-        # state so the first observation already has the in-episode shape.
-        _, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
-                              self.cfg.utility, self._rng_fading)
-        self._prev_utilities = utils
-        self._t = 0
-        self._done = False
-        return self._observation()
+        return self._batch.reset((seed,))[0]
 
     def step(self, action: int):
         """Apply one action; returns (obs, reward, done, info)."""
-        if self._done:
-            raise RuntimeError("episode is done; call reset() first")
-        deltas = np.asarray(decode_action(action, self.cfg.n_bs), dtype=float)
-        self._thresholds = np.clip(
-            self._thresholds + deltas * self.cfg.threshold_step, 0.0, 1.0)
-        self._motion, self._snr, previewed = self._next_state()
-        self._upcoming = None
-        if previewed is not None and self.cfg.fading.kind == "none":
-            # The preview already holds this action's fading-free reward.
-            code = int(action)
-            rew, utils = float(previewed[0][code]), previewed[1][code]
-        else:
-            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
-                                    self.cfg.utility, self._rng_fading)
-        self._prev_utilities = utils
-        self._t += 1
-        self._done = self._t >= self.cfg.horizon
-        info = {"utilities": utils.copy(), "thresholds": self._thresholds.copy()}
-        return self._observation(), rew, self._done, info
+        code = int(action)
+        if not 0 <= code < self.cfg.n_actions:
+            raise ValueError(f"action {action} outside [0, {self.cfg.n_actions})")
+        obs, rew, done = self._batch.step([code])
+        info = {"utilities": self._batch._prev_utilities[0].copy(),
+                "thresholds": self._batch._thresholds[0].copy()}
+        return obs[0], float(rew[0]), done, info
 
     def clone(self) -> "CellularNetworkEnv":
         """Deep copy, RNG streams and cached next state included; stepping
@@ -126,24 +205,7 @@ class CellularNetworkEnv:
 
         Every action sees the same upcoming positions, cached for ``step``.
         """
-        if self._done or self._motion is None:
-            raise RuntimeError("environment must be mid-episode to preview")
-        motion, snr, previewed = self._next_state()
-        if previewed is None:
-            taus = np.clip(self._thresholds[None, :]
-                           + self._action_deltas * self.cfg.threshold_step, 0.0, 1.0)
-            previewed = mac.reward_terms(snr, taus, self.cfg.utility)
-            self._upcoming = (motion, snr, previewed)
-        return previewed[0].copy()
-
-    def _next_state(self):
-        """(motion, SNR matrix, preview or None) of the next step, computed
-        once; stepping motion advances the per-user streams."""
-        if self._upcoming is None:
-            motion = mobility.step_motion(self._motion, self.cfg.mobility, self._ue_rngs)
-            snr = radio.snr_matrix(self._bs, motion.position, self.cfg.radio)
-            self._upcoming = (motion, snr, None)
-        return self._upcoming
+        return self._batch.preview_step_rewards()[0].copy()
 
     # -- views ---------------------------------------------------------
 
@@ -157,29 +219,25 @@ class CellularNetworkEnv:
 
     @property
     def t(self) -> int:
-        return self._t
+        return self._batch._t
 
     @property
     def done(self) -> bool:
-        return self._done
+        return self._batch._done
 
     @property
     def thresholds(self) -> np.ndarray:
-        return self._thresholds.copy()
+        return self._batch._thresholds[0].copy()
 
     @property
     def snr(self) -> np.ndarray:
-        return self._snr.copy()
+        return self._batch._snr[0].copy()
 
     @property
     def ue_positions(self) -> np.ndarray:
-        return self._motion.position.copy()
+        return self._batch._motion.position[0].copy()
 
     @property
     def policy_rng(self) -> np.random.Generator:
         """Policy-noise stream derived from the episode seed."""
-        return self._rng_policy
-
-    def _observation(self) -> np.ndarray:
-        return np.concatenate([self._thresholds, self._snr.ravel(),
-                               self._prev_utilities])
+        return self._batch.policy_rngs[0]

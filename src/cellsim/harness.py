@@ -16,13 +16,15 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .config import FadingModel, NetworkConfig
-from .data import collect_trajectory, map_seeds
+from .data import map_seeds, rollout
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
 
 
-def _episode_return(cfg: NetworkConfig, policy, seed: int) -> float:
-    return collect_trajectory(cfg, policy, seed).total_return
+def _block_returns(cfg: NetworkConfig, policy, seeds) -> list:
+    """The return of each episode of one lockstep block of seeds."""
+    *_, returns_to_go = rollout(cfg, policy, seeds, observe=False)
+    return returns_to_go[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
     """Mean and population std of returns over seeds seed_base..+n-1."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
-    rets = map_seeds(_episode_return, cfg, policy, seed_base, n_episodes, workers)
+    rets = map_seeds(_block_returns, cfg, policy, seed_base, n_episodes, workers)
     arr = np.asarray(rets, dtype=float)
     return EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
                       seed_base=seed_base, mean=float(arr.mean()),

@@ -7,14 +7,18 @@ the whole map; the ``limited`` variant confines each user to a disc around
 a per-user anchor, which yields the low-mobility regime.
 
 All users' state is held in arrays (``MotionState``) and ``step_motion``
-advances every user in one call.  Each user owns its own RNG stream and
-draws from it only on reaching its waypoint.  States are never modified in
-place; a stepped state may share unchanged arrays with the old one.
+advances every user in one call; arrays may carry leading episode axes, so
+one call also steps a batch of episodes.  Each user owns its own RNG stream
+and draws from it only on reaching its waypoint.  States are never
+modified in place; a stepped state may share unchanged arrays with the old
+one.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -25,11 +29,12 @@ __all__ = ["MotionState", "init_positions", "sample_waypoint", "step_motion"]
 
 
 class MotionState(NamedTuple):
-    """Motion bookkeeping for all users, one row per user."""
+    """Motion bookkeeping for all users, one row per user, after any
+    leading episode axes."""
 
-    position: np.ndarray       # (n_ues, 2)
-    waypoint: np.ndarray       # (n_ues, 2)
-    anchor: np.ndarray | None  # (n_ues, 2) for ``limited``, else None
+    position: np.ndarray       # (..., n_ues, 2)
+    waypoint: np.ndarray       # (..., n_ues, 2)
+    anchor: np.ndarray | None  # (..., n_ues, 2) for ``limited``, else None
 
 
 def _uniform_in_map(cfg: MobilityConfig, rng) -> np.ndarray:
@@ -78,7 +83,8 @@ def init_positions(cfg: MobilityConfig, n_ues: int, rngs) -> MotionState:
 
 
 def step_motion(state: MotionState, cfg: MobilityConfig, rngs) -> MotionState:
-    """Advance every user by one step; ``rngs[j]`` is user j's stream.
+    """Advance every user by one step; ``rngs[j]`` is user j's stream, and
+    with leading episode axes ``rngs[b][j]`` is user j's stream in episode b.
 
     Zero speed freezes every user entirely (waypoints included).  A user
     whose waypoint is no farther than one step lands on it exactly, the
@@ -87,16 +93,17 @@ def step_motion(state: MotionState, cfg: MobilityConfig, rngs) -> MotionState:
     if cfg.speed <= 0.0:
         return state
     delta = state.waypoint - state.position
-    dist = np.hypot(delta[:, 0], delta[:, 1])
+    dist = np.hypot(delta[..., 0], delta[..., 1])
     # The maximum keeps the factor finite for arriving users (dist <= speed,
     # possibly 0), whose rows are overwritten with their waypoint below.
-    position = state.position + delta * (cfg.speed / np.maximum(dist, cfg.speed))[:, None]
-    arrived = np.flatnonzero(dist <= cfg.speed)
-    if arrived.size == 0:
+    position = state.position + delta * (cfg.speed / np.maximum(dist, cfg.speed))[..., None]
+    arrived = dist <= cfg.speed
+    if not arrived.any():
         return state._replace(position=position)
     position[arrived] = state.waypoint[arrived]
     waypoint = state.waypoint.copy()
-    for j in arrived:
-        waypoint[j] = sample_waypoint(
-            cfg, None if state.anchor is None else state.anchor[j], rngs[j])
+    for idx in map(tuple, np.argwhere(arrived).tolist()):
+        waypoint[idx] = sample_waypoint(
+            cfg, None if state.anchor is None else state.anchor[idx],
+            reduce(getitem, idx, rngs))
     return MotionState(position=position, waypoint=waypoint, anchor=state.anchor)

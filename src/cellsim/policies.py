@@ -1,10 +1,14 @@
 """Behavioral policies used to generate and evaluate trajectories.
 
 Three tiers: a greedy one-step-lookahead expert, an epsilon-noisy medium
-policy built on the expert, and a uniform random baseline.  Policies are
-callables taking the live environment and returning an action code; the
-stochastic ones draw from the environment's policy-noise stream so that a
-trajectory stays a pure function of (config, seed).
+policy built on the expert, and a uniform random baseline.  Each tier has
+one decision rule, ``act``, over a batch of episodes stepped in lockstep:
+it takes one policy-noise stream per episode, the number of actions, and a
+callable returning the (B, n_actions) fading-free reward preview, which it
+calls only when some episode needs it.  ``policy(env)`` is the B=1 case on
+a live ``CellularNetworkEnv``.  The stochastic tiers draw from each
+episode's own stream, so a trajectory stays a pure function of (config,
+seed) whatever batch it runs in.
 """
 
 from __future__ import annotations
@@ -16,13 +20,22 @@ from .config import DEFAULT_MEDIUM_EPSILON
 __all__ = ["RandomPolicy", "GreedyExpertPolicy", "MediumPolicy", "make_policy"]
 
 
+def _single(policy, env) -> int:
+    """``policy.act`` on one live environment."""
+    return int(policy.act((env.policy_rng,), env.n_actions,
+                          lambda: env.preview_step_rewards()[None])[0])
+
+
 class RandomPolicy:
     """Uniform over all action codes."""
 
     policy_id = "random"
 
+    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
+        return np.array([g.integers(n_actions) for g in rngs], dtype=np.int64)
+
     def __call__(self, env) -> int:
-        return int(env.policy_rng.integers(env.n_actions))
+        return _single(self, env)
 
 
 class GreedyExpertPolicy:
@@ -30,8 +43,11 @@ class GreedyExpertPolicy:
 
     policy_id = "expert"
 
+    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
+        return np.argmax(preview(), axis=-1)
+
     def __call__(self, env) -> int:
-        return int(np.argmax(env.preview_step_rewards()))
+        return _single(self, env)
 
 
 class MediumPolicy:
@@ -45,10 +61,22 @@ class MediumPolicy:
         self.epsilon = epsilon
         self._expert = GreedyExpertPolicy()
 
+    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
+        # Each episode draws its coin, then its random action if the coin
+        # says so; the preview runs only when some episode takes the expert.
+        actions = np.zeros(len(rngs), dtype=np.int64)
+        expert = np.zeros(len(rngs), dtype=bool)
+        for b, g in enumerate(rngs):
+            if g.random() < self.epsilon:
+                actions[b] = g.integers(n_actions)
+            else:
+                expert[b] = True
+        if expert.any():
+            actions[expert] = self._expert.act(rngs, n_actions, preview)[expert]
+        return actions
+
     def __call__(self, env) -> int:
-        if env.policy_rng.random() < self.epsilon:
-            return int(env.policy_rng.integers(env.n_actions))
-        return self._expert(env)
+        return _single(self, env)
 
 
 def make_policy(name: str, epsilon: float = DEFAULT_MEDIUM_EPSILON):

@@ -31,10 +31,12 @@ def normalize_snr(raw, params: RadioParams):
 
 
 def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
-    """Normalized SNR for every station-user pair, shape (n_bs, n_ues), from
-    (n_bs, 2) station and (n_ues, 2) user position arrays."""
+    """Normalized SNR for every station-user pair, shape (..., n_bs, n_ues),
+    from (n_bs, 2) station and (..., n_ues, 2) user position arrays; leading
+    axes are episodes."""
     bs, ue = bs_positions, ue_positions
-    dist = np.hypot(bs[:, None, 0] - ue[None, :, 0], bs[:, None, 1] - ue[None, :, 1])
+    dist = np.hypot(bs[:, None, 0] - ue[..., None, :, 0],
+                    bs[:, None, 1] - ue[..., None, :, 1])
     return normalize_snr(params.raw_snr_at_distance(dist), params)
 
 

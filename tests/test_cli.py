@@ -282,6 +282,23 @@ class TestMalformedInputs:
         assert "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["collect", "--tier", "random", "--n", "2"],
+        ["collect", "--tier", "medium-expert", "--n", "2"],
+        ["evaluate", "--policy", "random", "--episodes", "2"],
+        ["sweep-fading", "--policy", "random", "--episodes", "2"],
+    ], ids=["collect", "collect-medium-expert", "evaluate", "sweep-fading"])
+    def test_workers_below_one(self, capsys, tmp_path, argv, workers):
+        out_path = tmp_path / "out.jsonl"
+        if argv[0] == "collect":
+            argv = argv + ["--out", str(out_path)]
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == 1
+        assert err == "error: workers must be at least 1\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 _SIDECAR_EDITS = {"meta-int": {"meta": 5}, "warnings-int": {"warnings": 7},
                   "digest": {"data_sha256": "0" * 64}}

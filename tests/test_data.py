@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+import cellsim as cs
 from cellsim.data import (
+    CAP,
     DatasetManifest,
     Trajectory,
     ablate,
@@ -19,6 +21,8 @@ from cellsim.data import (
     return_stats,
     write_dataset,
 )
+from cellsim.env import CellularNetworkEnv
+from cellsim.harness import evaluate
 from cellsim.policies import make_policy
 
 
@@ -102,6 +106,67 @@ class TestCollect:
         man = collect(short_cfg, make_policy("medium", epsilon=0.2), 1)
         assert man.meta["epsilon"] == 0.2
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, short_cfg, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            collect(short_cfg, make_policy("random"), 2, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            collect_medium_expert(short_cfg, 2, workers=workers)
+
+
+def _stepped_one_by_one(cfg, policy, seeds):
+    """JSON records and returns of one ``CellularNetworkEnv`` per seed,
+    driven by the policy's single-episode call."""
+    records, returns = [], []
+    for seed in seeds:
+        env = CellularNetworkEnv(cfg)
+        obs = env.reset(seed)
+        rows, actions, rewards = [], [], []
+        done = False
+        while not done:
+            action = policy(env)
+            next_obs, reward, done, _ = env.step(action)
+            rows.append(obs)
+            actions.append(action)
+            rewards.append(reward)
+            obs = next_obs
+        rewards = np.array(rewards)
+        rtg = np.cumsum(rewards[::-1])[::-1]
+        traj = Trajectory(seed=seed, policy_id=policy.policy_id,
+                          config_hash=cfg.canonical_hash(),
+                          observations=np.array(rows), actions=np.array(actions),
+                          rewards=rewards, returns_to_go=rtg)
+        records.append(json.dumps(traj.to_record()))
+        returns.append(traj.total_return)
+    return records, returns
+
+
+class TestBlockInvariance:
+    """Episodes stepped together in blocks, in one or two processes, give
+    the same bytes as one environment stepped per seed."""
+
+    SEED_BASE = 300
+
+    @pytest.mark.parametrize("policy_name", ["expert", "medium", "random"])
+    @pytest.mark.parametrize("scenario", ["full/none", "limited/rayleigh",
+                                          "full/rician:3"])
+    def test_blocks_match_single_episodes(self, scenario, policy_name):
+        variant, fading = scenario.split("/")
+        cfg = cs.default_config(mobility_variant=variant, fading=fading, horizon=20)
+        policy = make_policy(policy_name)
+        assert 64 <= CAP, "n_traj=64 must fit in one block at workers=1"
+        records, returns = _stepped_one_by_one(
+            cfg, policy, range(self.SEED_BASE, self.SEED_BASE + 64))
+        for n in (7, 64):
+            for workers in (1, 2):
+                where = f"n={n} workers={workers}"
+                man = collect(cfg, policy, n, seed_base=self.SEED_BASE, workers=workers)
+                got = [json.dumps(t.to_record()) for t in man.tiers[policy_name]]
+                assert got == records[:n], where
+                res = evaluate(cfg, policy, n_episodes=n, seed_base=self.SEED_BASE,
+                               workers=workers)
+                assert json.dumps(res.returns) == json.dumps(returns[:n]), where
+
 
 class TestCollectMediumExpert:
     def test_tiers_and_disjoint_seed_ranges(self, short_cfg):
@@ -111,12 +176,6 @@ class TestCollectMediumExpert:
         assert [t.seed for t in man.tiers["medium"]] == [103, 104, 105]
         assert man.meta["seed_ranges"] == {"expert": [100, 103],
                                            "medium": [103, 106]}
-
-    def test_merge_rejects_other_config(self, short_cfg, frozen_cfg):
-        a = collect(short_cfg, make_policy("random"), 1)
-        b = collect(frozen_cfg, make_policy("random"), 1)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
     def test_tier_iteration_order(self):
         man = DatasetManifest(tiers={"random": [_toy_traj(0, "random", 1.0)],

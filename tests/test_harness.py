@@ -46,6 +46,14 @@ class TestEvaluate:
         assert serial.returns == pooled.returns
         assert serial.mean == pooled.mean
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, short_cfg, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            evaluate(short_cfg, make_policy("random"), n_episodes=2, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
+                         n_episodes=2, workers=workers)
+
     def test_text_summary(self, short_cfg):
         res = evaluate(short_cfg, make_policy("random"), n_episodes=2)
         text = res.to_text()
