@@ -129,7 +129,7 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     for t in range(cfg.horizon):
         if observe:
             observations[t] = obs
-        actions[t] = policy.act(batch.policy_rngs, batch.n_actions,
+        actions[t] = policy.act(batch.policy_rngs, cfg.n_actions,
                                 batch.preview_step_rewards)
         obs, rewards[t], _ = batch.step(actions[t])
     return observations, actions, rewards, _returns_to_go(rewards)
@@ -197,11 +197,12 @@ def _tier_sort_key(tier: str):
         return (1, tier)
 
 
-# Most episodes stepped together in one block.  A preview builds several
-# (B, n_actions, n_bs, n_ues) temporaries, so memory grows with B (about
-# 0.4 MB each at 128 on the default map), while the per-episode expert time
-# measured on 2 cores kept falling up to B=128: 20.1, 7.5, 5.5, 3.8 and
-# 2.8 ms at B=1, 4, 10, 32 and 128.
+# Most episodes stepped together in one block.  Each preview builds several
+# (B, n_actions, n_bs, n_ues) float temporaries, so memory grows with B:
+# about 0.4 MB each at B=128 on the default map.  The time per 100-step
+# expert episode stops falling near B=32 (best of 3 on a 2-core host: 22,
+# 8.2, 5.4, 4.2 and 4.2 ms at B=1, 4, 10, 32 and 128), so larger blocks
+# would only hold more memory.
 CAP = 128
 
 

@@ -79,10 +79,6 @@ class EpisodeBatch:
         self._upcoming = None
         self._done = True
 
-    @property
-    def n_actions(self) -> int:
-        return self.cfg.n_actions
-
     def reset(self, seeds) -> np.ndarray:
         """Start one fresh episode per seed; returns the (B, obs_dim)
         initial observations."""
@@ -97,8 +93,10 @@ class EpisodeBatch:
             self._fading_rngs.append(np.random.Generator(np.random.PCG64(fading_ss)))
             self.policy_rngs.append(np.random.Generator(np.random.PCG64(policy_ss)))
             motions.append(mobility.init_positions(cfg.mobility, cfg.n_ues, ue_rngs))
-        self._motion = mobility.MotionState(*(
-            None if field[0] is None else np.stack(field) for field in zip(*motions)))
+        position, waypoint, anchor = zip(*motions)
+        self._motion = mobility.MotionState(
+            np.stack(position), np.stack(waypoint),
+            None if anchor[0] is None else np.stack(anchor))
         self._upcoming = None
         self._thresholds = np.full((len(motions), cfg.n_bs), 0.5)
         self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
