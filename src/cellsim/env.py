@@ -66,6 +66,12 @@ def encode_action(deltas, n_bs: int | None = None) -> int:
     return sum((d + 1) * 3 ** (n - 1 - i) for i, d in enumerate(deltas))
 
 
+def _unit(x):
+    """Clip onto [0, 1]; the same values as ``np.clip(x, 0.0, 1.0)`` at a
+    third of its call cost on small arrays."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
 class EpisodeBatch:
     """B episodes of one config, stepped in lockstep."""
 
@@ -95,9 +101,10 @@ class EpisodeBatch:
             motions.append(mobility.init_positions(cfg.mobility, cfg.n_ues, ue_rngs))
         position, waypoint, anchor = zip(*motions)
         self._motion = mobility.MotionState(
-            np.stack(position), np.stack(waypoint),
-            None if anchor[0] is None else np.stack(anchor))
+            np.array(position), np.array(waypoint),
+            None if anchor[0] is None else np.array(anchor))
         self._upcoming = None
+        self._rows = np.arange(len(motions))
         self._thresholds = np.full((len(motions), cfg.n_bs), 0.5)
         self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
@@ -112,13 +119,13 @@ class EpisodeBatch:
         rewards (B,), done)."""
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
-        self._thresholds = np.clip(self._thresholds + self._moves[actions], 0.0, 1.0)
+        self._thresholds = _unit(self._thresholds + self._moves[actions])
         self._motion, self._snr, previewed = self._next_state()
         self._upcoming = None
         if previewed is not None and self.cfg.fading.kind == "none":
             # The preview already holds each action's fading-free reward.
-            rows = np.arange(len(actions))
-            rew, utils = previewed[0][rows, actions], previewed[1][rows, actions]
+            pick = self._rows, actions
+            rew, utils = previewed[0][pick], previewed[1][pick]
         else:
             rew, utils = self._reward()
         self._prev_utilities = utils
@@ -136,7 +143,7 @@ class EpisodeBatch:
             raise RuntimeError("environment must be mid-episode to preview")
         motion, snr, previewed = self._next_state()
         if previewed is None:
-            taus = np.clip(self._thresholds[:, None, :] + self._moves, 0.0, 1.0)
+            taus = _unit(self._thresholds[:, None, :] + self._moves)
             previewed = mac.reward_terms(snr[:, None], taus, self.cfg.utility)
             self._upcoming = (motion, snr, previewed)
         return previewed[0]
@@ -156,7 +163,7 @@ class EpisodeBatch:
         faded = None
         fading = self.cfg.fading
         if fading.kind != "none":
-            faded = np.stack([radio.fade_matrix(snr, fading, g)
+            faded = np.array([radio.fade_matrix(snr, fading, g)
                               for snr, g in zip(self._snr, self._fading_rngs)])
         return mac.reward_terms(self._snr, self._thresholds, self.cfg.utility,
                                 reward_snr=faded)
@@ -186,7 +193,7 @@ class CellularNetworkEnv:
         code = int(action)
         if not 0 <= code < self.cfg.n_actions:
             raise ValueError(f"action {action} outside [0, {self.cfg.n_actions})")
-        obs, rew, done = self._batch.step([code])
+        obs, rew, done = self._batch.step(np.array([code]))
         info = {"utilities": self._batch._prev_utilities[0].copy(),
                 "thresholds": self._batch._thresholds[0].copy()}
         return obs[0], float(rew[0]), done, info

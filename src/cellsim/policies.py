@@ -44,7 +44,7 @@ class GreedyExpertPolicy:
     policy_id = "expert"
 
     def act(self, rngs, n_actions: int, preview) -> np.ndarray:
-        return np.argmax(preview(), axis=-1)
+        return preview().argmax(axis=-1)
 
     def __call__(self, env) -> int:
         return _single(self, env)
