@@ -28,6 +28,7 @@ import os
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "collect_medium_expert",
     "ablate",
     "return_stats",
-    "histogram_overlap",
     "write_dataset",
     "load_dataset",
 ]
@@ -85,21 +85,38 @@ class Trajectory:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Trajectory":
+        """Read a record as written: the seed, each ``t`` and each action are
+        JSON integers, ``t`` counts the steps, every other value is a number,
+        and the observations are rows of equal, non-zero length."""
         if not isinstance(rec, dict):
             raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
         steps = rec["steps"]
         if not steps:
             raise ValueError("trajectory record has no steps")
+        if type(rec["seed"]) is not int:
+            raise ValueError(f"seed {rec['seed']!r} is not an integer")
+        for t, step in enumerate(steps):
+            if type(step["t"]) is not int or step["t"] != t:
+                raise ValueError(f"step {t} has t={step['t']!r}")
+        obs, actions, rewards, rtg = ([s[key] for s in steps]
+                                      for key in ("obs", "action", "reward", "rtg"))
+        if set(map(type, actions)) != {int}:
+            raise ValueError("every action must be an integer")
+        values = chain(chain.from_iterable(obs), rewards, rtg, (rec["total_return"],))
+        if not set(map(type, values)) <= {float, int}:
+            raise ValueError("obs, reward, rtg and total_return must be numbers")
         traj = cls(
-            seed=int(rec["seed"]),
+            seed=rec["seed"],
             policy_id=rec["policy_id"],
             config_hash=rec["config_hash"],
-            observations=np.array([s["obs"] for s in steps], dtype=float),
-            actions=np.array([s["action"] for s in steps], dtype=np.int64),
-            rewards=np.array([s["reward"] for s in steps], dtype=float),
-            returns_to_go=np.array([s["rtg"] for s in steps], dtype=float),
+            observations=np.array(obs, dtype=float),
+            actions=np.array(actions, dtype=np.int64),
+            rewards=np.array(rewards, dtype=float),
+            returns_to_go=np.array(rtg, dtype=float),
         )
-        if float(rec["total_return"]) != traj.total_return:
+        if traj.observations.shape[1] == 0:
+            raise ValueError("obs rows are empty")
+        if rec["total_return"] != traj.total_return:
             raise ValueError(f"trajectory seed={traj.seed}: total_return does not "
                              "match its first return-to-go")
         if not np.array_equal(traj.returns_to_go, _returns_to_go(traj.rewards)):
@@ -314,14 +331,6 @@ def return_stats(manifest: DatasetManifest, bins: int = 30) -> dict:
     return {"bin_edges": edges.tolist(), "tiers": tiers}
 
 
-def histogram_overlap(stats: dict, tier_a: str, tier_b: str) -> float:
-    """Shared probability mass of two tiers' return histograms in [0, 1]."""
-    tiers = stats["tiers"]
-    ha = np.asarray(tiers[tier_a]["histogram"], dtype=float)
-    hb = np.asarray(tiers[tier_b]["histogram"], dtype=float)
-    return float(np.minimum(ha / ha.sum(), hb / hb.sum()).sum())
-
-
 @contextlib.contextmanager
 def _staged(path: str, mode: str, **kwargs):
     """A new temporary file beside ``path``, moved onto ``path`` when the
@@ -370,14 +379,14 @@ def load_dataset(path) -> DatasetManifest:
     """Read a JSONL dataset back into a manifest.
 
     Tier membership comes from each line's policy_id; all lines must carry
-    the same config hash.  A malformed line raises ``ValueError`` naming its
-    1-based line number.  The sidecar, when present, restores metadata; its
+    the same config hash and ``obs`` width.  A malformed line raises
+    ``ValueError`` naming its 1-based line number.  The sidecar, when present, restores metadata; its
     ``meta`` must be an object, its ``warnings`` a list of strings, and its
     ``data_sha256`` the digest of the data file.
     """
     path = str(path)
     tiers: dict = {}
-    config_hash = None
+    first = None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -387,16 +396,20 @@ def load_dataset(path) -> DatasetManifest:
                 continue
             try:
                 traj = Trajectory.from_record(json.loads(line))
-                if config_hash is None:
-                    config_hash = traj.config_hash
-                elif traj.config_hash != config_hash:
+                if first is None:
+                    first = traj
+                if traj.config_hash != first.config_hash:
                     raise ValueError("dataset mixes trajectories from different configs")
+                width, want = traj.observations.shape[1], first.observations.shape[1]
+                if width != want:
+                    raise ValueError(f"obs rows have {width} entries, the first "
+                                     f"record's have {want}")
             except KeyError as exc:
                 raise ValueError(f"{path} line {lineno}: missing field {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             tiers.setdefault(traj.policy_id, []).append(traj)
-    if config_hash is None:
+    if first is None:
         raise ValueError(f"dataset {path} is empty")
     try:
         with open(path + ".manifest.json", "r", encoding="utf-8") as fh:
@@ -412,5 +425,5 @@ def load_dataset(path) -> DatasetManifest:
         raise ValueError(f"{path}.manifest.json: warnings must be a list of strings")
     if sidecar.get("data_sha256", digest.hexdigest()) != digest.hexdigest():
         raise ValueError(f"{path}.manifest.json: data_sha256 does not match {path}")
-    return DatasetManifest(tiers=tiers, config_hash=config_hash, meta=meta,
+    return DatasetManifest(tiers=tiers, config_hash=first.config_hash, meta=meta,
                            warnings=warnings)

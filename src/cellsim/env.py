@@ -27,19 +27,17 @@ seed, actions), whatever batch it runs in, which is what makes collected
 trajectories reproducible byte for byte.  The next motion state and SNR
 matrix do not depend on the action: ``preview_step_rewards`` advances the
 per-user streams once and caches them, with every action's fading-free
-reward, for the next ``step``; ``clone()`` copies that cache.
+reward, for the next ``step``.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
 from . import mac, mobility, radio
 from .config import NetworkConfig
 
-__all__ = ["CellularNetworkEnv", "decode_action", "encode_action"]
+__all__ = ["CellularNetworkEnv", "decode_action"]
 
 
 def decode_action(action: int, n_bs: int) -> tuple:
@@ -53,17 +51,6 @@ def decode_action(action: int, n_bs: int) -> tuple:
     if not 0 <= a < n_actions:
         raise ValueError(f"action {action} outside [0, {n_actions})")
     return tuple((a // 3 ** (n_bs - 1 - i)) % 3 - 1 for i in range(n_bs))
-
-
-def encode_action(deltas, n_bs: int | None = None) -> int:
-    """Inverse of ``decode_action``."""
-    deltas = tuple(int(d) for d in deltas)
-    if n_bs is not None and len(deltas) != n_bs:
-        raise ValueError(f"expected {n_bs} deltas, got {len(deltas)}")
-    if any(d not in (-1, 0, 1) for d in deltas):
-        raise ValueError("deltas must lie in {-1, 0, +1}")
-    n = len(deltas)
-    return sum((d + 1) * 3 ** (n - 1 - i) for i, d in enumerate(deltas))
 
 
 def _unit(x):
@@ -81,8 +68,6 @@ class EpisodeBatch:
         deltas = np.array([decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)],
                           dtype=float)
         self._moves = deltas * cfg.threshold_step  # (n_actions, n_bs)
-        self._motion = None
-        self._upcoming = None
         self._done = True
 
     def reset(self, seeds) -> np.ndarray:
@@ -109,7 +94,8 @@ class EpisodeBatch:
         self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
         # state so the first observation already has the in-episode shape.
-        _, self._prev_utilities = self._reward()
+        _, self._prev_utilities = mac.reward(self._snr, self._thresholds, cfg.fading,
+                                             cfg.utility, self._fading_rngs)
         self._t = 0
         self._done = False
         return self._observation()
@@ -127,7 +113,8 @@ class EpisodeBatch:
             pick = self._rows, actions
             rew, utils = previewed[0][pick], previewed[1][pick]
         else:
-            rew, utils = self._reward()
+            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
+                                    self.cfg.utility, self._fading_rngs)
         self._prev_utilities = utils
         self._t += 1
         self._done = self._t >= self.cfg.horizon
@@ -139,7 +126,7 @@ class EpisodeBatch:
 
         Every action sees the same upcoming positions, cached for ``step``.
         """
-        if self._done or self._motion is None:
+        if self._done:
             raise RuntimeError("environment must be mid-episode to preview")
         motion, snr, previewed = self._next_state()
         if previewed is None:
@@ -156,17 +143,6 @@ class EpisodeBatch:
             snr = radio.snr_matrix(self._bs, motion.position, self.cfg.radio)
             self._upcoming = (motion, snr, None)
         return self._upcoming
-
-    def _reward(self):
-        """(rewards, per-user utilities) of the current state; a faded
-        config draws one block per episode from that episode's stream."""
-        faded = None
-        fading = self.cfg.fading
-        if fading.kind != "none":
-            faded = np.array([radio.fade_matrix(snr, fading, g)
-                              for snr, g in zip(self._snr, self._fading_rngs)])
-        return mac.reward_terms(self._snr, self._thresholds, self.cfg.utility,
-                                reward_snr=faded)
 
     def _observation(self) -> np.ndarray:
         return np.concatenate([self._thresholds,
@@ -198,11 +174,6 @@ class CellularNetworkEnv:
                 "thresholds": self._batch._thresholds[0].copy()}
         return obs[0], float(rew[0]), done, info
 
-    def clone(self) -> "CellularNetworkEnv":
-        """Deep copy, RNG streams and cached next state included; stepping
-        the clone leaves the original untouched."""
-        return copy.deepcopy(self)
-
     # -- policy support ------------------------------------------------
 
     def preview_step_rewards(self) -> np.ndarray:
@@ -223,20 +194,8 @@ class CellularNetworkEnv:
         return self.cfg.obs_dim
 
     @property
-    def t(self) -> int:
-        return self._batch._t
-
-    @property
     def done(self) -> bool:
         return self._batch._done
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return self._batch._thresholds[0].copy()
-
-    @property
-    def snr(self) -> np.ndarray:
-        return self._batch._snr[0].copy()
 
     @property
     def ue_positions(self) -> np.ndarray:

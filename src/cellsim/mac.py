@@ -40,7 +40,6 @@ __all__ = [
     "data_rate",
     "connections",
     "ratefair_fractions",
-    "user_rates",
     "utility",
     "reward_terms",
     "reward",
@@ -81,21 +80,6 @@ def ratefair_fractions(rates, conn) -> np.ndarray:
     return np.where(conn, share / safe, 0.0)
 
 
-def user_rates(conn, alloc, rates, aggregate: str = "mean") -> np.ndarray:
-    """Aggregate each user's delivered rate over its serving stations.
-
-    ``rates`` are the rates entering the reward (possibly computed from a
-    faded SNR matrix); ``conn`` and ``alloc`` always come from the state.
-    Users with no connection get 0.
-    """
-    delivered = np.where(conn, alloc * rates, 0.0)
-    total = delivered.sum(axis=-2)
-    if aggregate == "sum":
-        return total
-    n = conn.sum(axis=-2)
-    return np.divide(total, n, out=np.zeros_like(total), where=n > 0)
-
-
 def utility(rate, params: UtilityParams):
     """Clipped log utility of a delivered rate, rescaled onto [0, 1]."""
     g = np.clip(params.w1 * np.log(params.w2 + rate) / np.log(params.w3),
@@ -115,19 +99,28 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     state_rates = data_rate(snr_state, params.bandwidth)
     alloc = ratefair_fractions(state_rates, conn)
     rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
-    utils = utility(user_rates(conn, alloc, rates, params.aggregate), params)
+    # Each user's delivered rate over its serving stations; 0 when unserved.
+    rate = np.where(conn, alloc * rates, 0.0).sum(axis=-2)
+    if params.aggregate != "sum":
+        n = conn.sum(axis=-2)
+        rate = np.divide(rate, n, out=np.zeros_like(rate), where=n > 0)
+    utils = utility(rate, params)
     return utils.mean(axis=-1), utils
 
 
-def reward(snr_state, tau, fading: FadingModel, params: UtilityParams, rng=None):
-    """One step reward: (reward in [0, 1], per-user utilities).
+def reward(snr_state, tau, fading: FadingModel, params: UtilityParams, rngs):
+    """Step rewards of B episodes: (rewards (B,), per-user utilities (B, n_ues)).
 
-    Deterministic whenever fading is off; otherwise each station-user pair
-    is scaled by an independent |H|^2 draw before the rate terms.
+    ``snr_state`` is (B, n_bs, n_ues), ``tau`` (B, n_bs) and ``rngs[b]`` is
+    episode b's fading stream.  Deterministic whenever fading is off;
+    otherwise episode b scales each station-user pair by an independent
+    |H|^2 draw, one block per step from its own stream, before the rate
+    terms.
     """
-    faded = None if fading.kind == "none" else fade_matrix(snr_state, fading, rng)
-    rew, utils = reward_terms(snr_state, tau, params, reward_snr=faded)
-    return float(rew), utils
+    faded = None
+    if fading.kind != "none":
+        faded = np.array([fade_matrix(snr, fading, g) for snr, g in zip(snr_state, rngs)])
+    return reward_terms(snr_state, tau, params, reward_snr=faded)
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,11 @@ def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
     return normalize_snr(params.raw_snr_at_distance(dist), params)
 
 
-def sample_fading(model: FadingModel, rng, size=None):
-    """Draw fading amplitudes H with E[H^2] = omega.
-
-    Returns a scalar when ``size`` is None, else an array of that shape.
-    ``none`` yields exactly 1.
-    """
+def sample_fading(model: FadingModel, rng, size):
+    """Draw an array of fading amplitudes H of shape ``size`` with
+    E[H^2] = omega; ``none`` yields exactly 1 everywhere."""
     if model.kind == "none":
-        return 1.0 if size is None else np.ones(size)
+        return np.ones(size)
     rng = np.random.default_rng(rng)
     omega = model.omega
     if model.kind == "rayleigh":

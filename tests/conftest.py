@@ -1,5 +1,7 @@
 """Shared fixtures: tiny scenarios that keep the unit tests fast."""
 
+import json
+
 import pytest
 
 import cellsim as cs
@@ -26,3 +28,46 @@ def frozen_cfg():
                               waypoint_radius=0.0,
                               anchors=((100.0, 60.0),) * 5)
     return NetworkConfig(mobility=mobility, horizon=10)
+
+
+def _set_step(i, **fields):
+    return lambda rec: rec["steps"][i].update(fields)
+
+
+def _cut_obs(n):
+    def edit(rec):
+        for step in rec["steps"]:
+            step["obs"] = step["obs"][:n]
+    return edit
+
+
+def _reward_as_string(rec):
+    rec["steps"][0]["reward"] = repr(rec["steps"][0]["reward"])
+
+
+# Edits that leave a record loadable by a lenient reader but not readable
+# exactly, each with the message the loader must give.
+INEXACT_RECORDS = {
+    "action-1.5": (_set_step(0, action=1.5), "every action must be an integer"),
+    "reward-string": (_reward_as_string, "obs, reward, rtg and total_return must be numbers"),
+    "seed-0.7": (lambda rec: rec.update(seed=0.7), "seed 0.7 is not an integer"),
+    "t-7-on-step-1": (_set_step(1, t=7), "step 1 has t=7"),
+    "obs-cut-to-3": (_cut_obs(3), "obs rows have 3 entries, the first record's have 23"),
+    "obs-empty": (_cut_obs(0), "obs rows are empty"),
+}
+
+
+@pytest.fixture(params=sorted(INEXACT_RECORDS))
+def inexact_dataset(request, tmp_path):
+    """A two-record, horizon-5 ``random`` dataset without a sidecar whose
+    second record carries one of ``INEXACT_RECORDS``; returns (path, message)."""
+    path = tmp_path / "inexact.jsonl"
+    cs.write_dataset(cs.collect(cs.default_config(horizon=5), cs.make_policy("random"), 2),
+                     path)
+    (tmp_path / "inexact.jsonl.manifest.json").unlink()
+    first, second = path.read_text().splitlines()
+    rec = json.loads(second)
+    edit, message = INEXACT_RECORDS[request.param]
+    edit(rec)
+    path.write_text(first + "\n" + json.dumps(rec, separators=(",", ":")) + "\n")
+    return path, message

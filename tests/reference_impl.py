@@ -13,6 +13,9 @@ utility over users.
 Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
 that user's own RNG stream.  This is the per-user loop the array kernel in
 ``cellsim.mobility`` replaced; it must stay bit-equal to it, draws included.
+
+Also the test-only inverses and measures of package output: action codes
+from threshold deltas, and the overlap of two tiers' return histograms.
 """
 
 import math
@@ -74,6 +77,28 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
         utilities.append((g - clip_low) / (clip_high - clip_low))
 
     return sum(utilities) / n_ue, utilities
+
+
+
+def encode_action(deltas, n_bs=None):
+    """Inverse of ``cellsim.env.decode_action``: base-3 code of one delta in
+    {-1, 0, +1} per station, station 0 most significant."""
+    deltas = tuple(int(d) for d in deltas)
+    if n_bs is not None and len(deltas) != n_bs:
+        raise ValueError(f"expected {n_bs} deltas, got {len(deltas)}")
+    if any(d not in (-1, 0, 1) for d in deltas):
+        raise ValueError("deltas must lie in {-1, 0, +1}")
+    n = len(deltas)
+    return sum((d + 1) * 3 ** (n - 1 - i) for i, d in enumerate(deltas))
+
+
+def histogram_overlap(stats, tier_a, tier_b):
+    """Shared probability mass in [0, 1] of two tiers' return histograms in
+    a ``cellsim.data.return_stats`` result."""
+    tiers = stats["tiers"]
+    ha = np.asarray(tiers[tier_a]["histogram"], dtype=float)
+    hb = np.asarray(tiers[tier_b]["histogram"], dtype=float)
+    return float(np.minimum(ha / ha.sum(), hb / hb.sum()).sum())
 
 
 @dataclass

@@ -22,12 +22,11 @@ from scipy import stats as sstats
 import cellsim as cs
 from cellsim import mac, mobility, radio
 from cellsim.config import parse_fading
-from cellsim.data import (ablate, collect_medium_expert, histogram_overlap,
-                          return_stats)
-from cellsim.env import CellularNetworkEnv, decode_action, encode_action
+from cellsim.data import ablate, collect_medium_expert, return_stats
+from cellsim.env import CellularNetworkEnv, decode_action
 from cellsim.harness import fading_sweep
 from cellsim.policies import make_policy
-from reference_impl import reference_reward
+from reference_impl import encode_action, histogram_overlap, reference_reward
 
 DATASET_SIZE = 500  # trajectories per tier in the default protocol
 

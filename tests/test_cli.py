@@ -333,6 +333,12 @@ class TestMalformedDatasetFiles:
         sidecar_path.write_text(json.dumps({**sidecar, **_SIDECAR_EDITS[edit]}))
         assert "manifest.json:" in self._run(capsys, command, dataset)
 
+    def test_inexact_record(self, capsys, inexact_dataset):
+        path, message = inexact_dataset
+        code, out, err = run(capsys, "stats", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} line 2: {message}\n"
+
     @pytest.mark.parametrize("command", ["stats", "ablate"])
     def test_edited_returns_to_go(self, capsys, dataset, command):
         first, second = dataset.read_text().splitlines()

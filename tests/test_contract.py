@@ -1,0 +1,87 @@
+"""The Python contract: the README quickstart runs as written, the package
+exports exactly its documented surface, and every callable the benchmark
+traces stays at its module path."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import cellsim as cs
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+EXPORTS = [
+    "CellularNetworkEnv", "ConcavityReport", "DEFAULT_MEDIUM_EPSILON", "DatasetManifest",
+    "EvalResult", "FadingModel", "GreedyExpertPolicy", "JensenReport", "MediumPolicy",
+    "MobilityConfig", "NetworkConfig", "RadioParams", "RandomPolicy", "SweepReport",
+    "Trajectory", "UtilityParams", "ablate", "collect", "collect_medium_expert",
+    "collect_trajectory", "concavity_probe", "decode_action", "default_config",
+    "evaluate", "fading_sweep", "load_config", "load_dataset", "make_policy",
+    "parse_fading", "rescale", "return_stats", "save_config", "verify_jensen",
+    "write_dataset",
+]
+
+# Step kernels that live only in their modules, not in the package namespace.
+KERNELS = {
+    "mobility": ["MotionState", "init_positions", "sample_waypoint", "step_motion"],
+    "radio": ["snr_matrix", "normalize_snr", "sample_fading", "fade_matrix"],
+    "mac": ["connections", "data_rate", "ratefair_fractions", "utility", "reward",
+            "reward_terms"],
+}
+
+# What perfbench/run.py::trace_targets wraps.  Moving or renaming any of
+# these breaks the benchmark's trace, so such a change needs its own
+# benchmark change first.
+TRACED_FUNCTIONS = [
+    "mobility.step_motion", "radio.snr_matrix", "radio.sample_fading", "mac.reward",
+    "mac.reward_terms", "mac.verify_jensen", "data.collect_trajectory",
+    "data.collect_medium_expert", "data.write_dataset", "data.load_dataset",
+    "harness.evaluate",
+]
+TRACED_METHODS = [
+    ("CellularNetworkEnv", "reset"), ("CellularNetworkEnv", "step"),
+    ("CellularNetworkEnv", "preview_step_rewards"), ("GreedyExpertPolicy", "__call__"),
+    ("MediumPolicy", "__call__"), ("RandomPolicy", "__call__"),
+]
+TRACED_MODULES = ["mobility", "radio", "mac", "env", "policies", "data", "harness"]
+
+
+def quickstart_blocks():
+    section = README.read_text(encoding="utf-8").split("## Python quickstart", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+
+
+def test_readme_quickstart_runs_verbatim(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    blocks = quickstart_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["done"]
+    assert (tmp_path / "medium_expert.jsonl").exists()
+
+
+def test_package_exports_the_contract():
+    assert sorted(cs.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(cs, name) is not None, name
+
+
+@pytest.mark.parametrize("module", sorted(KERNELS))
+def test_kernels_stay_in_their_modules(module):
+    for name in KERNELS[module]:
+        assert hasattr(getattr(cs, module), name), f"{module}.{name}"
+        assert not hasattr(cs, name), name
+
+
+def test_benchmark_trace_targets_exist():
+    for path in TRACED_FUNCTIONS:
+        module, name = path.split(".")
+        assert callable(getattr(getattr(cs, module), name)), path
+    for cls, attr in TRACED_METHODS:
+        assert callable(vars(getattr(cs, cls)).get(attr)), f"{cls}.{attr}"
+    for module in TRACED_MODULES:
+        assert getattr(cs, module).__name__ == f"cellsim.{module}"

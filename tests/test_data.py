@@ -16,7 +16,6 @@ from cellsim.data import (
     collect,
     collect_medium_expert,
     collect_trajectory,
-    histogram_overlap,
     load_dataset,
     return_stats,
     write_dataset,
@@ -24,6 +23,7 @@ from cellsim.data import (
 from cellsim.env import CellularNetworkEnv
 from cellsim.harness import evaluate
 from cellsim.policies import make_policy
+from reference_impl import histogram_overlap
 
 
 def _toy_traj(seed: int, policy_id: str, ret: float) -> Trajectory:
@@ -335,6 +335,11 @@ class TestDatasetFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(rec) + "\n" + bad_line + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+            load_dataset(path)
+
+    def test_inexact_record_rejected(self, inexact_dataset):
+        path, message = inexact_dataset
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: {message}")):
             load_dataset(path)
 
     def test_sidecar_must_be_an_object(self, short_cfg, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import cellsim as cs
-from cellsim.env import CellularNetworkEnv, decode_action, encode_action
+from cellsim import radio
+from cellsim.env import CellularNetworkEnv, decode_action
+from reference_impl import encode_action
 
 
 class TestActionCodes:
@@ -45,7 +47,9 @@ class TestReset:
         assert env.obs_dim == 23
         assert env.n_actions == 27
         assert np.all(obs[:3] == 0.5), "thresholds start at the midpoint"
-        assert np.array_equal(obs[3:18].reshape(3, 5), env.snr)
+        snr = radio.snr_matrix(np.array(default_cfg.bs_positions), env.ue_positions,
+                               default_cfg.radio)
+        assert np.array_equal(obs[3:18].reshape(3, 5), snr)
         assert np.all((obs >= 0.0) & (obs <= 1.0))
 
     def test_same_seed_same_observation(self, default_cfg):
@@ -63,16 +67,16 @@ class TestStep:
     def test_threshold_updates_and_clipping(self, default_cfg):
         env = CellularNetworkEnv(default_cfg)
         env.reset(seed=0)
-        env.step(encode_action((1, 0, -1)))
-        assert env.thresholds[0] == pytest.approx(0.6, abs=1e-12)
-        assert env.thresholds[1] == pytest.approx(0.5, abs=1e-12)
-        assert env.thresholds[2] == pytest.approx(0.4, abs=1e-12)
+        obs = env.step(encode_action((1, 0, -1)))[0]
+        assert obs[0] == pytest.approx(0.6, abs=1e-12)
+        assert obs[1] == pytest.approx(0.5, abs=1e-12)
+        assert obs[2] == pytest.approx(0.4, abs=1e-12)
         for _ in range(10):
-            env.step(26)
-        assert np.all(env.thresholds == 1.0), "clip keeps the walk at the top"
+            obs = env.step(26)[0]
+        assert np.all(obs[:3] == 1.0), "clip keeps the walk at the top"
         for _ in range(20):
-            env.step(0)
-        assert np.all(env.thresholds == 0.0)
+            obs = env.step(0)[0]
+        assert np.all(obs[:3] == 0.0)
 
     def test_info_mirrors_observation(self, default_cfg):
         env = CellularNetworkEnv(default_cfg)
@@ -173,13 +177,15 @@ class TestPreview:
         for action in range(27):
             obs, reward, done, info = self._replayed(default_cfg, 21, history).step(action)
             assert preview[action] == reward, f"action {action}"
-            # A clone carries the preview; stepping it must give the same
-            # transition as the env that never previewed.
-            c_obs, c_reward, c_done, c_info = env.clone().step(action)
-            assert np.array_equal(c_obs, obs) and c_reward == reward and c_done == done
-            assert info.keys() == c_info.keys()
+            # A replay that previews before it steps must give the same
+            # transition as the replay that never previewed.
+            previewing = self._replayed(default_cfg, 21, history)
+            assert np.array_equal(previewing.preview_step_rewards(), preview)
+            p_obs, p_reward, p_done, p_info = previewing.step(action)
+            assert np.array_equal(p_obs, obs) and p_reward == reward and p_done == done
+            assert info.keys() == p_info.keys()
             for key in info:
-                assert np.array_equal(c_info[key], info[key]), key
+                assert np.array_equal(p_info[key], info[key]), key
 
     def test_preview_does_not_disturb_the_episode(self):
         # The medium policy previews on its expert steps only, so previewed

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellsim.config import FadingModel, UtilityParams
-from cellsim import mac
+from cellsim import mac, radio
 
 from reference_impl import reference_reward
 
@@ -171,11 +171,29 @@ class TestRewardTerms:
             assert rew == pytest.approx(want_rew, abs=1e-12)
 
     def test_reward_without_fading_is_deterministic(self):
-        snr = np.random.default_rng(6).random((3, 5))
-        tau = np.full(3, 0.3)
-        a = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), rng=1)
-        b = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), rng=2)
-        assert a[0] == b[0] == float(mac.reward_terms(snr, tau, UtilityParams())[0])
+        snr = np.random.default_rng(6).random((4, 3, 5))
+        tau = np.full((4, 3), 0.3)
+
+        def streams(base):
+            return [np.random.default_rng(base + b) for b in range(4)]
+
+        a = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), streams(1))
+        b = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), streams(100))
+        want = mac.reward_terms(snr, tau, UtilityParams())
+        assert a[0].shape == (4,) and a[1].shape == (4, 5)
+        for got in (a, b):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_faded_reward_draws_one_block_per_episode(self):
+        rng = np.random.default_rng(8)
+        snr, tau = rng.random((3, 3, 5)), rng.random((3, 3)) * 0.6
+        fading, params = FadingModel("rayleigh"), UtilityParams()
+        rews, utils = mac.reward(snr, tau, fading, params,
+                                 [np.random.default_rng(b) for b in range(3)])
+        for b in range(3):
+            faded = radio.fade_matrix(snr[b], fading, np.random.default_rng(b))
+            want = mac.reward_terms(snr[b], tau[b], params, reward_snr=faded)
+            assert rews[b] == want[0] and np.array_equal(utils[b], want[1])
 
 
 @st.composite
