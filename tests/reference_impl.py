@@ -14,8 +14,9 @@ Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
 that user's own RNG stream.  This is the per-user loop the array kernel in
 ``cellsim.mobility`` replaced; it must stay bit-equal to it, draws included.
 
-Also the test-only inverses and measures of package output: action codes
-from threshold deltas, and the overlap of two tiers' return histograms.
+It also holds two helpers that only tests use: ``encode_action``, the
+inverse of ``cellsim.env.decode_action``, and ``histogram_overlap`` of two
+tiers' return histograms.
 """
 
 import math
