@@ -38,6 +38,16 @@ def _add_config_flags(sub, mobility=True, fading=True):
                          help="override fading: none, rayleigh, or rician:K")
 
 
+def _baselines(args):
+    """(expert mean, random mean), None when neither flag is given; one flag
+    alone is a usage error."""
+    pair = (args.baseline_expert, args.baseline_random)
+    if pair.count(None) == 1:
+        given, missing = ("expert", "random") if pair[1] is None else ("random", "expert")
+        args.baseline_parser.error(f"--baseline-{given} requires --baseline-{missing}")
+    return None if None in pair else pair
+
+
 def _resolve_config(args, horizon=None):
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "mobility", None):
@@ -94,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_MEDIUM_EPSILON)
     p.add_argument("--baseline-expert", type=float, default=None)
     p.add_argument("--baseline-random", type=float, default=None)
+    p.set_defaults(baseline_parser=p)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
 
@@ -119,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated fading specs")
     p.add_argument("--baseline-expert", type=float, default=None)
     p.add_argument("--baseline-random", type=float, default=None)
+    p.set_defaults(baseline_parser=p)
     p.add_argument("--workers", type=int, default=1)
 
     p = subs.add_parser("show-config", help="print the effective config as JSON")
@@ -187,14 +199,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    baselines = _baselines(args)
     cfg = _resolve_config(args, horizon=args.horizon)
     policy = make_policy(args.policy, epsilon=args.epsilon)
     res = harness.evaluate(cfg, policy, n_episodes=args.episodes,
                            seed_base=args.seed_base, workers=args.workers)
     print(res.to_text())
-    if args.baseline_expert is not None and args.baseline_random is not None:
-        score = harness.rescale(res.mean, args.baseline_expert, args.baseline_random)
-        print(f"score={score!r}")
+    if baselines is not None:
+        print(f"score={harness.rescale(res.mean, *baselines)!r}")
     return 0
 
 
@@ -220,14 +232,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep_fading(args) -> int:
+    baselines = _baselines(args)
     cfg = _resolve_config(args)
     policy = make_policy(args.policy, epsilon=args.epsilon)
     models = [parse_fading(m) for m in args.models.split(",") if m.strip()]
     if not models:
         raise ValueError("--models must name at least one fading model")
-    baselines = None
-    if args.baseline_expert is not None and args.baseline_random is not None:
-        baselines = (args.baseline_expert, args.baseline_random)
     report = harness.fading_sweep(cfg, policy, models, n_episodes=args.episodes,
                                   seed_base=args.seed_base, baselines=baselines,
                                   workers=args.workers)

@@ -86,15 +86,18 @@ class Trajectory:
     @classmethod
     def from_record(cls, rec: dict) -> "Trajectory":
         """Read a record as written: the seed, each ``t`` and each action are
-        JSON integers, ``t`` counts the steps, every other value is a number,
-        and the observations are rows of equal, non-zero length."""
+        JSON integers, ``t`` counts the steps, ``policy_id`` and
+        ``config_hash`` are strings, every other value is a number, and the
+        observations are rows of equal, non-zero length."""
         if not isinstance(rec, dict):
             raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
         steps = rec["steps"]
         if not steps:
             raise ValueError("trajectory record has no steps")
-        if type(rec["seed"]) is not int:
-            raise ValueError(f"seed {rec['seed']!r} is not an integer")
+        for key, kind, noun in (("seed", int, "an integer"), ("policy_id", str, "a string"),
+                                ("config_hash", str, "a string")):
+            if type(rec[key]) is not kind:
+                raise ValueError(f"{key} {rec[key]!r} is not {noun}")
         for t, step in enumerate(steps):
             if type(step["t"]) is not int or step["t"] != t:
                 raise ValueError(f"step {t} has t={step['t']!r}")
@@ -126,42 +129,38 @@ class Trajectory:
 
 
 def _returns_to_go(rewards: np.ndarray) -> np.ndarray:
-    """Sequential sum from the last step along axis 0:
-    rtg[t] == rewards[t] + rtg[t + 1] exactly."""
-    return np.cumsum(rewards[::-1], axis=0)[::-1].copy()
+    """Sequential sum from the last step along the last axis:
+    rtg[..., t] == rewards[..., t] + rtg[..., t + 1] exactly."""
+    return np.cumsum(rewards[..., ::-1], axis=-1)[..., ::-1].copy()
 
 
 def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     """Run one episode per seed in lockstep under ``policy``.
 
-    Returns (observations, actions, rewards, returns-to-go), time-major:
-    (T, B, obs_dim) (None unless ``observe``), then three (T, B) arrays.
+    Returns (observations, actions, rewards, returns-to-go), episode-major:
+    (B, T, obs_dim) (None unless ``observe``), then three (B, T) arrays.
     """
     batch = EpisodeBatch(cfg)
     obs = batch.reset(seeds)
-    shape = (cfg.horizon, len(seeds))
+    shape = (len(seeds), cfg.horizon)
     observations = np.empty(shape + (cfg.obs_dim,)) if observe else None
     actions = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape)
     for t in range(cfg.horizon):
         if observe:
-            observations[t] = obs
-        actions[t] = policy.act(batch.policy_rngs, cfg.n_actions,
-                                batch.preview_step_rewards)
-        obs, rewards[t], _ = batch.step(actions[t])
+            observations[:, t] = obs
+        actions[:, t] = policy.act(batch.policy_rngs, cfg.n_actions,
+                                   batch.preview_step_rewards)
+        obs, rewards[:, t], _ = batch.step(actions[:, t])
     return observations, actions, rewards, _returns_to_go(rewards)
 
 
 def _collect_block(cfg: NetworkConfig, policy, seeds) -> list:
     """One trajectory per seed, the whole block stepped in lockstep."""
-    observations, actions, rewards, rtg = (
-        np.ascontiguousarray(np.swapaxes(a, 0, 1))
-        for a in rollout(cfg, policy, seeds))
     config_hash = cfg.canonical_hash()
-    return [Trajectory(seed=seed, policy_id=policy.policy_id, config_hash=config_hash,
-                       observations=observations[b], actions=actions[b],
-                       rewards=rewards[b], returns_to_go=rtg[b])
-            for b, seed in enumerate(seeds)]
+    # One row of each (B, T, ...) array per episode, in Trajectory field order.
+    return [Trajectory(seed, policy.policy_id, config_hash, *columns)
+            for seed, *columns in zip(seeds, *rollout(cfg, policy, seeds))]
 
 
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
@@ -281,17 +280,14 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     The surviving count per tier is round((1 - frac) * n) and survivors keep
     their original order.  Dropping from a tier that is absent or empty is a
     no-op recorded in the manifest warnings; dropping nothing at all returns
-    an identical manifest.
+    an identical manifest.  ``seed`` must be a non-negative integer.
     """
     fracs = {"expert": float(drop_expert), "medium": float(drop_medium)}
     for tier, frac in fracs.items():
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"drop fraction for {tier} must lie in [0, 1]")
-    if all(f == 0.0 for f in fracs.values()):
-        return DatasetManifest(tiers={t: list(v) for t, v in manifest.tiers.items()},
-                               config_hash=manifest.config_hash,
-                               meta=copy.deepcopy(manifest.meta),
-                               warnings=list(manifest.warnings))
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}
     warnings = list(manifest.warnings)
@@ -308,8 +304,9 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
         drop_idx = set(rng.choice(n, size=n - n_keep, replace=False).tolist())
         tiers[tier] = [t for i, t in enumerate(trajs) if i not in drop_idx]
     meta = copy.deepcopy(manifest.meta)
-    meta["ablation"] = {"drop_expert": fracs["expert"], "drop_medium": fracs["medium"],
-                        "seed": int(seed), "parent_counts": manifest.counts()}
+    if any(fracs.values()):
+        meta["ablation"] = {"drop_expert": fracs["expert"], "drop_medium": fracs["medium"],
+                            "seed": int(seed), "parent_counts": manifest.counts()}
     return DatasetManifest(tiers=tiers, config_hash=manifest.config_hash,
                            meta=meta, warnings=warnings)
 

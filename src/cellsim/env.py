@@ -75,22 +75,16 @@ class EpisodeBatch:
         initial observations."""
         cfg = self.cfg
         self._ue_rngs, self._fading_rngs, self.policy_rngs = [], [], []
-        motions = []
         for seed in seeds:
             mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
-            ue_rngs = [np.random.Generator(np.random.PCG64(ss))
-                       for ss in mobility_ss.spawn(cfg.n_ues)]
-            self._ue_rngs.append(ue_rngs)
-            self._fading_rngs.append(np.random.Generator(np.random.PCG64(fading_ss)))
-            self.policy_rngs.append(np.random.Generator(np.random.PCG64(policy_ss)))
-            motions.append(mobility.init_positions(cfg.mobility, cfg.n_ues, ue_rngs))
-        position, waypoint, anchor = zip(*motions)
-        self._motion = mobility.MotionState(
-            np.array(position), np.array(waypoint),
-            None if anchor[0] is None else np.array(anchor))
+            self._ue_rngs.append([np.random.default_rng(ss)
+                                  for ss in mobility_ss.spawn(cfg.n_ues)])
+            self._fading_rngs.append(np.random.default_rng(fading_ss))
+            self.policy_rngs.append(np.random.default_rng(policy_ss))
+        self._motion = mobility.init_positions(cfg.mobility, self._ue_rngs)
         self._upcoming = None
-        self._rows = np.arange(len(motions))
-        self._thresholds = np.full((len(motions), cfg.n_bs), 0.5)
+        self._rows = np.arange(len(self._ue_rngs))
+        self._thresholds = np.full((len(self._rows), cfg.n_bs), 0.5)
         self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
         # state so the first observation already has the in-episode shape.

@@ -22,9 +22,8 @@ __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fadi
 
 
 def _block_returns(cfg: NetworkConfig, policy, seeds) -> list:
-    """The return of each episode of one lockstep block of seeds."""
-    *_, returns_to_go = rollout(cfg, policy, seeds, observe=False)
-    return returns_to_go[0].tolist()
+    """Each episode's return in one lockstep block: its first return-to-go."""
+    return rollout(cfg, policy, seeds, observe=False)[-1][:, 0].tolist()
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,8 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
         return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    faded = fade_matrix(np.broadcast_to(snr, (n_samples,) + snr.shape), fading, rng)
+    faded = fade_matrix(np.broadcast_to(snr, (n_samples,) + snr.shape), fading,
+                        np.random.default_rng(rng))
     if fixed_allocation:
         samples, _ = reward_terms(snr, tau, params, reward_snr=faded)
     else:
@@ -210,9 +211,12 @@ class ConcavityReport:
                 f" max_violation={self.max_violation!r} passed={self.passed}")
 
 
+_PROBE_GAMMA_HIGH = 3.0  # the probe's rate-term SNRs lie in [0, 3)
+_PROBE_TOL = 1e-9        # a midpoint gap above this is a violation
+
+
 def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
-                    rng=None, n_ues: int = 5, gamma_high: float = 3.0,
-                    tol: float = 1e-9) -> ConcavityReport:
+                    rng=None, n_ues: int = 5) -> ConcavityReport:
     """Probe concavity of gamma -> utility(user rate) at frozen allocations.
 
     For each trial a base SNR matrix fixes the connection matrix and the
@@ -222,20 +226,22 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
         G(lambda x + (1 - lambda) y) >= lambda G(x) + (1 - lambda) G(y) - tol
 
     for every user, where G is the per-user utility of ``reward_terms`` with
-    x, y or their mix as the rate-term SNR.
+    x, y or their mix as the rate-term SNR.  ``n_trials`` must be at least 1.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     rng = np.random.default_rng(rng)
     tau = np.asarray(tau, dtype=float)
     shape = (n_trials, tau.shape[-1], n_ues)
     base = 1.0 - rng.random(shape)  # entries in (0, 1]
-    x = rng.random(shape) * gamma_high
-    y = rng.random(shape) * gamma_high
+    x = rng.random(shape) * _PROBE_GAMMA_HIGH
+    y = rng.random(shape) * _PROBE_GAMMA_HIGH
     lam = rng.random((n_trials, 1))
     mix = lam[..., None] * x + (1.0 - lam[..., None]) * y
     # One call: the three rate-term SNRs share base's connections and shares.
     g_mix, g_x, g_y = reward_terms(base, tau, params, reward_snr=np.stack([mix, x, y]))[1]
     gap = lam * g_x + (1.0 - lam) * g_y - g_mix  # positive gap above tol is a violation
-    violations = int((gap > tol).sum())
+    violations = int((gap > _PROBE_TOL).sum())
     return ConcavityReport(n_trials=n_trials, n_checks=int(gap.size),
                            violations=violations,
                            max_violation=float(gap.max()) if gap.size else 0.0,

@@ -6,19 +6,16 @@ waypoint is sampled.  The ``full`` variant draws waypoints uniformly over
 the whole map; the ``limited`` variant confines each user to a disc around
 a per-user anchor, which yields the low-mobility regime.
 
-All users' state is held in arrays (``MotionState``) and ``step_motion``
-advances every user in one call; arrays may carry leading episode axes, so
-one call also steps a batch of episodes.  Each user owns its own RNG stream
-and draws from it only on reaching its waypoint.  States are never
-modified in place; a stepped state may share unchanged arrays with the old
-one.
+All users' state is held in (B episodes, n_ues, 2) arrays (``MotionState``)
+and ``step_motion`` advances every user of every episode in one call.  Each
+user owns its own RNG stream and, once placed, draws from it only on
+reaching its waypoint.  States are never modified in place; a stepped state
+may share unchanged arrays with the old one.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -29,16 +26,15 @@ __all__ = ["MotionState", "init_positions", "sample_waypoint", "step_motion"]
 
 
 class MotionState(NamedTuple):
-    """Motion bookkeeping for all users, one row per user, after any
-    leading episode axes."""
+    """Motion bookkeeping for B episodes, one row per user."""
 
-    position: np.ndarray       # (..., n_ues, 2)
-    waypoint: np.ndarray       # (..., n_ues, 2)
-    anchor: np.ndarray | None  # (..., n_ues, 2) for ``limited``, else None
+    position: np.ndarray       # (B, n_ues, 2)
+    waypoint: np.ndarray       # (B, n_ues, 2)
+    anchor: np.ndarray | None  # (B, n_ues, 2) for ``limited``, else None
 
 
 def _uniform_in_map(cfg: MobilityConfig, rng) -> np.ndarray:
-    return np.array([rng.random() * cfg.map_width, rng.random() * cfg.map_height])
+    return rng.random(2) * (cfg.map_width, cfg.map_height)
 
 
 def _uniform_in_disc(center, radius, cfg: MobilityConfig, rng) -> np.ndarray:
@@ -49,8 +45,8 @@ def _uniform_in_disc(center, radius, cfg: MobilityConfig, rng) -> np.ndarray:
     """
     cx, cy = float(center[0]), float(center[1])
     while True:
-        r = radius * math.sqrt(rng.random())
-        theta = 2.0 * math.pi * rng.random()
+        u, v = rng.random(2).tolist()
+        r, theta = radius * math.sqrt(u), 2.0 * math.pi * v
         x, y = cx + r * math.cos(theta), cy + r * math.sin(theta)
         if 0.0 <= x <= cfg.map_width and 0.0 <= y <= cfg.map_height:
             return np.array([x, y])
@@ -63,28 +59,27 @@ def sample_waypoint(cfg: MobilityConfig, anchor, rng) -> np.ndarray:
     return _uniform_in_map(cfg, rng)
 
 
-def init_positions(cfg: MobilityConfig, n_ues: int, rngs) -> MotionState:
-    """Draw initial motion state for every user, one RNG stream each."""
-    if len(rngs) != n_ues:
-        raise ValueError(f"expected {n_ues} rng streams, got {len(rngs)}")
+def init_positions(cfg: MobilityConfig, rngs) -> MotionState:
+    """Draw the initial motion state of B episodes, ``rngs[b][j]`` being user
+    j's stream in episode b.  Each user draws its anchor (``limited`` without
+    pinned anchors), then its position, then its first waypoint."""
+    users = [g for row in rngs for g in row]
+    anchors = [None] * len(users)
     if cfg.variant == "full":
-        position = np.array([_uniform_in_map(cfg, g) for g in rngs])
-        waypoint = np.array([_uniform_in_map(cfg, g) for g in rngs])
-        return MotionState(position=position, waypoint=waypoint, anchor=None)
-    if cfg.anchors is None:
-        anchor = np.array([_uniform_in_map(cfg, g) for g in rngs])
+        position = [_uniform_in_map(cfg, g) for g in users]
     else:
-        anchor = np.array(cfg.anchors[:n_ues], dtype=float)
-    position = np.array([_uniform_in_disc(a, cfg.init_radius, cfg, g)
-                         for a, g in zip(anchor, rngs, strict=True)])
-    waypoint = np.array([_uniform_in_disc(a, cfg.waypoint_radius, cfg, g)
-                         for a, g in zip(anchor, rngs)])
-    return MotionState(position=position, waypoint=waypoint, anchor=anchor)
+        anchors = (np.tile(np.array(cfg.anchors, dtype=float), (len(rngs), 1))
+                   if cfg.anchors is not None else [_uniform_in_map(cfg, g) for g in users])
+        position = [_uniform_in_disc(a, cfg.init_radius, cfg, g) for a, g in zip(anchors, users)]
+    waypoint = [sample_waypoint(cfg, a, g) for a, g in zip(anchors, users)]
+    shape = (len(rngs), -1, 2)
+    return MotionState(np.reshape(position, shape), np.reshape(waypoint, shape),
+                       None if cfg.variant == "full" else np.reshape(anchors, shape))
 
 
 def step_motion(state: MotionState, cfg: MobilityConfig, rngs) -> MotionState:
-    """Advance every user by one step; ``rngs[j]`` is user j's stream, and
-    with leading episode axes ``rngs[b][j]`` is user j's stream in episode b.
+    """Advance every user of B episodes by one step; ``rngs[b][j]`` is user
+    j's stream in episode b.
 
     Zero speed freezes every user entirely (waypoints included).  A user
     whose waypoint is no farther than one step lands on it exactly, the
@@ -102,8 +97,7 @@ def step_motion(state: MotionState, cfg: MobilityConfig, rngs) -> MotionState:
         return state._replace(position=position)
     position[arrived] = state.waypoint[arrived]
     waypoint = state.waypoint.copy()
-    for idx in map(tuple, np.argwhere(arrived).tolist()):
-        waypoint[idx] = sample_waypoint(
-            cfg, None if state.anchor is None else state.anchor[idx],
-            reduce(getitem, idx, rngs))
+    for b, j in zip(*np.nonzero(arrived)):
+        waypoint[b, j] = sample_waypoint(
+            cfg, None if state.anchor is None else state.anchor[b, j], rngs[b][j])
     return MotionState(position=position, waypoint=waypoint, anchor=state.anchor)

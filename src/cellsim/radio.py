@@ -40,12 +40,11 @@ def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
     return normalize_snr(params.raw_snr_at_distance(dist), params)
 
 
-def sample_fading(model: FadingModel, rng, size):
-    """Draw an array of fading amplitudes H of shape ``size`` with
-    E[H^2] = omega; ``none`` yields exactly 1 everywhere."""
+def sample_fading(model: FadingModel, rng: np.random.Generator, size):
+    """Draw an array of fading amplitudes H of shape ``size`` from ``rng``
+    with E[H^2] = omega; ``none`` yields exactly 1 everywhere."""
     if model.kind == "none":
         return np.ones(size)
-    rng = np.random.default_rng(rng)
     omega = model.omega
     if model.kind == "rayleigh":
         # Inverse CDF of the Rayleigh amplitude law; 1 - U keeps the log finite.

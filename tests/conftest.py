@@ -54,6 +54,8 @@ INEXACT_RECORDS = {
     "t-7-on-step-1": (_set_step(1, t=7), "step 1 has t=7"),
     "obs-cut-to-3": (_cut_obs(3), "obs rows have 3 entries, the first record's have 23"),
     "obs-empty": (_cut_obs(0), "obs rows are empty"),
+    "policy_id-5": (lambda rec: rec.update(policy_id=5), "policy_id 5 is not a string"),
+    "config_hash-7": (lambda rec: rec.update(config_hash=7), "config_hash 7 is not a string"),
 }
 
 

@@ -151,11 +151,11 @@ def test_mobility_variants_contrast(full_dataset, limited_dataset):
         mob = cfg.mobility
         rngs = [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(cfg.n_ues)]
-        state = mobility.init_positions(mob, cfg.n_ues, rngs)
+        state = mobility.init_positions(mob, [rngs])
         track = np.empty((n_steps, cfg.n_ues, 2))
         for t in range(n_steps):
-            state = mobility.step_motion(state, mob, rngs)
-            track[t] = state.position
+            state = mobility.step_motion(state, mob, [rngs])
+            track[t] = state.position[0]
         return track.var(axis=0).sum(axis=-1)
 
     var_full = per_ue_variance(cs.default_config(), seed=0)

@@ -143,6 +143,16 @@ class TestEvaluate:
         assert code == 1
         assert "error:" in err
 
+    def test_lone_baseline_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--policy", "random", "--episodes", "3",
+                  "--baseline-expert", "50"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cellsim evaluate")
+        assert "--baseline-expert requires --baseline-random" in err
+
 
 class TestVerify:
     def test_text_report(self, capsys):
@@ -169,6 +179,13 @@ class TestVerify:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_fail(self, capsys, trials):
+        code, _, err = run(capsys, "verify", "--fading", "rayleigh",
+                           "--samples", "10000", "--trials", trials)
+        assert code == 1
+        assert err == "error: n_trials must be at least 1\n"
+
 
 class TestSweepFading:
     def test_csv_and_ordering_flag(self, capsys):
@@ -186,6 +203,16 @@ class TestSweepFading:
                            "--models", ",")
         assert code == 1
         assert "error:" in err
+
+    def test_lone_baseline_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-fading", "--policy", "random", "--episodes", "2",
+                  "--baseline-random", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cellsim sweep-fading")
+        assert "--baseline-random requires --baseline-expert" in err
 
 
 class TestShowConfig:

@@ -200,6 +200,9 @@ class TestAblate:
         man = self._manifest()
         out = ablate(man)
         assert out.counts() == man.counts()
+        assert out.meta == man.meta
+        assert "ablation" not in out.meta
+        assert out.warnings == man.warnings
         out.tiers["expert"].pop()
         out.meta["seed_ranges"]["expert"][0] = 999
         assert len(man.tiers["expert"]) == 10
@@ -234,6 +237,11 @@ class TestAblate:
             ablate(self._manifest(), drop_expert=1.5)
         with pytest.raises(ValueError):
             ablate(self._manifest(), drop_medium=-0.1)
+
+    @pytest.mark.parametrize("drops", [{}, {"drop_expert": 0.5}], ids=["none", "expert"])
+    def test_negative_seed_rejected(self, drops):
+        with pytest.raises(ValueError, match="seed"):
+            ablate(self._manifest(), seed=-1, **drops)
 
 
 class TestReturnStats:

@@ -19,17 +19,17 @@ def make_rngs(n, seed=0):
 class TestInitPositions:
     def test_full_positions_inside_map(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, 5, make_rngs(5))
-        assert state.position.shape == state.waypoint.shape == (5, 2)
+        state = mobility.init_positions(cfg, [make_rngs(5)])
+        assert state.position.shape == state.waypoint.shape == (1, 5, 2)
         assert state.anchor is None
-        for x, y in state.position:
+        for x, y in state.position[0]:
             assert 0.0 <= x <= cfg.map_width
             assert 0.0 <= y <= cfg.map_height
 
     def test_full_positions_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(1)
-        pts = np.array([mobility.init_positions(cfg, 1, [rng]).position[0]
+        pts = np.array([mobility.init_positions(cfg, [[rng]]).position[0, 0]
                         for _ in range(10_000)])
         assert np.allclose(pts.mean(axis=0), [100.0, 100.0], atol=2.0)
         # Chi-square uniformity over a 10x10 occupancy grid.
@@ -42,13 +42,13 @@ class TestInitPositions:
         cfg = MobilityConfig(variant="limited")
         rng = np.random.default_rng(2)
         for _ in range(10_000):
-            s = mobility.init_positions(cfg, 1, [rng])
-            assert np.linalg.norm(s.position[0] - s.anchor[0]) <= cfg.init_radius + 1e-9
+            s = mobility.init_positions(cfg, [[rng]])
+            assert np.linalg.norm(s.position[0, 0] - s.anchor[0, 0]) <= cfg.init_radius + 1e-9
 
     def test_limited_sampled_anchors_cover_map(self):
         cfg = MobilityConfig(variant="limited")
         rng = np.random.default_rng(3)
-        anchors = np.array([mobility.init_positions(cfg, 1, [rng]).anchor[0]
+        anchors = np.array([mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
                             for _ in range(5_000)])
         assert np.allclose(anchors.mean(axis=0), [100.0, 100.0], atol=4.0)
         assert anchors[:, 0].max() > 180.0 and anchors[:, 0].min() < 20.0
@@ -56,20 +56,20 @@ class TestInitPositions:
     def test_limited_pinned_anchors_used_verbatim(self):
         cfg = MobilityConfig(variant="limited",
                              anchors=((30.0, 40.0), (150.0, 160.0)))
-        state = mobility.init_positions(cfg, 2, make_rngs(2))
-        assert np.array_equal(state.anchor, [[30.0, 40.0], [150.0, 160.0]])
+        state = mobility.init_positions(cfg, [make_rngs(2)])
+        assert np.array_equal(state.anchor, [[[30.0, 40.0], [150.0, 160.0]]])
 
     def test_single_user(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, 1, make_rngs(1))
-        assert state.position.shape == (1, 2)
+        state = mobility.init_positions(cfg, [make_rngs(1)])
+        assert state.position.shape == (1, 1, 2)
 
 
 class TestSampleWaypoint:
     def test_full_waypoints_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(4)
-        mobility.init_positions(cfg, 1, [rng])
+        mobility.init_positions(cfg, [[rng]])
         pts = np.array([mobility.sample_waypoint(cfg, None, rng)
                         for _ in range(10_000)])
         counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1],
@@ -80,7 +80,7 @@ class TestSampleWaypoint:
     def test_limited_waypoints_near_anchor(self):
         cfg = MobilityConfig(variant="limited")
         rng = np.random.default_rng(5)
-        anchor = mobility.init_positions(cfg, 1, [rng]).anchor[0]
+        anchor = mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
         for _ in range(10_000):
             w = mobility.sample_waypoint(cfg, anchor, rng)
             assert np.linalg.norm(w - anchor) <= cfg.waypoint_radius + 1e-9
@@ -89,7 +89,7 @@ class TestSampleWaypoint:
         cfg = MobilityConfig(variant="limited", waypoint_radius=0.0,
                              anchors=((70.0, 80.0),))
         rng = np.random.default_rng(6)
-        anchor = mobility.init_positions(cfg, 1, [rng]).anchor[0]
+        anchor = mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
         w = mobility.sample_waypoint(cfg, anchor, rng)
         assert np.allclose(w, [70.0, 80.0], atol=1e-12)
 
@@ -98,9 +98,9 @@ class TestStepMotion:
     def test_zero_speed_freezes_everything(self):
         cfg = MobilityConfig(variant="full", speed=0.0)
         rng = np.random.default_rng(7)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         before = rng.bit_generator.state
-        nxt = mobility.step_motion(state, cfg, [rng])
+        nxt = mobility.step_motion(state, cfg, [[rng]])
         assert np.array_equal(nxt.position, state.position)
         assert np.array_equal(nxt.waypoint, state.waypoint)
         # No draws should be consumed while frozen.
@@ -109,10 +109,10 @@ class TestStepMotion:
     def test_exact_arrival_lands_on_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=5.0)
         rng = np.random.default_rng(8)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         state = state._replace(position=state.waypoint - np.array([5.0, 0.0]))
         old_waypoint = state.waypoint.copy()
-        nxt = mobility.step_motion(state, cfg, [rng])
+        nxt = mobility.step_motion(state, cfg, [[rng]])
         assert np.allclose(nxt.position, old_waypoint, atol=1e-12)
         assert not np.array_equal(nxt.waypoint, old_waypoint)
         assert np.array_equal(state.waypoint, old_waypoint), "input state unchanged"
@@ -120,52 +120,52 @@ class TestStepMotion:
     def test_standing_on_waypoint_draws_a_new_one(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(12)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         state = state._replace(position=state.waypoint.copy())
-        nxt = mobility.step_motion(state, cfg, [rng])
+        nxt = mobility.step_motion(state, cfg, [[rng]])
         assert np.array_equal(nxt.position, state.waypoint)
         assert not np.array_equal(nxt.waypoint, state.waypoint)
 
     def test_partial_step_moves_toward_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
-        state = mobility.MotionState(position=np.array([[0.0, 0.0]]),
-                                     waypoint=np.array([[10.0, 0.0]]),
+        state = mobility.MotionState(position=np.array([[0.0, 0.0]])[None],
+                                     waypoint=np.array([[10.0, 0.0]])[None],
                                      anchor=None)
-        nxt = mobility.step_motion(state, cfg, [np.random.default_rng(9)])
-        assert np.allclose(nxt.position, [[2.5, 0.0]], atol=1e-12)
-        assert np.array_equal(nxt.waypoint, [[10.0, 0.0]])
+        nxt = mobility.step_motion(state, cfg, [[np.random.default_rng(9)]])
+        assert np.allclose(nxt.position, [[[2.5, 0.0]]], atol=1e-12)
+        assert np.array_equal(nxt.waypoint, [[[10.0, 0.0]]])
 
     def test_displacement_never_exceeds_speed(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(10)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         for _ in range(100_000):
-            nxt = mobility.step_motion(state, cfg, [rng])
-            step = np.linalg.norm(nxt.position[0] - state.position[0])
+            nxt = mobility.step_motion(state, cfg, [[rng]])
+            step = np.linalg.norm(nxt.position[0, 0] - state.position[0, 0])
             assert step <= cfg.speed + 1e-9
-            assert 0.0 <= nxt.position[0, 0] <= cfg.map_width
-            assert 0.0 <= nxt.position[0, 1] <= cfg.map_height
+            assert 0.0 <= nxt.position[0, 0, 0] <= cfg.map_width
+            assert 0.0 <= nxt.position[0, 0, 1] <= cfg.map_height
             state = nxt
 
     def test_limited_trajectory_stays_in_disc(self):
         cfg = MobilityConfig(variant="limited", anchors=((100.0, 60.0),))
         rng = np.random.default_rng(11)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         bound = max(cfg.init_radius, cfg.waypoint_radius)
         for _ in range(5_000):
-            state = mobility.step_motion(state, cfg, [rng])
-            assert np.linalg.norm(state.position[0] - state.anchor[0]) <= bound + 1e-9
+            state = mobility.step_motion(state, cfg, [[rng]])
+            assert np.linalg.norm(state.position[0, 0] - state.anchor[0, 0]) <= bound + 1e-9
 
 
 class TestVariantContrast:
     def _position_variance(self, variant, seed, n_steps=10_000):
         cfg = MobilityConfig(variant=variant)
         rng = np.random.default_rng(seed)
-        state = mobility.init_positions(cfg, 1, [rng])
+        state = mobility.init_positions(cfg, [[rng]])
         pts = np.empty((n_steps, 2))
         for t in range(n_steps):
-            state = mobility.step_motion(state, cfg, [rng])
-            pts[t] = state.position[0]
+            state = mobility.step_motion(state, cfg, [[rng]])
+            pts[t] = state.position[0, 0]
         return pts.var(axis=0).sum()
 
     def test_limited_variance_below_full(self):
@@ -182,10 +182,10 @@ class TestDeterminism:
 
         def run(seed):
             rngs = make_rngs(3, seed)
-            state = mobility.init_positions(cfg, 3, rngs)
+            state = mobility.init_positions(cfg, [rngs])
             out = []
             for _ in range(200):
-                state = mobility.step_motion(state, cfg, rngs)
+                state = mobility.step_motion(state, cfg, [rngs])
                 out.append(state.position)
             return np.stack(out)
 
@@ -217,7 +217,7 @@ class TestMatchesReference:
         cfg = MobilityConfig(variant=variant, speed=speed, anchors=anchors)
         rngs, ref_rngs = make_rngs(n_ues, seed), make_rngs(n_ues, seed)
 
-        state = mobility.init_positions(cfg, n_ues, rngs)
+        state = mobility.init_positions(cfg, [rngs])
         ref_states = ref.init_positions(cfg, n_ues, ref_rngs)
         # Put some users exactly one step short of their waypoint, or on it.
         for j, s in enumerate(ref_states):
@@ -225,13 +225,13 @@ class TestMatchesReference:
                 s.position = s.waypoint - np.array([speed, 0.0])
             elif on_waypoint[j] == "zero":
                 s.position = s.waypoint.copy()
-        state = state._replace(position=np.array([s.position for s in ref_states]))
+        state = state._replace(position=np.array([s.position for s in ref_states])[None])
 
         def assert_same(state, ref_states):
-            assert np.array_equal(state.position, [s.position for s in ref_states])
-            assert np.array_equal(state.waypoint, [s.waypoint for s in ref_states])
+            assert np.array_equal(state.position, [[s.position for s in ref_states]])
+            assert np.array_equal(state.waypoint, [[s.waypoint for s in ref_states]])
             if variant == "limited":
-                assert np.array_equal(state.anchor, [s.anchor for s in ref_states])
+                assert np.array_equal(state.anchor, [[s.anchor for s in ref_states]])
             else:
                 assert state.anchor is None
             for g, h in zip(rngs, ref_rngs):
@@ -239,6 +239,27 @@ class TestMatchesReference:
 
         assert_same(state, ref_states)
         for _ in range(n_steps):
-            state = mobility.step_motion(state, cfg, rngs)
+            state = mobility.step_motion(state, cfg, [rngs])
             ref_states = [ref.step_motion(s, cfg, g) for s, g in zip(ref_states, ref_rngs)]
             assert_same(state, ref_states)
+
+    @pytest.mark.parametrize("variant, anchors", [
+        ("full", None),
+        ("limited", ((30.0, 40.0), (150.0, 160.0), (100.0, 60.0))),
+        ("limited", None),
+    ], ids=["full", "limited-pinned", "limited-drawn"])
+    def test_batched_init_matches_per_episode_reference(self, variant, anchors):
+        cfg = MobilityConfig(variant=variant, anchors=anchors)
+        rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
+        ref_rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
+        state = mobility.init_positions(cfg, rngs)
+        ref_states = [ref.init_positions(cfg, 3, row) for row in ref_rngs]
+        assert np.array_equal(state.position, [[s.position for s in row] for row in ref_states])
+        assert np.array_equal(state.waypoint, [[s.waypoint for s in row] for row in ref_states])
+        if variant == "limited":
+            assert np.array_equal(state.anchor, [[s.anchor for s in row] for row in ref_states])
+        else:
+            assert state.anchor is None
+        for row, ref_row in zip(rngs, ref_rngs):
+            for g, h in zip(row, ref_row):
+                assert g.bit_generator.state == h.bit_generator.state
