@@ -213,6 +213,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     model = parse_fading(args.fading)
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     snr = rng.random((cfg.n_bs, cfg.n_ues))
     tau = rng.random(cfg.n_bs)

@@ -48,9 +48,6 @@ __all__ = [
     "load_dataset",
 ]
 
-_TIER_ORDER = ("expert", "medium", "random")
-
-
 @dataclass
 class Trajectory:
     """One complete episode: observations, actions, rewards, returns-to-go."""
@@ -149,8 +146,7 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     for t in range(cfg.horizon):
         if observe:
             observations[:, t] = obs
-        actions[:, t] = policy.act(batch.policy_rngs, cfg.n_actions,
-                                   batch.preview_step_rewards)
+        actions[:, t] = policy.act(batch)
         obs, rewards[:, t], _ = batch.step(actions[:, t])
     return observations, actions, rewards, _returns_to_go(rewards)
 
@@ -187,12 +183,11 @@ class DatasetManifest:
         return np.array([t.total_return for t in self.tiers.get(tier, ())])
 
     def all_trajectories(self) -> list:
-        ordered = sorted(self.tiers, key=_tier_sort_key)
-        return [t for tier in ordered for t in self.tiers[tier]]
+        return [t for tier in sorted(self.tiers) for t in self.tiers[tier]]
 
     def summary_stats(self) -> dict:
         stats = {}
-        for tier in sorted(self.tiers, key=_tier_sort_key):
+        for tier in sorted(self.tiers):
             rets = self.tier_returns(tier)
             if len(rets) == 0:
                 continue
@@ -204,13 +199,6 @@ class DatasetManifest:
                 "max_return": float(rets.max()),
             }
         return stats
-
-
-def _tier_sort_key(tier: str):
-    try:
-        return (0, _TIER_ORDER.index(tier))
-    except ValueError:
-        return (1, tier)
 
 
 # Most episodes stepped together in one block.  Each preview builds several
@@ -350,8 +338,11 @@ def _staged(path: str, mode: str, **kwargs):
 def write_dataset(manifest: DatasetManifest, path) -> str:
     """Write the JSONL data file and its manifest sidecar; returns the
     SHA-256 hex digest of the data file.  Neither target is touched unless
-    both files were written in full."""
+    both files were written in full, and a manifest with no trajectories,
+    which no loader accepts, writes neither."""
     path = str(path)
+    if not any(manifest.tiers.values()):
+        raise ValueError(f"dataset {path} would be empty: the manifest has no trajectories")
     digest = hashlib.sha256()
     with (_staged(path, "xb") as data_fh,
           _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh):

@@ -16,11 +16,15 @@ observation.  It holds B episodes of one config and steps them in
 lockstep: positions and waypoints are (B, n_ues, 2) arrays, thresholds
 (B, n_bs) and the SNR matrix (B, n_bs, n_ues), and each stage is one numpy
 pass over the whole batch.  The horizon is fixed, so all B episodes end
-together.  ``CellularNetworkEnv`` is its B=1 view.
+together.  A policy acts on the batch itself: ``policy.act(batch)`` reads
+``policy_rngs``, ``cfg.n_actions`` and ``preview_step_rewards()`` and
+returns one action code per episode.  ``CellularNetworkEnv`` is the B=1
+view, and ``policy(env)`` is ``act`` on the batch behind it.
 
-Random streams stay per episode.  Reset derives three independent streams
-from each episode's seed: mobility (one child stream per user), fading,
-and policy noise.  A user draws a waypoint from its own stream only on
+Random streams stay per episode.  Reset checks that every seed is
+non-negative, then derives three independent streams from each episode's
+seed: mobility (one child stream per user), fading, and policy noise.  The
+preview draws from none of them.  A user draws a waypoint from its own stream only on
 arrival, and a faded episode draws one (n_bs, n_ues) block per step from
 its own fading stream.  So an episode is a pure function of (config,
 seed, actions), whatever batch it runs in, which is what makes collected
@@ -71,9 +75,12 @@ class EpisodeBatch:
         self._done = True
 
     def reset(self, seeds) -> np.ndarray:
-        """Start one fresh episode per seed; returns the (B, obs_dim)
-        initial observations."""
+        """Start one fresh episode per non-negative seed; returns the
+        (B, obs_dim) initial observations."""
         cfg = self.cfg
+        low = min(seeds)
+        if low < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {low}")
         self._ue_rngs, self._fading_rngs, self.policy_rngs = [], [], []
         for seed in seeds:
             mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
@@ -194,8 +201,3 @@ class CellularNetworkEnv:
     @property
     def ue_positions(self) -> np.ndarray:
         return self._batch._motion.position[0].copy()
-
-    @property
-    def policy_rng(self) -> np.random.Generator:
-        """Policy-noise stream derived from the episode seed."""
-        return self._batch.policy_rngs[0]

@@ -2,12 +2,14 @@
 
 Three tiers: a greedy one-step-lookahead expert, an epsilon-noisy medium
 policy built on the expert, and a uniform random baseline.  Each tier has
-one decision rule, ``act``, over a batch of episodes stepped in lockstep:
-it takes one policy-noise stream per episode, the number of actions, and a
-callable returning the (B, n_actions) fading-free reward preview, which it
-calls only when some episode needs it.  ``policy(env)`` is the B=1 case on
-a live ``CellularNetworkEnv``.  The stochastic tiers draw from each
-episode's own stream, so a trajectory stays a pure function of (config,
+one decision rule, ``act(batch)``, over an ``EpisodeBatch`` stepped in
+lockstep: it reads the batch's per-episode policy-noise streams
+(``batch.policy_rngs``), the number of actions (``batch.cfg.n_actions``)
+and the (B, n_actions) fading-free reward preview
+(``batch.preview_step_rewards()``), and returns one action code per
+episode.  ``policy(env)`` is the B=1 case on a live ``CellularNetworkEnv``.
+The stochastic tiers draw from each episode's own stream, and the preview
+draws from none of them, so a trajectory stays a pure function of (config,
 seed) whatever batch it runs in.
 """
 
@@ -22,8 +24,7 @@ __all__ = ["RandomPolicy", "GreedyExpertPolicy", "MediumPolicy", "make_policy"]
 
 def _single(policy, env) -> int:
     """``policy.act`` on one live environment."""
-    return int(policy.act((env.policy_rng,), env.n_actions,
-                          lambda: env.preview_step_rewards()[None])[0])
+    return int(policy.act(env._batch)[0])
 
 
 class RandomPolicy:
@@ -31,8 +32,9 @@ class RandomPolicy:
 
     policy_id = "random"
 
-    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
-        return np.array([g.integers(n_actions) for g in rngs], dtype=np.int64)
+    def act(self, batch) -> np.ndarray:
+        n_actions = batch.cfg.n_actions
+        return np.array([g.integers(n_actions) for g in batch.policy_rngs], dtype=np.int64)
 
     def __call__(self, env) -> int:
         return _single(self, env)
@@ -43,8 +45,8 @@ class GreedyExpertPolicy:
 
     policy_id = "expert"
 
-    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
-        return preview().argmax(axis=-1)
+    def act(self, batch) -> np.ndarray:
+        return batch.preview_step_rewards().argmax(axis=-1)
 
     def __call__(self, env) -> int:
         return _single(self, env)
@@ -59,20 +61,15 @@ class MediumPolicy:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         self.epsilon = epsilon
-        self._expert = GreedyExpertPolicy()
 
-    def act(self, rngs, n_actions: int, preview) -> np.ndarray:
-        # Each episode draws its coin, then its random action if the coin
-        # says so; the preview runs only when some episode takes the expert.
-        actions = np.zeros(len(rngs), dtype=np.int64)
-        expert = np.zeros(len(rngs), dtype=bool)
-        for b, g in enumerate(rngs):
+    def act(self, batch) -> np.ndarray:
+        # The expert's argmax first, then each episode's coin and, on the
+        # coin, its random action, both from that episode's own stream.
+        actions = batch.preview_step_rewards().argmax(axis=-1)
+        n_actions = batch.cfg.n_actions
+        for b, g in enumerate(batch.policy_rngs):
             if g.random() < self.epsilon:
                 actions[b] = g.integers(n_actions)
-            else:
-                expert[b] = True
-        if expert.any():
-            actions[expert] = self._expert.act(rngs, n_actions, preview)[expert]
         return actions
 
     def __call__(self, env) -> int:
@@ -80,7 +77,10 @@ class MediumPolicy:
 
 
 def make_policy(name: str, epsilon: float = DEFAULT_MEDIUM_EPSILON):
-    """Build a policy from its tier name."""
+    """Build a policy from its tier name; ``epsilon`` must lie in [0, 1]
+    whatever the tier."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
     if name == "expert":
         return GreedyExpertPolicy()
     if name == "medium":

@@ -113,6 +113,15 @@ class TestStatsAndAblate:
         assert code == 0
         assert "warning:" in err
 
+    def test_ablate_to_nothing_writes_nothing(self, capsys, dataset, tmp_path):
+        out_file = tmp_path / "empty.jsonl"
+        code, out, err = run(capsys, "ablate", "--in", str(dataset), "--drop-expert", "1",
+                             "--drop-medium", "1", "--out", str(out_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_file.exists()
+        assert not (tmp_path / "empty.jsonl.manifest.json").exists()
+
     def test_missing_input_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", "--in", str(tmp_path / "nope.jsonl"))
         assert code == 1
@@ -323,6 +332,38 @@ class TestMalformedInputs:
         code, out, err = run(capsys, *argv, "--workers", workers)
         assert code == 1
         assert err == "error: workers must be at least 1\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "expert", "--episodes", "1", "--horizon", "2",
+         "--epsilon", "7"],
+        ["collect", "--tier", "random", "--n", "1", "--horizon", "2", "--epsilon", "-3"],
+    ], ids=["evaluate-expert", "collect-random"])
+    def test_epsilon_out_of_range_for_every_tier(self, capsys, tmp_path, argv):
+        if argv[0] == "collect":
+            argv = argv + ["--out", str(tmp_path / "e.jsonl")]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "error: epsilon must lie in [0, 1]\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "2", "--seed", "-1"],
+        ["collect", "--tier", "random", "--n", "2", "--horizon", "2", "--seed-base", "-1"],
+        ["evaluate", "--policy", "random", "--episodes", "2", "--horizon", "2",
+         "--seed-base", "-1"],
+        ["sweep-fading", "--policy", "random", "--episodes", "2", "--seed-base", "-1"],
+        ["verify", "--fading", "rayleigh", "--samples", "10", "--trials", "1",
+         "--seed", "-1"],
+    ], ids=["simulate", "collect", "evaluate", "sweep-fading", "verify"])
+    def test_negative_seed_names_the_seed(self, capsys, tmp_path, argv):
+        if argv[0] == "collect":
+            argv = argv + ["--out", str(tmp_path / "out.jsonl")]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -185,6 +185,19 @@ class TestCollectMediumExpert:
         order = [t.policy_id for t in man.all_trajectories()]
         assert order == ["expert", "random", "zeta"]
 
+    def test_tiers_are_written_in_name_order(self, tmp_path):
+        names = ("random", "zeta", "expert", "alpha")
+        man = DatasetManifest(tiers={name: [_toy_traj(i, name, float(i))]
+                                     for i, name in enumerate(names)},
+                              config_hash="toy")
+        first = tmp_path / "set.jsonl"
+        write_dataset(man, first)
+        written = [json.loads(line)["policy_id"] for line in first.read_text().splitlines()]
+        assert written == sorted(names)
+        second = tmp_path / "again.jsonl"
+        write_dataset(load_dataset(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
 
 class TestAblate:
     @staticmethod
@@ -313,6 +326,12 @@ class TestDatasetFiles:
         loaded = load_dataset(path)
         assert loaded.counts() == {"random": 2}
         assert loaded.meta == {}
+
+    def test_manifest_without_trajectories_is_not_written(self, short_cfg, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        with pytest.raises(ValueError, match="has no trajectories"):
+            write_dataset(collect(short_cfg, make_policy("random"), 0), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -62,6 +62,10 @@ class TestReset:
         b = CellularNetworkEnv(default_cfg).reset(seed=8)
         assert not np.array_equal(a, b)
 
+    def test_negative_seed_rejected_with_its_value(self, default_cfg):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            CellularNetworkEnv(default_cfg).reset(seed=-1)
+
 
 class TestStep:
     def test_threshold_updates_and_clipping(self, default_cfg):
@@ -188,18 +192,19 @@ class TestPreview:
                 assert np.array_equal(p_info[key], info[key]), key
 
     def test_preview_does_not_disturb_the_episode(self):
-        # The medium policy previews on its expert steps only, so previewed
-        # and un-previewed steps mix; the replay never previews.
+        # The random policy never previews, so ``a`` previews every third
+        # step and previewed and un-previewed steps mix; the replay never
+        # previews.
         for fading in ("none", "rayleigh", "rician:3"):
             cfg = cs.default_config(fading=fading, horizon=40)
-            policy = cs.MediumPolicy(epsilon=0.5)
+            policy = cs.RandomPolicy()
             a = CellularNetworkEnv(cfg)
             b = CellularNetworkEnv(cfg)
             assert np.array_equal(a.reset(seed=33), b.reset(seed=33))
             previews = []
-            preview = a.preview_step_rewards
-            a.preview_step_rewards = lambda: previews.append(1) or preview()
             for t in range(40):
+                if t % 3 == 0:
+                    previews.append(a.preview_step_rewards())
                 action = policy(a)
                 obs_a, rew_a, done_a, info_a = a.step(action)
                 obs_b, rew_b, done_b, info_b = b.step(action)

@@ -104,6 +104,12 @@ class TestFactory:
         assert make_policy("medium", epsilon=0.1).epsilon == 0.1
         assert make_policy("random").policy_id == "random"
 
+    @pytest.mark.parametrize("name", ["expert", "random"])
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
+    def test_epsilon_checked_for_every_tier(self, name, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            make_policy(name, epsilon=epsilon)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("oracle")
