@@ -69,9 +69,14 @@ class EpisodeBatch:
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         self._bs = np.asarray(cfg.bs_positions, dtype=float)
-        deltas = np.array([decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)],
-                          dtype=float)
+        deltas = np.array([decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)])
         self._moves = deltas * cfg.threshold_step  # (n_actions, n_bs)
+        # Station i's threshold takes one of 3 values under the actions, so
+        # the preview computes station terms once per delta (-1, 0, +1), row
+        # (delta + 1) * n_bs + i of an episode's (3 * n_bs, n_ues) stack, and
+        # gathers each action's n_bs rows by its base-3 digits.
+        self._shifts = np.array([[-1.0], [0.0], [1.0]]) * cfg.threshold_step
+        self._gather = ((deltas + 1) * cfg.n_bs + np.arange(cfg.n_bs)).T[:, None, :]
         self._done = True
 
     def reset(self, seeds) -> np.ndarray:
@@ -131,8 +136,15 @@ class EpisodeBatch:
             raise RuntimeError("environment must be mid-episode to preview")
         motion, snr, previewed = self._next_state()
         if previewed is None:
-            taus = _unit(self._thresholds[:, None, :] + self._moves)
-            previewed = mac.reward_terms(snr[:, None], taus, self.cfg.utility)
+            taus = _unit(self._thresholds[:, None, :] + self._shifts)  # (B, 3, n_bs)
+            stack = mac._station_stage(snr[:, None], taus, self.cfg.utility)
+            _, n_bs, n_ues = snr.shape
+            rows = self._gather + 3 * n_bs * self._rows[:, None]  # (n_bs, B, n_actions)
+            # Gathered station-major and viewed as (B, n_actions, n_bs, n_ues):
+            # the user stage then sums whole station slabs, in station order.
+            conn, delivered = (np.take(x.reshape(-1, n_ues), rows, axis=0).transpose(1, 2, 0, 3)
+                               for x in stack)
+            previewed = mac._user_stage(conn, delivered, self.cfg.utility)
             self._upcoming = (motion, snr, previewed)
         return previewed[0]
 

@@ -45,7 +45,7 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
     """Mean and population std of returns over seeds seed_base..+n-1."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
-    rets = map_seeds(_block_returns, cfg, policy, seed_base, n_episodes, workers)
+    rets = map_seeds(_block_returns, cfg, [(policy, seed_base, n_episodes)], workers)
     arr = np.asarray(rets, dtype=float)
     return EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
                       seed_base=seed_base, mean=float(arr.mean()),

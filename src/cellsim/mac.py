@@ -20,6 +20,13 @@ upper bound on the expected faded reward, which ``verify_jensen`` checks by
 Monte Carlo and ``concavity_probe`` supports by probing concavity of the
 composed per-user utility.
 
+``reward_terms`` is a station stage (each pair's connection and delivered
+rate; station i's row depends only on its own SNRs and tau_i) followed by a
+user stage (sum over stations, aggregate, utility).  The 27-action preview
+in ``env`` runs the station stage once per distinct tau_i and gathers the
+rows of each action; the user stage then adds the same numbers in the same
+station order as a call on the whole threshold vector, so the bits agree.
+
 The kernels take float arrays as they are and do not re-check them; the
 config validates every parameter and position.  Only ``verify_jensen`` and
 ``concavity_probe``, which take SNRs or thresholds from their caller,
@@ -87,6 +94,27 @@ def utility(rate, params: UtilityParams):
     return (g - params.clip_low) / (params.clip_high - params.clip_low)
 
 
+def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
+    """Per station-user pair: (connections, delivered rate ``a_ij d_ij``, 0
+    where unconnected), as ``reward_terms`` describes its arguments."""
+    conn = connections(snr_state, tau)
+    state_rates = data_rate(snr_state, params.bandwidth)
+    alloc = ratefair_fractions(state_rates, conn)
+    rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
+    return conn, np.where(conn, alloc * rates, 0.0)
+
+
+def _user_stage(conn, delivered, params: UtilityParams):
+    """(mean utility, per-user utilities) from the station stage's output."""
+    # Each user's delivered rate over its serving stations; 0 when unserved.
+    rate = delivered.sum(axis=-2)
+    if params.aggregate != "sum":
+        n = conn.sum(axis=-2)
+        rate = np.divide(rate, n, out=np.zeros_like(rate), where=n > 0)
+    utils = utility(rate, params)
+    return utils.mean(axis=-1), utils
+
+
 def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     """Deterministic reward core: (mean utility, per-user utilities).
 
@@ -95,17 +123,7 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    conn = connections(snr_state, tau)
-    state_rates = data_rate(snr_state, params.bandwidth)
-    alloc = ratefair_fractions(state_rates, conn)
-    rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
-    # Each user's delivered rate over its serving stations; 0 when unserved.
-    rate = np.where(conn, alloc * rates, 0.0).sum(axis=-2)
-    if params.aggregate != "sum":
-        n = conn.sum(axis=-2)
-        rate = np.divide(rate, n, out=np.zeros_like(rate), where=n > 0)
-    utils = utility(rate, params)
-    return utils.mean(axis=-1), utils
+    return _user_stage(*_station_stage(snr_state, tau, params, reward_snr), params)
 
 
 def reward(snr_state, tau, fading: FadingModel, params: UtilityParams, rngs):

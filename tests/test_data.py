@@ -177,6 +177,36 @@ class TestCollectMediumExpert:
         assert man.meta["seed_ranges"] == {"expert": [100, 103],
                                            "medium": [103, 106]}
 
+    def test_bad_epsilon_fails_before_any_episode(self, short_cfg, monkeypatch):
+        blocks = []
+        rollout = cs.data.rollout
+
+        def counting(cfg, policy, seeds, *args, **kwargs):
+            blocks.append(seeds)
+            return rollout(cfg, policy, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(cs.data, "rollout", counting)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            collect_medium_expert(short_cfg, 3, epsilon=7)
+        assert blocks == []
+
+    def test_both_tiers_share_one_process_pool(self, short_cfg, monkeypatch):
+        pools = []
+        executor = cs.data.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(1)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(cs.data, "ProcessPoolExecutor", counting)
+        pooled = collect_medium_expert(short_cfg, 4, seed_base=20, workers=2)
+        assert len(pools) == 1
+        serial = collect_medium_expert(short_cfg, 4, seed_base=20)
+        assert len(pools) == 1, "workers=1 starts no pool"
+        assert pooled.meta == serial.meta
+        assert ([t.to_record() for t in pooled.all_trajectories()]
+                == [t.to_record() for t in serial.all_trajectories()])
+
     def test_tier_iteration_order(self):
         man = DatasetManifest(tiers={"random": [_toy_traj(0, "random", 1.0)],
                                      "zeta": [_toy_traj(1, "zeta", 2.0)],

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cellsim as cs
-from cellsim import radio
-from cellsim.env import CellularNetworkEnv, decode_action
+from cellsim import mac, radio
+from cellsim.config import NetworkConfig, UtilityParams
+from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
 from reference_impl import encode_action
 
 
@@ -215,3 +217,52 @@ class TestPreview:
                 for key in info_a:
                     assert np.array_equal(info_a[key], info_b[key]), f"{key}: {where}"
             assert 0 < len(previews) < 40, f"{fading}: previewed and plain steps must mix"
+
+
+@st.composite
+def preview_states(draw):
+    """A batch's thresholds on the 0.1 grid (0 and 1 included, where clipping
+    makes two of a station's three thresholds equal) and its next SNR matrix:
+    entries that copy one of their station's thresholds (exact ties), free
+    entries, zeros and all-zero station rows."""
+    n_bs, n_ues, b = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    step = cs.default_config().threshold_step
+    thr = np.array(draw(st.lists(st.integers(0, 10), min_size=b * n_bs,
+                                 max_size=b * n_bs))).reshape(b, n_bs) / 10.0
+    ties = _unit(thr[..., None] + np.array([-step, 0.0, step]))  # (b, n_bs, 3)
+    entry = st.integers(0, 2) | st.floats(0.0, 1.0) | st.just(0.0)
+    picks = draw(st.lists(entry, min_size=b * n_bs * n_ues, max_size=b * n_bs * n_ues))
+    snr = np.array([ties[r, i, p] if isinstance(p, int) else p
+                    for (r, i, _), p in zip(np.ndindex(b, n_bs, n_ues), picks)])
+    snr = snr.reshape(b, n_bs, n_ues)
+    snr[np.array(draw(st.lists(st.booleans(), min_size=b * n_bs,
+                               max_size=b * n_bs))).reshape(b, n_bs)] = 0.0
+    return thr, snr, draw(st.sampled_from(["mean", "sum"]))
+
+
+class TestPreviewMatchesPerActionReward:
+    """The preview of every action equals ``reward_terms`` on that action's
+    thresholds, bit for bit, whatever the preview shares between actions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=preview_states())
+    def test_equal_to_reward_terms_of_each_action(self, state):
+        thr, snr, aggregate = state
+        b, n_bs, n_ues = snr.shape
+        cfg = NetworkConfig(n_bs=n_bs, n_ues=n_ues,
+                            bs_positions=tuple((10.0 * (i + 1), 10.0) for i in range(n_bs)),
+                            utility=UtilityParams(aggregate=aggregate))
+        batch = EpisodeBatch(cfg)
+        batch.reset(range(b))
+        # Replace the state and the cached next step; the preview caches its
+        # (rewards, utilities) in the third slot for ``step``.
+        batch._thresholds = thr
+        batch._upcoming = (batch._motion, snr, None)
+        rewards = batch.preview_step_rewards()
+        utils = batch._upcoming[2][1]
+        moves = np.array([decode_action(a, n_bs) for a in range(cfg.n_actions)])
+        want = mac.reward_terms(snr[:, None], _unit(thr[:, None, :] + moves * cfg.threshold_step),
+                                cfg.utility)
+        assert rewards.shape == (b, cfg.n_actions) and utils.shape == (b, cfg.n_actions, n_ues)
+        assert np.array_equal(rewards, want[0])
+        assert np.array_equal(utils, want[1])
