@@ -204,36 +204,39 @@ class DatasetManifest:
 # Most episodes stepped together in one block.  Each preview builds
 # (B, 3, n_bs, n_ues) station temporaries and gathers (B, n_actions, n_bs,
 # n_ues) delivered rates and connections (about 0.4 MB and 50 KB at B=128 on
-# the default map), so memory grows with B.  The time per 100-step expert episode still
-# falls up to B=128 (best of 5 on a 2-core host: 11.2, 3.2, 1.9, 1.5 and
+# the default map), and a faded block holds every episode's |H|^2 for the
+# whole horizon (about 12 KB per 100-step episode, 1.5 MB at B=128), so
+# memory grows with B.  The time per 100-step expert episode still falls up
+# to B=128 (best of 5 on a 2-core host: 11.2, 3.2, 1.9, 1.5 and
 # 1.1 ms at B=1, 4, 10, 32 and 128) and by less than a tenth beyond it.  The
 # default 500-per-tier protocol already runs blocks of 125 at 4 workers, so
 # a larger cap would hold more memory for little gain.
 CAP = 128
 
 
-def map_seeds(fn, cfg: NetworkConfig, tiers, workers: int) -> list:
-    """One result per seed of each ``(policy, seed_base, n)`` tier, tier
-    after tier, each tier's seeds seed_base..seed_base+n-1 in seed order.
+def map_seeds(fn, jobs, workers: int) -> list:
+    """One result per seed of each ``(cfg, policy, seed_base, n)`` job, job
+    after job, each job's seeds seed_base..seed_base+n-1 in seed order.
 
-    Each tier's seeds are cut into contiguous blocks of ``min(ceil(n /
+    Each job's seeds are cut into contiguous blocks of ``min(ceil(n /
     workers), CAP)``; ``fn(cfg, policy, block)`` returns one result per seed
-    of its block, and the blocks of every tier are spread over one process
+    of its block, and the blocks of every job are spread over one process
     pool when ``workers > 1``.  Results do not depend on the worker count or
     the block size.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    jobs = []  # (policy, block)
-    for policy, seed_base, n in tiers:
+    blocks = []  # (cfg, policy, block)
+    for cfg, policy, seed_base, n in jobs:
         size = max(1, min(-(-n // workers), CAP))
         end = seed_base + n
-        jobs += [(policy, range(s, min(s + size, end))) for s in range(seed_base, end, size)]
-    if workers > 1 and len(jobs) > 1:
+        blocks += [(cfg, policy, range(s, min(s + size, end)))
+                   for s in range(seed_base, end, size)]
+    if workers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, [cfg] * len(jobs), *zip(*jobs)))
+            results = list(pool.map(fn, *zip(*blocks)))
     else:
-        results = [fn(cfg, policy, block) for policy, block in jobs]
+        results = [fn(*block) for block in blocks]
     return [r for block in results for r in block]
 
 
@@ -242,7 +245,7 @@ def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
     if n_traj < 0:
         raise ValueError("n_traj must be non-negative")
-    trajs = map_seeds(_collect_block, cfg, [(policy, seed_base, n_traj)], workers)
+    trajs = map_seeds(_collect_block, [(cfg, policy, seed_base, n_traj)], workers)
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
     eps = getattr(policy, "epsilon", None)
     if eps is not None:
@@ -262,7 +265,7 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     # Both policies first, so a bad epsilon fails before any episode runs.
     expert, medium = make_policy("expert"), make_policy("medium", epsilon=epsilon)
     n, mid = n_per_tier, seed_base + n_per_tier
-    trajs = map_seeds(_collect_block, cfg, [(expert, seed_base, n), (medium, mid, n)],
+    trajs = map_seeds(_collect_block, [(cfg, expert, seed_base, n), (cfg, medium, mid, n)],
                       workers)
     seed_ranges = {expert.policy_id: [seed_base, mid], medium.policy_id: [mid, mid + n]}
     return DatasetManifest(tiers={expert.policy_id: trajs[:n], medium.policy_id: trajs[n:]},

@@ -18,20 +18,22 @@ lockstep: positions and waypoints are (B, n_ues, 2) arrays, thresholds
 pass over the whole batch.  The horizon is fixed, so all B episodes end
 together.  A policy acts on the batch itself: ``policy.act(batch)`` reads
 ``policy_rngs``, ``cfg.n_actions`` and ``preview_step_rewards()`` and
-returns one action code per episode.  ``CellularNetworkEnv`` is the B=1
+returns one action code per episode; it may keep actions drawn ahead in
+``policy_plan``, which reset clears.  ``CellularNetworkEnv`` is the B=1
 view, and ``policy(env)`` is ``act`` on the batch behind it.
 
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
 seed: mobility (one child stream per user), fading, and policy noise.  The
-preview draws from none of them.  A user draws a waypoint from its own stream only on
-arrival, and a faded episode draws one (n_bs, n_ues) block per step from
-its own fading stream.  So an episode is a pure function of (config,
-seed, actions), whatever batch it runs in, which is what makes collected
-trajectories reproducible byte for byte.  The next motion state and SNR
-matrix do not depend on the action: ``preview_step_rewards`` advances the
-per-user streams once and caches them, with every action's fading-free
-reward, for the next ``step``.
+preview draws from none of them.  A user draws a waypoint from its own
+stream only on arrival.  A faded episode draws all its (n_bs, n_ues) |H|^2
+blocks from its own fading stream at reset, one for the reset's reward and
+one per step, step-major, in the order per-step draws would take them.  So
+an episode is a pure function of (config, seed, actions), whatever batch it
+runs in, which is what makes collected trajectories reproducible byte for
+byte.  The next motion state and SNR matrix do not depend on the action:
+``preview_step_rewards`` advances the per-user streams once and caches
+them, with every action's fading-free reward, for the next ``step``.
 """
 
 from __future__ import annotations
@@ -86,13 +88,21 @@ class EpisodeBatch:
         low = min(seeds)
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
-        self._ue_rngs, self._fading_rngs, self.policy_rngs = [], [], []
+        self._ue_rngs, self.policy_rngs, power = [], [], []
+        faded = cfg.fading.kind != "none"
         for seed in seeds:
             mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
             self._ue_rngs.append([np.random.default_rng(ss)
                                   for ss in mobility_ss.spawn(cfg.n_ues)])
-            self._fading_rngs.append(np.random.default_rng(fading_ss))
+            if faded:
+                power.append(radio.episode_fading_power(
+                    cfg.fading, np.random.default_rng(fading_ss), cfg.horizon + 1,
+                    (cfg.n_bs, cfg.n_ues)))
             self.policy_rngs.append(np.random.default_rng(policy_ss))
+        # (B, horizon + 1, n_bs, n_ues) |H|^2: row 0 for reset, t + 1 for step t.
+        self._power = np.array(power) if faded else None
+        # A policy's actions drawn ahead for the rest of the episode.
+        self.policy_plan = None
         self._motion = mobility.init_positions(cfg.mobility, self._ue_rngs)
         self._upcoming = None
         self._rows = np.arange(len(self._ue_rngs))
@@ -100,8 +110,8 @@ class EpisodeBatch:
         self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
         # state so the first observation already has the in-episode shape.
-        _, self._prev_utilities = mac.reward(self._snr, self._thresholds, cfg.fading,
-                                             cfg.utility, self._fading_rngs)
+        _, self._prev_utilities = mac.reward(self._snr, self._thresholds, cfg.utility,
+                                             self._fading_power(0))
         self._t = 0
         self._done = False
         return self._observation()
@@ -119,8 +129,8 @@ class EpisodeBatch:
             pick = self._rows, actions
             rew, utils = previewed[0][pick], previewed[1][pick]
         else:
-            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.fading,
-                                    self.cfg.utility, self._fading_rngs)
+            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.utility,
+                                    self._fading_power(self._t + 1))
         self._prev_utilities = utils
         self._t += 1
         self._done = self._t >= self.cfg.horizon
@@ -147,6 +157,10 @@ class EpisodeBatch:
             previewed = mac._user_stage(conn, delivered, self.cfg.utility)
             self._upcoming = (motion, snr, previewed)
         return previewed[0]
+
+    def _fading_power(self, row):
+        """Every episode's (B, n_bs, n_ues) |H|^2 of one reward, or None."""
+        return None if self._power is None else self._power[:, row]
 
     def _next_state(self):
         """(motion, SNR matrix, preview or None) of the next step, computed

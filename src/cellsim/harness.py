@@ -43,13 +43,23 @@ class EvalResult:
 def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 0,
              workers: int = 1) -> EvalResult:
     """Mean and population std of returns over seeds seed_base..+n-1."""
+    return _evaluate_all([cfg], policy, n_episodes, seed_base, workers)[0]
+
+
+def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -> list:
+    """``evaluate`` of each config on the same seeds, through one process pool."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
-    rets = map_seeds(_block_returns, cfg, [(policy, seed_base, n_episodes)], workers)
-    arr = np.asarray(rets, dtype=float)
-    return EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
-                      seed_base=seed_base, mean=float(arr.mean()),
-                      std=float(arr.std()), returns=tuple(rets))
+    rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],
+                     workers)
+    results = []
+    for start in range(0, len(rets), n_episodes):
+        block = rets[start:start + n_episodes]
+        arr = np.asarray(block, dtype=float)
+        results.append(EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
+                                  seed_base=seed_base, mean=float(arr.mean()),
+                                  std=float(arr.std()), returns=tuple(block)))
+    return results
 
 
 def rescale(mean: float, expert_mean: float, random_mean: float) -> float:
@@ -106,7 +116,8 @@ class SweepReport:
 
 def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
                  seed_base: int = 0, baselines=None, workers: int = 1) -> SweepReport:
-    """Evaluate one policy under several fading models on shared seeds.
+    """Evaluate one policy under several fading models on shared seeds,
+    every model's seed blocks through one process pool.
 
     ``baselines``, when given as (expert_mean, random_mean), adds a 0-100
     score column.  The ordering check sorts models from least to most
@@ -114,8 +125,8 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     adjacent pair whose mean gap drops below -2 paired SEMs.
     """
     models = list(models)
-    results = [evaluate(dc_replace(cfg, fading=model), policy, n_episodes=n_episodes,
-                        seed_base=seed_base, workers=workers) for model in models]
+    results = _evaluate_all([dc_replace(cfg, fading=model) for model in models], policy,
+                            n_episodes, seed_base, workers)
     rows = []
     for model, res in zip(models, results):
         score = None if baselines is None else rescale(res.mean, *baselines)

@@ -126,18 +126,15 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     return _user_stage(*_station_stage(snr_state, tau, params, reward_snr), params)
 
 
-def reward(snr_state, tau, fading: FadingModel, params: UtilityParams, rngs):
+def reward(snr_state, tau, params: UtilityParams, power=None):
     """Step rewards of B episodes: (rewards (B,), per-user utilities (B, n_ues)).
 
-    ``snr_state`` is (B, n_bs, n_ues), ``tau`` (B, n_bs) and ``rngs[b]`` is
-    episode b's fading stream.  Deterministic whenever fading is off;
-    otherwise episode b scales each station-user pair by an independent
-    |H|^2 draw, one block per step from its own stream, before the rate
-    terms.
+    ``snr_state`` is (B, n_bs, n_ues) and ``tau`` (B, n_bs).  ``power`` is
+    this step's (B, n_bs, n_ues) fading gain |H|^2 of every station-user
+    pair, a slice of the blocks each episode drew at reset, or None when
+    fading is off; the rate terms then use ``snr_state * power``.
     """
-    faded = None
-    if fading.kind != "none":
-        faded = np.array([fade_matrix(snr, fading, g) for snr, g in zip(snr_state, rngs)])
+    faded = None if power is None else snr_state * power
     return reward_terms(snr_state, tau, params, reward_snr=faded)
 
 

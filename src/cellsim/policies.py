@@ -28,13 +28,27 @@ def _single(policy, env) -> int:
 
 
 class RandomPolicy:
-    """Uniform over all action codes."""
+    """Uniform over all action codes.
+
+    Its first ``act`` in an episode draws each episode's actions for every
+    remaining step in one call on that episode's stream, the same numbers
+    as one draw per step, and keeps them in ``batch.policy_plan``; later
+    calls read the current step's row.  So two ``act`` calls in one step
+    return the same actions.
+    """
 
     policy_id = "random"
 
     def act(self, batch) -> np.ndarray:
-        n_actions = batch.cfg.n_actions
-        return np.array([g.integers(n_actions) for g in batch.policy_rngs], dtype=np.int64)
+        if batch._done:
+            raise RuntimeError("environment must be mid-episode to act")
+        t = batch._t
+        if batch.policy_plan is None:
+            n_actions, left = batch.cfg.n_actions, batch.cfg.horizon - t
+            batch.policy_plan = t, np.stack([g.integers(n_actions, size=left)
+                                             for g in batch.policy_rngs], axis=1)
+        start, plan = batch.policy_plan
+        return plan[t - start]
 
     def __call__(self, env) -> int:
         return _single(self, env)

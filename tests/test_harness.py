@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cellsim import data as cs_data
 from cellsim.config import parse_fading
 from cellsim.data import collect_trajectory
 from cellsim.harness import EvalResult, evaluate, fading_sweep, rescale
@@ -131,6 +132,29 @@ class TestFadingSweep:
         assert fields[3] == "2"
         assert fields[6] == ""  # no baselines, empty score column
         assert float(fields[4]) == rep.rows[0].mean
+
+    def test_models_share_one_process_pool(self, short_cfg, monkeypatch):
+        pools = []
+        executor = cs_data.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(1)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(cs_data, "ProcessPoolExecutor", counting)
+        models = [parse_fading(s) for s in ("none", "rician:3", "rayleigh")]
+        pooled = fading_sweep(short_cfg, make_policy("random"), models, n_episodes=4,
+                              seed_base=7, workers=2)
+        assert len(pools) == 1
+        serial = fading_sweep(short_cfg, make_policy("random"), models, n_episodes=4,
+                              seed_base=7)
+        assert len(pools) == 1, "workers=1 starts no pool"
+        assert pooled == serial
+
+    def test_episode_count_validation(self, short_cfg):
+        with pytest.raises(ValueError, match="n_episodes must be positive"):
+            fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
+                         n_episodes=0)
 
     def test_row_metadata(self, frozen_cfg):
         rep = fading_sweep(frozen_cfg, make_policy("expert"),

@@ -173,27 +173,25 @@ class TestRewardTerms:
     def test_reward_without_fading_is_deterministic(self):
         snr = np.random.default_rng(6).random((4, 3, 5))
         tau = np.full((4, 3), 0.3)
-
-        def streams(base):
-            return [np.random.default_rng(base + b) for b in range(4)]
-
-        a = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), streams(1))
-        b = mac.reward(snr, tau, FadingModel("none"), UtilityParams(), streams(100))
+        got = mac.reward(snr, tau, UtilityParams())
         want = mac.reward_terms(snr, tau, UtilityParams())
-        assert a[0].shape == (4,) and a[1].shape == (4, 5)
-        for got in (a, b):
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].shape == (4,) and got[1].shape == (4, 5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_faded_reward_draws_one_block_per_episode(self):
+    def test_faded_reward_scales_rate_snr_by_power(self):
         rng = np.random.default_rng(8)
         snr, tau = rng.random((3, 3, 5)), rng.random((3, 3)) * 0.6
         fading, params = FadingModel("rayleigh"), UtilityParams()
-        rews, utils = mac.reward(snr, tau, fading, params,
-                                 [np.random.default_rng(b) for b in range(3)])
+        # Episode b's first block from stream b: what a reset draws as row 0.
+        power = np.array([radio.episode_fading_power(fading, np.random.default_rng(b), 1,
+                                                     (3, 5))[0] for b in range(3)])
+        rews, utils = mac.reward(snr, tau, params, power)
+        want = mac.reward_terms(snr, tau, params, reward_snr=snr * power)
+        assert np.array_equal(rews, want[0]) and np.array_equal(utils, want[1])
         for b in range(3):
             faded = radio.fade_matrix(snr[b], fading, np.random.default_rng(b))
-            want = mac.reward_terms(snr[b], tau[b], params, reward_snr=faded)
-            assert rews[b] == want[0] and np.array_equal(utils[b], want[1])
+            one = mac.reward_terms(snr[b], tau[b], params, reward_snr=faded)
+            assert rews[b] == one[0] and np.array_equal(utils[b], one[1])
 
 
 @st.composite

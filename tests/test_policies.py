@@ -6,7 +6,7 @@ import scipy.stats
 
 import cellsim as cs
 from cellsim.config import MobilityConfig, NetworkConfig
-from cellsim.env import CellularNetworkEnv
+from cellsim.env import CellularNetworkEnv, EpisodeBatch
 from cellsim.policies import GreedyExpertPolicy, MediumPolicy, RandomPolicy, make_policy
 
 
@@ -96,6 +96,79 @@ class TestRandom:
         a = rollout_actions(cfg, RandomPolicy(), 9, 50)
         b = rollout_actions(cfg, RandomPolicy(), 9, 50)
         assert a == b
+
+
+class TestRandomPlan:
+    """The random tier draws an episode's remaining actions at its first
+    ``act`` and reads one row per step."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40])
+    def test_plan_equals_per_step_draws(self, short_cfg, seed):
+        batch = EpisodeBatch(short_cfg)
+        batch.reset([seed, seed + 1])
+        got = []
+        for _ in range(short_cfg.horizon):
+            got.append(RandomPolicy().act(batch))
+            batch.step(got[-1])
+        streams = [np.random.default_rng(np.random.SeedSequence(s).spawn(3)[2])
+                   for s in (seed, seed + 1)]
+        want = [[g.integers(short_cfg.n_actions) for g in streams]
+                for _ in range(short_cfg.horizon)]
+        assert np.array_equal(np.array(got), np.array(want))
+
+    def test_two_calls_in_one_step_agree(self, short_cfg):
+        batch = EpisodeBatch(short_cfg)
+        batch.reset([3, 4, 5])
+        policy = RandomPolicy()
+        for _ in range(short_cfg.horizon):
+            first = policy.act(batch)
+            assert np.array_equal(policy.act(batch), first)
+            batch.step(first)
+
+    def test_first_act_mid_episode(self, short_cfg):
+        env = CellularNetworkEnv(short_cfg)
+        env.reset(seed=11)
+        expert, history = GreedyExpertPolicy(), []
+        for _ in range(4):
+            action = expert(env)
+            history.append((action,) + env.step(action)[:2])
+        tail = []
+        while not env.done:
+            tail.append(RandomPolicy()(env))
+            env.step(tail[-1])
+        # The expert draws nothing, so the plan starts at the stream's head.
+        g = np.random.default_rng(np.random.SeedSequence(11).spawn(3)[2])
+        assert tail == [g.integers(short_cfg.n_actions) for _ in range(short_cfg.horizon - 4)]
+        # The expert steps replay unchanged on a fresh episode.
+        replay = CellularNetworkEnv(short_cfg)
+        replay.reset(seed=11)
+        for action, obs, reward in history:
+            got_obs, got_reward = replay.step(action)[:2]
+            assert np.array_equal(got_obs, obs) and got_reward == reward
+
+    def test_acting_outside_an_episode_fails(self, short_cfg):
+        env = CellularNetworkEnv(short_cfg)
+        with pytest.raises(RuntimeError, match="mid-episode"):
+            RandomPolicy()(env)
+        env.reset(seed=2)
+        while not env.done:
+            env.step(RandomPolicy()(env))
+        with pytest.raises(RuntimeError, match="mid-episode"):
+            RandomPolicy()(env)
+
+    def test_reset_draws_a_fresh_plan(self, short_cfg):
+        batch = EpisodeBatch(short_cfg)
+        policy = RandomPolicy()
+        episodes = []
+        for seeds in ([8], [9], [8]):
+            batch.reset(seeds)
+            actions = []
+            for _ in range(short_cfg.horizon):
+                actions.append(int(policy.act(batch)[0]))
+                batch.step(np.array(actions[-1:]))
+            episodes.append(actions)
+        assert episodes[0] == episodes[2] != episodes[1]
+        assert episodes[0] == rollout_actions(short_cfg, RandomPolicy(), 8, short_cfg.horizon)
 
 
 class TestFactory:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cellsim.config import FadingModel, RadioParams, default_config
+from cellsim.config import FadingModel, RadioParams, default_config, parse_fading
 from cellsim import radio
 
 
@@ -147,6 +147,21 @@ class TestFadingSamplers:
                                   size=100_000)
         stat = scipy.stats.ks_2samp(ray, ric)
         assert stat.pvalue > 0.01, f"KS p-value {stat.pvalue}"
+
+
+class TestEpisodeFadingPower:
+    @pytest.mark.parametrize("label", ["none", "rayleigh", "rician:3", "rician:0"])
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4)])
+    def test_equals_successive_per_step_draws(self, label, shape):
+        model = parse_fading(label)
+        ahead, stepped = np.random.default_rng(21), np.random.default_rng(21)
+        block = radio.episode_fading_power(model, ahead, 12, shape)
+        want = np.array([radio.sample_fading(model, stepped, shape) ** 2
+                         for _ in range(12)])
+        assert block.shape == (12,) + shape
+        assert np.array_equal(block, want)
+        # Both paths leave the stream at the same place.
+        assert ahead.random() == stepped.random()
 
 
 class TestFadeMatrix:
