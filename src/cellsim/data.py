@@ -204,8 +204,9 @@ class DatasetManifest:
 # Most episodes stepped together in one block.  Each preview builds
 # (B, 3, n_bs, n_ues) station temporaries and gathers (B, n_actions, n_bs,
 # n_ues) delivered rates and connections (about 0.4 MB and 50 KB at B=128 on
-# the default map), and a faded block holds every episode's |H|^2 for the
-# whole horizon (about 12 KB per 100-step episode, 1.5 MB at B=128), so
+# the default map), and a block holds every episode's positions and SNR
+# matrices for the whole horizon (about 8 KB and 12 KB per 100-step episode,
+# 2.6 MB at B=128), plus as much again as the SNR for |H|^2 when faded, so
 # memory grows with B.  The time per 100-step expert episode still falls up
 # to B=128 (best of 5 on a 2-core host: 11.2, 3.2, 1.9, 1.5 and
 # 1.1 ms at B=1, 4, 10, 32 and 128) and by less than a tenth beyond it.  The
@@ -261,7 +262,7 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     [seed_base, seed_base + n) and n medium episodes on the next n seeds.
     Both tiers' blocks share one process pool."""
     if n_per_tier < 0:
-        raise ValueError("n_traj must be non-negative")
+        raise ValueError("n_per_tier must be non-negative")
     # Both policies first, so a bad epsilon fails before any episode runs.
     expert, medium = make_policy("expert"), make_policy("medium", epsilon=epsilon)
     n, mid = n_per_tier, seed_base + n_per_tier

@@ -7,8 +7,8 @@ The observation concatenates thresholds, the flattened SNR matrix
 
 Actions: one delta in {-1, 0, +1} per station, encoded as a single base-3
 integer in [0, 3**n_bs).  A step applies the deltas (thresholds move by
-``threshold_step`` and clip to [0, 1]), advances user motion, recomputes
-the SNR matrix, and emits the mean-utility reward.  Fading, when enabled,
+``threshold_step`` and clip to [0, 1]), moves on to the next user positions
+and SNR matrix, and emits the mean-utility reward.  Fading, when enabled,
 perturbs only the reward path; the state SNR matrix stays clean.
 
 ``EpisodeBatch`` is the one implementation of reset, step, preview and
@@ -24,16 +24,18 @@ view, and ``policy(env)`` is ``act`` on the batch behind it.
 
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
-seed: mobility (one child stream per user), fading, and policy noise.  The
-preview draws from none of them.  A user draws a waypoint from its own
-stream only on arrival.  A faded episode draws all its (n_bs, n_ues) |H|^2
-blocks from its own fading stream at reset, one for the reset's reward and
-one per step, step-major, in the order per-step draws would take them.  So
+seed: mobility (one child stream per user), fading, and policy noise.
+Motion and fading do not depend on the actions, so reset draws the whole
+exogenous episode: it steps every user ``horizon`` times, a user drawing a
+waypoint from its own stream only on arrival, and keeps the positions and
+SNR matrices of every step; a faded episode also draws all its (n_bs,
+n_ues) |H|^2 blocks from its own fading stream, one for the reset's reward
+and one per step, step-major, in the order per-step draws would take them.
+Step and preview only index these rows, and the preview draws nothing.  So
 an episode is a pure function of (config, seed, actions), whatever batch it
 runs in, which is what makes collected trajectories reproducible byte for
-byte.  The next motion state and SNR matrix do not depend on the action:
-``preview_step_rewards`` advances the per-user streams once and caches
-them, with every action's fading-free reward, for the next ``step``.
+byte.  ``preview_step_rewards`` keeps every action's fading-free reward
+for the next ``step``.
 """
 
 from __future__ import annotations
@@ -88,12 +90,11 @@ class EpisodeBatch:
         low = min(seeds)
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
-        self._ue_rngs, self.policy_rngs, power = [], [], []
+        ue_rngs, self.policy_rngs, power = [], [], []
         faded = cfg.fading.kind != "none"
         for seed in seeds:
             mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
-            self._ue_rngs.append([np.random.default_rng(ss)
-                                  for ss in mobility_ss.spawn(cfg.n_ues)])
+            ue_rngs.append([np.random.default_rng(ss) for ss in mobility_ss.spawn(cfg.n_ues)])
             if faded:
                 power.append(radio.episode_fading_power(
                     cfg.fading, np.random.default_rng(fading_ss), cfg.horizon + 1,
@@ -103,14 +104,21 @@ class EpisodeBatch:
         self._power = np.array(power) if faded else None
         # A policy's actions drawn ahead for the rest of the episode.
         self.policy_plan = None
-        self._motion = mobility.init_positions(cfg.mobility, self._ue_rngs)
-        self._upcoming = None
-        self._rows = np.arange(len(self._ue_rngs))
+        motion = mobility.init_positions(cfg.mobility, ue_rngs)
+        positions = [motion.position]
+        for _ in range(cfg.horizon):
+            motion = mobility.step_motion(motion, cfg.mobility, ue_rngs)
+            positions.append(motion.position)
+        # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
+        # n_ues) SNR matrices, rows laid out as in ``_power``.
+        self._positions = np.array(positions)
+        self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
+        self._preview = None
+        self._rows = np.arange(len(ue_rngs))
         self._thresholds = np.full((len(self._rows), cfg.n_bs), 0.5)
-        self._snr = radio.snr_matrix(self._bs, self._motion.position, cfg.radio)
         # Seed the previous-utility slot with the utilities of the initial
         # state so the first observation already has the in-episode shape.
-        _, self._prev_utilities = mac.reward(self._snr, self._thresholds, cfg.utility,
+        _, self._prev_utilities = mac.reward(self._snrs[0], self._thresholds, cfg.utility,
                                              self._fading_power(0))
         self._t = 0
         self._done = False
@@ -122,15 +130,14 @@ class EpisodeBatch:
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
         self._thresholds = _unit(self._thresholds + self._moves[actions])
-        self._motion, self._snr, previewed = self._next_state()
-        self._upcoming = None
+        previewed, self._preview = self._preview, None
         if previewed is not None and self.cfg.fading.kind == "none":
             # The preview already holds each action's fading-free reward.
             pick = self._rows, actions
             rew, utils = previewed[0][pick], previewed[1][pick]
         else:
-            rew, utils = mac.reward(self._snr, self._thresholds, self.cfg.utility,
-                                    self._fading_power(self._t + 1))
+            rew, utils = mac.reward(self._snrs[self._t + 1], self._thresholds,
+                                    self.cfg.utility, self._fading_power(self._t + 1))
         self._prev_utilities = utils
         self._t += 1
         self._done = self._t >= self.cfg.horizon
@@ -140,12 +147,13 @@ class EpisodeBatch:
         """Fading-free one-step reward of every action in every episode,
         (B, n_actions), without advancing.
 
-        Every action sees the same upcoming positions, cached for ``step``.
+        Every action sees the same upcoming positions; the result is kept
+        for ``step``.
         """
         if self._done:
             raise RuntimeError("environment must be mid-episode to preview")
-        motion, snr, previewed = self._next_state()
-        if previewed is None:
+        if self._preview is None:
+            snr = self._snrs[self._t + 1]
             taus = _unit(self._thresholds[:, None, :] + self._shifts)  # (B, 3, n_bs)
             stack = mac._station_stage(snr[:, None], taus, self.cfg.utility)
             _, n_bs, n_ues = snr.shape
@@ -154,26 +162,16 @@ class EpisodeBatch:
             # the user stage then sums whole station slabs, in station order.
             conn, delivered = (np.take(x.reshape(-1, n_ues), rows, axis=0).transpose(1, 2, 0, 3)
                                for x in stack)
-            previewed = mac._user_stage(conn, delivered, self.cfg.utility)
-            self._upcoming = (motion, snr, previewed)
-        return previewed[0]
+            self._preview = mac._user_stage(conn, delivered, self.cfg.utility)
+        return self._preview[0]
 
     def _fading_power(self, row):
         """Every episode's (B, n_bs, n_ues) |H|^2 of one reward, or None."""
         return None if self._power is None else self._power[:, row]
 
-    def _next_state(self):
-        """(motion, SNR matrix, preview or None) of the next step, computed
-        once; stepping motion advances the per-user streams."""
-        if self._upcoming is None:
-            motion = mobility.step_motion(self._motion, self.cfg.mobility, self._ue_rngs)
-            snr = radio.snr_matrix(self._bs, motion.position, self.cfg.radio)
-            self._upcoming = (motion, snr, None)
-        return self._upcoming
-
     def _observation(self) -> np.ndarray:
         return np.concatenate([self._thresholds,
-                               self._snr.reshape(len(self._snr), -1),
+                               self._snrs[self._t].reshape(len(self._rows), -1),
                                self._prev_utilities], axis=-1)
 
 
@@ -206,7 +204,7 @@ class CellularNetworkEnv:
     def preview_step_rewards(self) -> np.ndarray:
         """Fading-free one-step reward for every action, without advancing.
 
-        Every action sees the same upcoming positions, cached for ``step``.
+        Every action sees the same upcoming positions.
         """
         return self._batch.preview_step_rewards()[0].copy()
 
@@ -226,4 +224,4 @@ class CellularNetworkEnv:
 
     @property
     def ue_positions(self) -> np.ndarray:
-        return self._batch._motion.position[0].copy()
+        return self._batch._positions[self._batch._t, 0].copy()

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FadingModel, UtilityParams
-from .radio import fade_matrix
+from .radio import sample_fading
 
 __all__ = [
     "data_rate",
@@ -196,8 +196,8 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
         return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    faded = fade_matrix(np.broadcast_to(snr, (n_samples,) + snr.shape), fading,
-                        np.random.default_rng(rng))
+    faded = snr * sample_fading(fading, np.random.default_rng(rng),
+                                (n_samples,) + snr.shape) ** 2
     if fixed_allocation:
         samples, _ = reward_terms(snr, tau, params, reward_snr=faded)
     else:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .config import FadingModel, RadioParams
 
-__all__ = ["normalize_snr", "snr_matrix", "sample_fading", "episode_fading_power",
-           "fade_matrix"]
+__all__ = ["normalize_snr", "snr_matrix", "sample_fading", "episode_fading_power"]
 
 
 def normalize_snr(raw, params: RadioParams):
@@ -79,12 +78,3 @@ def episode_fading_power(model: FadingModel, rng: np.random.Generator, steps: in
         return _rician(model, z[:, 0], z[:, 1]) ** 2
     return sample_fading(model, rng, (steps, *shape)) ** 2
 
-
-def fade_matrix(snr: np.ndarray, model: FadingModel, rng) -> np.ndarray:
-    """Scale each SNR entry by an independent |H|^2 draw.
-
-    The result is intentionally left unclipped: faded entries may exceed 1
-    and feed the reward computation as-is.  Clip to [0, 1] only if the
-    result is ever exposed as state.  Without fading this is an exact copy.
-    """
-    return snr * sample_fading(model, rng, size=snr.shape) ** 2

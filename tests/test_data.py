@@ -177,6 +177,10 @@ class TestCollectMediumExpert:
         assert man.meta["seed_ranges"] == {"expert": [100, 103],
                                            "medium": [103, 106]}
 
+    def test_negative_count_names_its_parameter(self, short_cfg):
+        with pytest.raises(ValueError, match="n_per_tier must be non-negative"):
+            collect_medium_expert(short_cfg, -1)
+
     def test_bad_epsilon_fails_before_any_episode(self, short_cfg, monkeypatch):
         blocks = []
         rollout = cs.data.rollout

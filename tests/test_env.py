@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellsim as cs
-from cellsim import mac, radio
-from cellsim.config import NetworkConfig, UtilityParams
+from cellsim import mac, mobility, radio
+from cellsim.config import MobilityConfig, NetworkConfig, UtilityParams
 from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
 from reference_impl import encode_action
 
@@ -164,6 +164,53 @@ class TestDeterminism:
         assert np.array_equal(positions(base), positions(faded))
 
 
+class TestResetDrawsTheEpisode:
+    """Reset steps motion through the whole horizon up front; its rows are
+    the per-step chain the actions never influence."""
+
+    @pytest.mark.parametrize("motion", [
+        MobilityConfig(),
+        MobilityConfig(variant="limited", speed=4.0, init_radius=30.0, waypoint_radius=15.0),
+        MobilityConfig(speed=0.0),
+    ], ids=["full", "limited-drawn-anchors", "speed-0"])
+    @pytest.mark.parametrize("seeds", [(5,), (0, 12, 7)], ids=["B1", "B3"])
+    def test_rows_equal_a_per_step_chain(self, motion, seeds):
+        cfg = NetworkConfig(mobility=motion, horizon=40)
+        batch = EpisodeBatch(cfg)
+        batch.reset(seeds)
+        # Fresh per-user streams, derived as reset derives them.
+        rngs = [[np.random.default_rng(ss)
+                 for ss in np.random.SeedSequence(s).spawn(3)[0].spawn(cfg.n_ues)]
+                for s in seeds]
+        state = mobility.init_positions(motion, rngs)
+        positions, snrs = [], []
+        for t in range(cfg.horizon + 1):
+            if t:
+                state = mobility.step_motion(state, motion, rngs)
+            positions.append(state.position)
+            snrs.append(radio.snr_matrix(np.array(cfg.bs_positions), state.position,
+                                         cfg.radio))
+        assert np.array_equal(batch._positions, np.array(positions))
+        assert np.array_equal(batch._snrs, np.array(snrs))
+        if motion.speed > 0:
+            assert not np.array_equal(positions[0], positions[-1])
+
+    def test_positions_do_not_depend_on_the_policy(self, short_cfg):
+        def positions(policy):
+            env = CellularNetworkEnv(short_cfg)
+            env.reset(seed=4)
+            out = [env.ue_positions]
+            while not env.done:
+                env.step(policy(env))
+                out.append(env.ue_positions)
+            return np.stack(out)
+
+        random, expert = positions(cs.RandomPolicy()), positions(cs.GreedyExpertPolicy())
+        assert random.shape == (short_cfg.horizon + 1, short_cfg.n_ues, 2)
+        assert np.array_equal(random, positions(cs.RandomPolicy()))
+        assert np.array_equal(random, expert)
+
+
 class TestPreview:
     @staticmethod
     def _replayed(cfg, seed, actions):
@@ -254,12 +301,12 @@ class TestPreviewMatchesPerActionReward:
                             utility=UtilityParams(aggregate=aggregate))
         batch = EpisodeBatch(cfg)
         batch.reset(range(b))
-        # Replace the state and the cached next step; the preview caches its
-        # (rewards, utilities) in the third slot for ``step``.
+        # Replace the thresholds and the SNR row of the next step; the
+        # preview keeps its (rewards, utilities) for ``step``.
         batch._thresholds = thr
-        batch._upcoming = (batch._motion, snr, None)
+        batch._snrs[batch._t + 1] = snr
         rewards = batch.preview_step_rewards()
-        utils = batch._upcoming[2][1]
+        utils = batch._preview[1]
         moves = np.array([decode_action(a, n_bs) for a in range(cfg.n_actions)])
         want = mac.reward_terms(snr[:, None], _unit(thr[:, None, :] + moves * cfg.threshold_step),
                                 cfg.utility)

@@ -189,7 +189,7 @@ class TestRewardTerms:
         want = mac.reward_terms(snr, tau, params, reward_snr=snr * power)
         assert np.array_equal(rews, want[0]) and np.array_equal(utils, want[1])
         for b in range(3):
-            faded = radio.fade_matrix(snr[b], fading, np.random.default_rng(b))
+            faded = snr[b] * radio.sample_fading(fading, np.random.default_rng(b), (3, 5)) ** 2
             one = mac.reward_terms(snr[b], tau[b], params, reward_snr=faded)
             assert rews[b] == one[0] and np.array_equal(utils[b], one[1])
 

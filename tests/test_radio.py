@@ -164,28 +164,31 @@ class TestEpisodeFadingPower:
         assert ahead.random() == stepped.random()
 
 
-class TestFadeMatrix:
+class TestFadedSnr:
+    """A faded SNR is the matrix times an independent |H|^2 draw per entry,
+    ``snr * sample_fading(model, rng, snr.shape) ** 2``, as in ``verify_jensen``."""
+
     def test_no_fading_returns_same_values(self):
         rng = np.random.default_rng(17)
         snr = np.random.default_rng(1).random((3, 5))
-        faded = radio.fade_matrix(snr, FadingModel("none"), rng)
+        faded = snr * radio.sample_fading(FadingModel("none"), rng, snr.shape) ** 2
         assert np.array_equal(faded, snr)
 
-    def test_faded_values_not_clipped(self):
-        # The faded matrix feeds rate computations directly and may exceed
-        # the normalized window.
+    def test_independent_unclipped_draws(self):
+        # Every link of every block draws its own gain, and the faded matrix
+        # feeds rate computations directly, so it may exceed the normalized
+        # window.
         rng = np.random.default_rng(18)
         snr = np.full((3, 5), 0.9)
-        faded = np.stack([radio.fade_matrix(snr, FadingModel("rayleigh"), rng)
-                          for _ in range(200)])
+        faded = snr * radio.sample_fading(FadingModel("rayleigh"), rng,
+                                          (200,) + snr.shape) ** 2
+        assert len(np.unique(faded)) == faded.size
         assert np.any(faded > 1.0)
         assert np.all(faded >= 0.0)
 
     def test_mean_power_preserved(self):
         rng = np.random.default_rng(19)
         snr = np.array([[0.2, 0.5, 0.8]])
-        acc = np.zeros_like(snr)
-        n = 200_000
-        for _ in range(n):
-            acc += radio.fade_matrix(snr, FadingModel("rayleigh"), rng)
-        assert np.allclose(acc / n, snr, rtol=0.01)
+        faded = snr * radio.sample_fading(FadingModel("rayleigh"), rng,
+                                          (200_000,) + snr.shape) ** 2
+        assert np.allclose(faded.mean(axis=0), snr, rtol=0.01)
