@@ -225,10 +225,7 @@ def _cmd_verify(args) -> int:
     probe = mac.concavity_probe(cfg.utility, tau, n_trials=args.trials,
                                 rng=np.random.default_rng(args.seed + 2),
                                 n_ues=cfg.n_ues)
-    if args.format == "csv":
-        print(report.to_csv())
-    else:
-        print(report.to_text())
+    print(report.to_csv() if args.format == "csv" else report.to_text())
     print(probe.to_text())
     return 0
 
@@ -238,8 +235,6 @@ def _cmd_sweep_fading(args) -> int:
     cfg = _resolve_config(args)
     policy = make_policy(args.policy, epsilon=args.epsilon)
     models = [parse_fading(m) for m in args.models.split(",") if m.strip()]
-    if not models:
-        raise ValueError("--models must name at least one fading model")
     report = harness.fading_sweep(cfg, policy, models, n_episodes=args.episodes,
                                   seed_base=args.seed_base, baselines=baselines,
                                   workers=args.workers)

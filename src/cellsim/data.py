@@ -202,16 +202,16 @@ class DatasetManifest:
 
 
 # Most episodes stepped together in one block.  Each preview builds
-# (B, 3, n_bs, n_ues) station temporaries and gathers (B, n_actions, n_bs,
-# n_ues) delivered rates and connections (about 0.4 MB and 50 KB at B=128 on
-# the default map), and a block holds every episode's positions and SNR
-# matrices for the whole horizon (about 8 KB and 12 KB per 100-step episode,
-# 2.6 MB at B=128), plus as much again as the SNR for |H|^2 when faded, so
-# memory grows with B.  The time per 100-step expert episode still falls up
-# to B=128 (best of 5 on a 2-core host: 11.2, 3.2, 1.9, 1.5 and
-# 1.1 ms at B=1, 4, 10, 32 and 128) and by less than a tenth beyond it.  The
-# default 500-per-tier protocol already runs blocks of 125 at 4 workers, so
-# a larger cap would hold more memory for little gain.
+# (B, 3, n_bs, n_ues) station temporaries and per-user sums of up to
+# (B, n_actions, n_ues) (one preview peaks at about 0.9 MB of temporaries at
+# B=128 on the default map, under tracemalloc), and a block holds every
+# episode's positions and SNR matrices for the whole horizon (about 8 KB and
+# 12 KB per 100-step episode, 2.6 MB at B=128), plus as much again as the SNR
+# for |H|^2 when faded, so memory grows with B.  The time per 100-step
+# expert episode still falls up to B=128 (best of 5 on a 2-core host: 11.2,
+# 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and 128) and by less than a
+# tenth beyond it.  The default 500-per-tier protocol already runs blocks of
+# 125 at 4 workers, so a larger cap would hold more memory for little gain.
 CAP = 128
 
 
@@ -351,11 +351,16 @@ def _staged(path: str, mode: str, **kwargs):
 def write_dataset(manifest: DatasetManifest, path) -> str:
     """Write the JSONL data file and its manifest sidecar; returns the
     SHA-256 hex digest of the data file.  Neither target is touched unless
-    both files were written in full, and a manifest with no trajectories,
-    which no loader accepts, writes neither."""
+    both files were written in full, and a manifest that ``load_dataset``
+    would refuse, with no trajectories or with one from another config,
+    writes neither."""
     path = str(path)
     if not any(manifest.tiers.values()):
         raise ValueError(f"dataset {path} would be empty: the manifest has no trajectories")
+    for traj in manifest.all_trajectories():
+        if traj.config_hash != manifest.config_hash:
+            raise ValueError(f"dataset {path} would mix configs: trajectory seed={traj.seed} "
+                             f"({traj.policy_id}) is not from config {manifest.config_hash}")
     digest = hashlib.sha256()
     with (_staged(path, "xb") as data_fh,
           _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh):

@@ -73,14 +73,11 @@ class EpisodeBatch:
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
         self._bs = np.asarray(cfg.bs_positions, dtype=float)
-        deltas = np.array([decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)])
-        self._moves = deltas * cfg.threshold_step  # (n_actions, n_bs)
-        # Station i's threshold takes one of 3 values under the actions, so
-        # the preview computes station terms once per delta (-1, 0, +1), row
-        # (delta + 1) * n_bs + i of an episode's (3 * n_bs, n_ues) stack, and
-        # gathers each action's n_bs rows by its base-3 digits.
+        self._moves = cfg.threshold_step * np.array(
+            [decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)])  # (n_actions, n_bs)
+        # Each station's threshold move under the deltas -1, 0 and +1.
         self._shifts = np.array([[-1.0], [0.0], [1.0]]) * cfg.threshold_step
-        self._gather = ((deltas + 1) * cfg.n_bs + np.arange(cfg.n_bs)).T[:, None, :]
+        self._positions = None  # until the first reset
         self._done = True
 
     def reset(self, seeds) -> np.ndarray:
@@ -153,16 +150,8 @@ class EpisodeBatch:
         if self._done:
             raise RuntimeError("environment must be mid-episode to preview")
         if self._preview is None:
-            snr = self._snrs[self._t + 1]
             taus = _unit(self._thresholds[:, None, :] + self._shifts)  # (B, 3, n_bs)
-            stack = mac._station_stage(snr[:, None], taus, self.cfg.utility)
-            _, n_bs, n_ues = snr.shape
-            rows = self._gather + 3 * n_bs * self._rows[:, None]  # (n_bs, B, n_actions)
-            # Gathered station-major and viewed as (B, n_actions, n_bs, n_ues):
-            # the user stage then sums whole station slabs, in station order.
-            conn, delivered = (np.take(x.reshape(-1, n_ues), rows, axis=0).transpose(1, 2, 0, 3)
-                               for x in stack)
-            self._preview = mac._user_stage(conn, delivered, self.cfg.utility)
+            self._preview = mac.action_rewards(self._snrs[self._t + 1], taus, self.cfg.utility)
         return self._preview[0]
 
     def _fading_power(self, row):
@@ -224,4 +213,6 @@ class CellularNetworkEnv:
 
     @property
     def ue_positions(self) -> np.ndarray:
+        if self._batch._positions is None:
+            raise RuntimeError("no episode yet; call reset() first")
         return self._batch._positions[self._batch._t, 0].copy()

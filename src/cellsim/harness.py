@@ -122,9 +122,12 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     ``baselines``, when given as (expert_mean, random_mean), adds a 0-100
     score column.  The ordering check sorts models from least to most
     stochastic (none, then descending Rician K, then Rayleigh) and flags any
-    adjacent pair whose mean gap drops below -2 paired SEMs.
+    adjacent pair whose mean gap drops below -2 paired SEMs.  ``models``
+    must name at least one fading model.
     """
     models = list(models)
+    if not models:
+        raise ValueError("models must name at least one fading model")
     results = _evaluate_all([dc_replace(cfg, fading=model) for model in models], policy,
                             n_episodes, seed_base, workers)
     rows = []
@@ -137,14 +140,11 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     order = sorted(range(len(models)),
                    key=lambda i: _stochasticity_rank(models[i]), reverse=True)
     checks = []
-    ok_all = True
     for a, b in zip(order, order[1:]):
         less, more = results[a], results[b]
         diffs = np.asarray(less.returns) - np.asarray(more.returns)
         gap = float(diffs.mean())
         sem = float(diffs.std() / math.sqrt(len(diffs)))
-        ok = gap >= -2.0 * sem
-        ok_all = ok_all and ok
-        checks.append((models[a].label(), models[b].label(), gap, sem, bool(ok)))
+        checks.append((models[a].label(), models[b].label(), gap, sem, gap >= -2.0 * sem))
     return SweepReport(rows=tuple(rows), pair_checks=tuple(checks),
-                       ordering_ok=bool(ok_all))
+                       ordering_ok=all(ok for *_, ok in checks))

@@ -22,10 +22,11 @@ composed per-user utility.
 
 ``reward_terms`` is a station stage (each pair's connection and delivered
 rate; station i's row depends only on its own SNRs and tau_i) followed by a
-user stage (sum over stations, aggregate, utility).  The 27-action preview
-in ``env`` runs the station stage once per distinct tau_i and gathers the
-rows of each action; the user stage then adds the same numbers in the same
-station order as a call on the whole threshold vector, so the bits agree.
+user stage (sum over stations, aggregate, utility).  ``action_rewards``
+scores every action at once: it runs the station stage once per station
+threshold, then keeps a running sum over the stations of every partial
+action code, so each user's rate adds the same numbers in the same station
+order as ``reward_terms`` on that action's thresholds, and the bits agree.
 
 The kernels take float arrays as they are and do not re-check them; the
 config validates every parameter and position.  Only ``verify_jensen`` and
@@ -49,6 +50,7 @@ __all__ = [
     "ratefair_fractions",
     "utility",
     "reward_terms",
+    "action_rewards",
     "reward",
     "JensenReport",
     "verify_jensen",
@@ -95,21 +97,20 @@ def utility(rate, params: UtilityParams):
 
 
 def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
-    """Per station-user pair: (connections, delivered rate ``a_ij d_ij``, 0
-    where unconnected), as ``reward_terms`` describes its arguments."""
+    """Per station-user pair: (delivered rate ``a_ij d_ij``, 0 where
+    unconnected; connections), as ``reward_terms`` describes its arguments."""
     conn = connections(snr_state, tau)
     state_rates = data_rate(snr_state, params.bandwidth)
     alloc = ratefair_fractions(state_rates, conn)
     rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
-    return conn, np.where(conn, alloc * rates, 0.0)
+    return np.where(conn, alloc * rates, 0.0), conn
 
 
-def _user_stage(conn, delivered, params: UtilityParams):
-    """(mean utility, per-user utilities) from the station stage's output."""
-    # Each user's delivered rate over its serving stations; 0 when unserved.
-    rate = delivered.sum(axis=-2)
+def _user_stage(rate, n, params: UtilityParams):
+    """(mean utility, per-user utilities) from each user's delivered rate
+    summed over stations and its number of serving stations."""
     if params.aggregate != "sum":
-        n = conn.sum(axis=-2)
+        # Mean over the serving stations; 0 when unserved.
         rate = np.divide(rate, n, out=np.zeros_like(rate), where=n > 0)
     utils = utility(rate, params)
     return utils.mean(axis=-1), utils
@@ -123,7 +124,27 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    return _user_stage(*_station_stage(snr_state, tau, params, reward_snr), params)
+    delivered, conn = _station_stage(snr_state, tau, params, reward_snr)
+    return _user_stage(delivered.sum(axis=-2), conn.sum(axis=-2), params)
+
+
+def action_rewards(snr_state, taus, params: UtilityParams):
+    """Fading-free ``reward_terms`` of every action code, bit for bit:
+    (rewards (..., 3**n_bs), utilities (..., 3**n_bs, n_ues)).
+
+    ``snr_state`` is (..., n_bs, n_ues) and ``taus`` (..., 3, n_bs), each
+    station's threshold under the deltas -1, 0 and +1.  Codes are base-3
+    with station 0 most significant, as ``env.decode_action`` reads them.
+    """
+    # (2, ..., 3, n_bs, n_ues): delivered rates, and connections as 0.0 or
+    # 1.0, whose sums count serving stations (bool + bool is logical or).
+    terms = np.array(_station_stage(snr_state[..., None, :, :], taus, params), dtype=float)
+    *lead, _, n_bs, n_ues = terms.shape
+    sums = terms[..., 0, :]
+    for i in range(1, n_bs):
+        # Every partial code times 3 plus station i's digit, in station order.
+        sums = (sums[..., :, None, :] + terms[..., None, :, i, :]).reshape(*lead, -1, n_ues)
+    return _user_stage(*sums, params)
 
 
 def reward(snr_state, tau, params: UtilityParams, power=None):

@@ -50,8 +50,7 @@ class RandomPolicy:
         start, plan = batch.policy_plan
         return plan[t - start]
 
-    def __call__(self, env) -> int:
-        return _single(self, env)
+    __call__ = _single
 
 
 class GreedyExpertPolicy:
@@ -62,8 +61,7 @@ class GreedyExpertPolicy:
     def act(self, batch) -> np.ndarray:
         return batch.preview_step_rewards().argmax(axis=-1)
 
-    def __call__(self, env) -> int:
-        return _single(self, env)
+    __call__ = _single
 
 
 class MediumPolicy:
@@ -86,8 +84,7 @@ class MediumPolicy:
                 actions[b] = g.integers(n_actions)
         return actions
 
-    def __call__(self, env) -> int:
-        return _single(self, env)
+    __call__ = _single
 
 
 def make_policy(name: str, epsilon: float = DEFAULT_MEDIUM_EPSILON):

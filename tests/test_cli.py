@@ -213,6 +213,12 @@ class TestSweepFading:
         assert code == 1
         assert "error:" in err
 
+    def test_blank_model_names_fail_with_the_api_message(self, capsys):
+        code, out, err = run(capsys, "sweep-fading", "--policy", "random",
+                             "--models", " , ")
+        assert (code, out) == (1, "")
+        assert err == "error: models must name at least one fading model\n"
+
     def test_lone_baseline_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep-fading", "--policy", "random", "--episodes", "2",

@@ -367,6 +367,17 @@ class TestDatasetFiles:
             write_dataset(collect(short_cfg, make_policy("random"), 0), path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_manifest_mixing_configs_is_not_written(self, short_cfg, tmp_path):
+        # Tiers merged from two horizons: load_dataset would refuse the file.
+        expert = collect(short_cfg, make_policy("expert"), 1)
+        medium = collect(cs.default_config(horizon=3), make_policy("medium"), 1)
+        mixed = DatasetManifest(tiers={**expert.tiers, **medium.tiers},
+                                config_hash=expert.config_hash)
+        with pytest.raises(ValueError, match="would mix configs: trajectory seed=0 "
+                                             r"\(medium\)"):
+            write_dataset(mixed, tmp_path / "mixed.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -68,6 +68,13 @@ class TestReset:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             CellularNetworkEnv(default_cfg).reset(seed=-1)
 
+    def test_positions_before_first_reset_raise(self, default_cfg):
+        env = CellularNetworkEnv(default_cfg)
+        with pytest.raises(RuntimeError, match=r"call reset\(\) first"):
+            env.ue_positions
+        env.reset(seed=0)
+        assert env.ue_positions.shape == (default_cfg.n_ues, 2)
+
 
 class TestStep:
     def test_threshold_updates_and_clipping(self, default_cfg):

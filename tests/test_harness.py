@@ -156,6 +156,10 @@ class TestFadingSweep:
             fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
                          n_episodes=0)
 
+    def test_empty_model_list_rejected(self, short_cfg):
+        with pytest.raises(ValueError, match="models must name at least one fading model"):
+            fading_sweep(short_cfg, make_policy("random"), [])
+
     def test_row_metadata(self, frozen_cfg):
         rep = fading_sweep(frozen_cfg, make_policy("expert"),
                            [parse_fading("none")], n_episodes=2)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellsim.config import FadingModel, UtilityParams
 from cellsim import mac, radio
+from cellsim.env import decode_action
 
 from reference_impl import reference_reward
 
@@ -236,6 +237,49 @@ class TestRewardTermsMatchesReference:
                 snr_reward=None if faded is None else faded.tolist())
             assert rews[b] == pytest.approx(want_rew, abs=1e-12)
             assert utils[b].tolist() == pytest.approx(want_utils, abs=1e-12)
+
+
+@st.composite
+def action_cases(draw, lead, n_bs):
+    """An SNR matrix with leading axes ``lead`` and each station's three
+    thresholds: a base on the 0.1 grid moved by -0.1, 0 and +0.1 and clipped
+    onto [0, 1], so at 0 and 1 two of them are equal.  An SNR entry copies
+    one of its station's thresholds (an exact tie), is free, or has rate 0."""
+    n_ues = draw(st.integers(1, 6))
+    size = int(np.prod(lead, dtype=int)) * n_bs
+    base = np.reshape(draw(st.lists(st.integers(0, 10), min_size=size, max_size=size)),
+                      lead + (1, n_bs)) / 10.0
+    taus = np.clip(base + np.array([[-0.1], [0.0], [0.1]]), 0.0, 1.0)  # (..., 3, n_bs)
+    entry = st.integers(0, 2) | st.floats(0.0, 1.0) | st.sampled_from([0.0, 2.0 ** -53])
+    snr = np.empty(lead + (n_bs, n_ues))
+    for idx in np.ndindex(snr.shape):
+        pick = draw(entry)
+        snr[idx] = taus[idx[:-2] + (pick, idx[-2])] if isinstance(pick, int) else pick
+    return snr, taus
+
+
+class TestActionRewards:
+    """Every action code's reward and utilities equal ``reward_terms`` on
+    that code's thresholds, bit for bit."""
+
+    @pytest.mark.parametrize("aggregate", ["mean", "sum"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["matrix", "batch"])
+    @pytest.mark.parametrize("n_bs", [1, 2, 3, 4])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_code_equals_reward_terms(self, n_bs, lead, aggregate, data):
+        snr, taus = data.draw(action_cases(lead, n_bs))
+        params = UtilityParams(aggregate=aggregate)
+        rews, utils = mac.action_rewards(snr, taus, params)
+        n_actions, n_ues = 3 ** n_bs, snr.shape[-1]
+        assert rews.shape == lead + (n_actions,)
+        assert utils.shape == lead + (n_actions, n_ues)
+        for idx in np.ndindex(lead):
+            for code in range(n_actions):
+                rows = np.array(decode_action(code, n_bs)) + 1
+                want = mac.reward_terms(snr[idx], taus[idx][rows, np.arange(n_bs)], params)
+                assert rews[idx + (code,)] == want[0]
+                assert np.array_equal(utils[idx + (code,)], want[1])
 
 
 class TestJensenBound:
