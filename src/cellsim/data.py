@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -205,13 +204,14 @@ class DatasetManifest:
 # (B, 3, n_bs, n_ues) station temporaries and per-user sums of up to
 # (B, n_actions, n_ues) (one preview peaks at about 0.9 MB of temporaries at
 # B=128 on the default map, under tracemalloc), and a block holds every
-# episode's positions and SNR matrices for the whole horizon (about 8 KB and
-# 12 KB per 100-step episode, 2.6 MB at B=128), plus as much again as the SNR
-# for |H|^2 when faded, so memory grows with B.  The time per 100-step
-# expert episode still falls up to B=128 (best of 5 on a 2-core host: 11.2,
-# 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and 128) and by less than a
-# tenth beyond it.  The default 500-per-tier protocol already runs blocks of
-# 125 at 4 workers, so a larger cap would hold more memory for little gain.
+# episode's positions, waypoint route and SNR matrices for the whole horizon
+# (about 8 KB, 8 KB and 12 KB per 100-step episode, 3.6 MB at B=128), plus
+# as much again as the SNR for |H|^2 when faded, so memory grows with B.
+# The time per 100-step expert episode still falls up to B=128 (best of 5
+# on a 2-core host: 11.2, 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and
+# 128) and by less than a tenth beyond it.  The default 500-per-tier
+# protocol already runs blocks of 125 at 4 workers, so a larger cap would
+# hold more memory for little gain.
 CAP = 128
 
 
@@ -234,6 +234,9 @@ def map_seeds(fn, jobs, workers: int) -> list:
         blocks += [(cfg, policy, range(s, min(s + size, end)))
                    for s in range(seed_base, end, size)]
     if workers > 1 and len(blocks) > 1:
+        # Imported here: loading multiprocessing costs every cold start
+        # ~15-20 ms, and most calls never start a pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, *zip(*blocks)))
     else:
@@ -387,8 +390,9 @@ def load_dataset(path) -> DatasetManifest:
     Tier membership comes from each line's policy_id; all lines must carry
     the same config hash and ``obs`` width.  A malformed line raises
     ``ValueError`` naming its 1-based line number.  The sidecar, when present, restores metadata; its
-    ``meta`` must be an object, its ``warnings`` a list of strings, and its
-    ``data_sha256`` the digest of the data file.
+    ``meta`` must be an object, its ``warnings`` a list of strings, its
+    ``data_sha256`` the digest of the data file, its ``config_hash`` the
+    records' hash, and its non-zero ``counts`` the records per tier.
     """
     path = str(path)
     tiers: dict = {}
@@ -431,5 +435,13 @@ def load_dataset(path) -> DatasetManifest:
         raise ValueError(f"{path}.manifest.json: warnings must be a list of strings")
     if sidecar.get("data_sha256", digest.hexdigest()) != digest.hexdigest():
         raise ValueError(f"{path}.manifest.json: data_sha256 does not match {path}")
+    if sidecar.get("config_hash", first.config_hash) != first.config_hash:
+        raise ValueError(f"{path}.manifest.json: config_hash does not match the records of {path}")
+    # A tier emptied by ``ablate`` stays listed at 0 but has no records.
+    loaded = {tier: len(trajs) for tier, trajs in tiers.items()}
+    counts = sidecar.get("counts", loaded)
+    if not isinstance(counts, dict) or {t: c for t, c in counts.items() if c != 0} != loaded:
+        raise ValueError(f"{path}.manifest.json: counts {counts} do not match the "
+                         f"records of {path} {loaded}")
     return DatasetManifest(tiers=tiers, config_hash=first.config_hash, meta=meta,
                            warnings=warnings)

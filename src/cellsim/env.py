@@ -26,11 +26,12 @@ Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
 seed: mobility (one child stream per user), fading, and policy noise.
 Motion and fading do not depend on the actions, so reset draws the whole
-exogenous episode: it steps every user ``horizon`` times, a user drawing a
-waypoint from its own stream only on arrival, and keeps the positions and
-SNR matrices of every step; a faded episode also draws all its (n_bs,
-n_ues) |H|^2 blocks from its own fading stream, one for the reset's reward
-and one per step, step-major, in the order per-step draws would take them.
+exogenous episode: each user draws its start and ``horizon + 1`` waypoints
+from its own stream in one chunk, reset steps every user ``horizon`` times
+along that route, and keeps the positions and SNR matrices of every step;
+a faded episode also draws all its (n_bs, n_ues) |H|^2 blocks from its own
+fading stream, one for the reset's reward and one per step, step-major, in
+the order per-step draws would take them.
 Step and preview only index these rows, and the preview draws nothing.  So
 an episode is a pure function of (config, seed, actions), whatever batch it
 runs in, which is what makes collected trajectories reproducible byte for
@@ -101,10 +102,10 @@ class EpisodeBatch:
         self._power = np.array(power) if faded else None
         # A policy's actions drawn ahead for the rest of the episode.
         self.policy_plan = None
-        motion = mobility.init_positions(cfg.mobility, ue_rngs)
+        motion = mobility.init_positions(cfg.mobility, ue_rngs, cfg.horizon)
         positions = [motion.position]
         for _ in range(cfg.horizon):
-            motion = mobility.step_motion(motion, cfg.mobility, ue_rngs)
+            motion = mobility.step_motion(motion, cfg.mobility)
             positions.append(motion.position)
         # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
         # n_ues) SNR matrices, rows laid out as in ``_power``.

@@ -110,8 +110,10 @@ def _user_stage(rate, n, params: UtilityParams):
     """(mean utility, per-user utilities) from each user's delivered rate
     summed over stations and its number of serving stations."""
     if params.aggregate != "sum":
-        # Mean over the serving stations; 0 when unserved.
-        rate = np.divide(rate, n, out=np.zeros_like(rate), where=n > 0)
+        # Mean over the serving stations; 0 when unserved: there every term
+        # of the sum is the station stage's literal 0.0, so rate is +0.0
+        # and dividing it by 1 keeps those bytes.
+        rate = rate / np.maximum(n, 1)
     utils = utility(rate, params)
     return utils.mean(axis=-1), utils
 

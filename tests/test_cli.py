@@ -375,7 +375,9 @@ class TestMalformedInputs:
 
 
 _SIDECAR_EDITS = {"meta-int": {"meta": 5}, "warnings-int": {"warnings": 7},
-                  "digest": {"data_sha256": "0" * 64}}
+                  "digest": {"data_sha256": "0" * 64},
+                  "config-hash": {"config_hash": "0" * 64},
+                  "counts": {"counts": {"random": 99}}}
 
 
 class TestMalformedDatasetFiles:

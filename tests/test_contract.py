@@ -24,7 +24,7 @@ EXPORTS = [
 
 # Step kernels that live only in their modules, not in the package namespace.
 KERNELS = {
-    "mobility": ["MotionState", "init_positions", "sample_waypoint", "step_motion"],
+    "mobility": ["MotionState", "init_positions", "step_motion"],
     "radio": ["snr_matrix", "normalize_snr", "sample_fading"],
     "mac": ["connections", "data_rate", "ratefair_fractions", "utility", "reward",
             "reward_terms"],

@@ -1,5 +1,6 @@
 """Trajectory collection, dataset files, ablation, and return statistics."""
 
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -196,13 +197,13 @@ class TestCollectMediumExpert:
 
     def test_both_tiers_share_one_process_pool(self, short_cfg, monkeypatch):
         pools = []
-        executor = cs.data.ProcessPoolExecutor
+        executor = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(1)
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(cs.data, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         pooled = collect_medium_expert(short_cfg, 4, seed_base=20, workers=2)
         assert len(pools) == 1
         serial = collect_medium_expert(short_cfg, 4, seed_base=20)
@@ -426,7 +427,13 @@ class TestDatasetFiles:
         ({"warnings": 7}, "warnings must be a list of strings"),
         ({"warnings": ["ok", 1]}, "warnings must be a list of strings"),
         ({"data_sha256": "0" * 64}, "data_sha256 does not match"),
-    ], ids=["meta-int", "warnings-int", "warnings-non-string", "digest"])
+        ({"config_hash": "0" * 64}, "config_hash does not match the records"),
+        ({"counts": {"random": 99}}, "counts {'random': 99} do not match"),
+        ({"counts": {"random": 2, "expert": 1}}, "counts {'random': 2, 'expert': 1} do not"),
+        ({"counts": {}}, "counts {} do not match the records"),
+        ({"counts": 2}, "counts 2 do not match"),
+    ], ids=["meta-int", "warnings-int", "warnings-non-string", "digest", "config-hash",
+            "counts-99", "counts-extra-tier", "counts-empty", "counts-int"])
     def test_malformed_sidecar_rejected(self, short_cfg, tmp_path, edit, message):
         path = tmp_path / "set.jsonl"
         write_dataset(collect(short_cfg, make_policy("random"), 2), path)
@@ -435,6 +442,13 @@ class TestDatasetFiles:
         sidecar_path.write_text(json.dumps({**sidecar, **edit}))
         with pytest.raises(ValueError, match=re.escape(f"manifest.json: {message}")):
             load_dataset(path)
+
+    def test_sidecar_may_list_an_emptied_tier(self, short_cfg, tmp_path):
+        path = tmp_path / "set.jsonl"
+        write_dataset(ablate(collect_medium_expert(short_cfg, 2), drop_expert=1.0), path)
+        sidecar = json.loads((tmp_path / "set.jsonl.manifest.json").read_text())
+        assert sidecar["counts"] == {"expert": 0, "medium": 2}
+        assert load_dataset(path).counts() == {"medium": 2}
 
     def test_edited_data_fails_the_sidecar_digest(self, short_cfg, tmp_path):
         path = tmp_path / "set.jsonl"

@@ -189,11 +189,11 @@ class TestResetDrawsTheEpisode:
         rngs = [[np.random.default_rng(ss)
                  for ss in np.random.SeedSequence(s).spawn(3)[0].spawn(cfg.n_ues)]
                 for s in seeds]
-        state = mobility.init_positions(motion, rngs)
+        state = mobility.init_positions(motion, rngs, cfg.horizon)
         positions, snrs = [], []
         for t in range(cfg.horizon + 1):
             if t:
-                state = mobility.step_motion(state, motion, rngs)
+                state = mobility.step_motion(state, motion)
             positions.append(state.position)
             snrs.append(radio.snr_matrix(np.array(cfg.bs_positions), state.position,
                                          cfg.radio))

@@ -1,9 +1,10 @@
 """Evaluation harness: scoring, rescaling, and fading sweeps."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from cellsim import data as cs_data
 from cellsim.config import parse_fading
 from cellsim.data import collect_trajectory
 from cellsim.harness import EvalResult, evaluate, fading_sweep, rescale
@@ -135,13 +136,13 @@ class TestFadingSweep:
 
     def test_models_share_one_process_pool(self, short_cfg, monkeypatch):
         pools = []
-        executor = cs_data.ProcessPoolExecutor
+        executor = concurrent.futures.ProcessPoolExecutor
 
         def counting(*args, **kwargs):
             pools.append(1)
             return executor(*args, **kwargs)
 
-        monkeypatch.setattr(cs_data, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         models = [parse_fading(s) for s in ("none", "rician:3", "rayleigh")]
         pooled = fading_sweep(short_cfg, make_policy("random"), models, n_episodes=4,
                               seed_base=7, workers=2)

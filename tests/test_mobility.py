@@ -7,7 +7,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import reference_impl as ref
-from cellsim.config import MobilityConfig
+from cellsim.config import MobilityConfig, NetworkConfig
+from cellsim.env import EpisodeBatch
 from cellsim import mobility
 
 
@@ -16,20 +17,39 @@ def make_rngs(n, seed=0):
             for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def drawn_anchors(cfg, seed, n):
+    """The anchors ``init_positions`` draws for the streams ``make_rngs(n,
+    seed)`` under ``limited`` without pinned anchors: each stream's first
+    uniform pair scaled to the map."""
+    return np.array([g.random(2) * (cfg.map_width, cfg.map_height)
+                     for g in make_rngs(n, seed)])
+
+
+def reference_route(cfg, seed, n, steps):
+    """Every user's start and ``steps + 1`` waypoints from the per-user
+    reference: its initial waypoint, then one draw per later arrival."""
+    rngs = make_rngs(n, seed)
+    states = ref.init_positions(cfg, n, rngs)
+    route = [[s.waypoint] + [ref.sample_waypoint(cfg, s, g) for _ in range(steps)]
+             for s, g in zip(states, rngs)]
+    return states, np.array(route)
+
+
 class TestInitPositions:
     def test_full_positions_inside_map(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, [make_rngs(5)])
+        state = mobility.init_positions(cfg, [make_rngs(5)], 10)
         assert state.position.shape == state.waypoint.shape == (1, 5, 2)
-        assert state.anchor is None
-        for x, y in state.position[0]:
+        assert state.route.shape == (1, 5, 11, 2)
+        assert np.array_equal(state.leg, np.zeros((1, 5)))
+        for x, y in np.concatenate([state.position[0], state.route[0].reshape(-1, 2)]):
             assert 0.0 <= x <= cfg.map_width
             assert 0.0 <= y <= cfg.map_height
 
     def test_full_positions_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(1)
-        pts = np.array([mobility.init_positions(cfg, [[rng]]).position[0, 0]
+        pts = np.array([mobility.init_positions(cfg, [[rng]], 0).position[0, 0]
                         for _ in range(10_000)])
         assert np.allclose(pts.mean(axis=0), [100.0, 100.0], atol=2.0)
         # Chi-square uniformity over a 10x10 occupancy grid.
@@ -40,38 +60,43 @@ class TestInitPositions:
 
     def test_limited_positions_near_anchor(self):
         cfg = MobilityConfig(variant="limited")
-        rng = np.random.default_rng(2)
-        for _ in range(10_000):
-            s = mobility.init_positions(cfg, [[rng]])
-            assert np.linalg.norm(s.position[0, 0] - s.anchor[0, 0]) <= cfg.init_radius + 1e-9
+        state = mobility.init_positions(cfg, [make_rngs(10_000, seed=2)], 0)
+        anchors = drawn_anchors(cfg, 2, 10_000)
+        dist = np.linalg.norm(state.position[0] - anchors, axis=-1)
+        assert (dist <= cfg.init_radius + 1e-9).all()
 
     def test_limited_sampled_anchors_cover_map(self):
         cfg = MobilityConfig(variant="limited")
-        rng = np.random.default_rng(3)
-        anchors = np.array([mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
-                            for _ in range(5_000)])
+        anchors = drawn_anchors(cfg, 3, 5_000)
+        # The drawn anchors are the ones init_positions centres its discs on.
+        state = mobility.init_positions(cfg, [make_rngs(5_000, seed=3)], 0)
+        dist = np.linalg.norm(state.position[0] - anchors, axis=-1)
+        assert (dist <= cfg.init_radius + 1e-9).all()
         assert np.allclose(anchors.mean(axis=0), [100.0, 100.0], atol=4.0)
         assert anchors[:, 0].max() > 180.0 and anchors[:, 0].min() < 20.0
 
     def test_limited_pinned_anchors_used_verbatim(self):
-        cfg = MobilityConfig(variant="limited",
-                             anchors=((30.0, 40.0), (150.0, 160.0)))
-        state = mobility.init_positions(cfg, [make_rngs(2)])
-        assert np.array_equal(state.anchor, [[[30.0, 40.0], [150.0, 160.0]]])
+        pinned = ((30.0, 40.0), (150.0, 160.0))
+        cfg = MobilityConfig(variant="limited", init_radius=0.0, waypoint_radius=0.0,
+                             anchors=pinned)
+        state = mobility.init_positions(cfg, [make_rngs(2)], 3)
+        assert np.array_equal(state.position, [pinned])
+        assert np.array_equal(state.route, np.broadcast_to(np.array(pinned)[None, :, None],
+                                                           (1, 2, 4, 2)))
 
     def test_single_user(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, [make_rngs(1)])
+        state = mobility.init_positions(cfg, [make_rngs(1)], 1)
         assert state.position.shape == (1, 1, 2)
 
 
 class TestSampleWaypoint:
+    """The laws of the route rows ``init_positions`` draws."""
+
     def test_full_waypoints_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(4)
-        mobility.init_positions(cfg, [[rng]])
-        pts = np.array([mobility.sample_waypoint(cfg, None, rng)
-                        for _ in range(10_000)])
+        pts = mobility.init_positions(cfg, [[rng]], 9_999).route[0, 0]
         counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1],
                                       bins=10, range=[[0, 200], [0, 200]])
         stat = scipy.stats.chisquare(counts.ravel())
@@ -79,68 +104,70 @@ class TestSampleWaypoint:
 
     def test_limited_waypoints_near_anchor(self):
         cfg = MobilityConfig(variant="limited")
-        rng = np.random.default_rng(5)
-        anchor = mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
-        for _ in range(10_000):
-            w = mobility.sample_waypoint(cfg, anchor, rng)
-            assert np.linalg.norm(w - anchor) <= cfg.waypoint_radius + 1e-9
+        route = mobility.init_positions(cfg, [make_rngs(1, seed=5)], 9_999).route[0, 0]
+        anchor = drawn_anchors(cfg, 5, 1)[0]
+        assert (np.linalg.norm(route - anchor, axis=-1) <= cfg.waypoint_radius + 1e-9).all()
 
     def test_zero_radius_degenerates_to_anchor(self):
         cfg = MobilityConfig(variant="limited", waypoint_radius=0.0,
                              anchors=((70.0, 80.0),))
         rng = np.random.default_rng(6)
-        anchor = mobility.init_positions(cfg, [[rng]]).anchor[0, 0]
-        w = mobility.sample_waypoint(cfg, anchor, rng)
-        assert np.allclose(w, [70.0, 80.0], atol=1e-12)
+        route = mobility.init_positions(cfg, [[rng]], 5).route[0, 0]
+        assert np.allclose(route, [70.0, 80.0], atol=1e-12)
 
 
 class TestStepMotion:
     def test_zero_speed_freezes_everything(self):
         cfg = MobilityConfig(variant="full", speed=0.0)
         rng = np.random.default_rng(7)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], 1)
         before = rng.bit_generator.state
-        nxt = mobility.step_motion(state, cfg, [[rng]])
+        nxt = mobility.step_motion(state, cfg)
         assert np.array_equal(nxt.position, state.position)
         assert np.array_equal(nxt.waypoint, state.waypoint)
+        assert np.array_equal(nxt.leg, state.leg)
         # No draws should be consumed while frozen.
         assert rng.bit_generator.state == before
 
     def test_exact_arrival_lands_on_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=5.0)
         rng = np.random.default_rng(8)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], 1)
         state = state._replace(position=state.waypoint - np.array([5.0, 0.0]))
         old_waypoint = state.waypoint.copy()
-        nxt = mobility.step_motion(state, cfg, [[rng]])
+        nxt = mobility.step_motion(state, cfg)
         assert np.allclose(nxt.position, old_waypoint, atol=1e-12)
         assert not np.array_equal(nxt.waypoint, old_waypoint)
+        assert np.array_equal(nxt.waypoint, state.route[:, :, 1])
         assert np.array_equal(state.waypoint, old_waypoint), "input state unchanged"
+        assert np.array_equal(state.leg, [[0]]) and np.array_equal(nxt.leg, [[1]])
 
     def test_standing_on_waypoint_draws_a_new_one(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(12)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], 1)
         state = state._replace(position=state.waypoint.copy())
-        nxt = mobility.step_motion(state, cfg, [[rng]])
+        nxt = mobility.step_motion(state, cfg)
         assert np.array_equal(nxt.position, state.waypoint)
         assert not np.array_equal(nxt.waypoint, state.waypoint)
 
     def test_partial_step_moves_toward_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
-        state = mobility.MotionState(position=np.array([[0.0, 0.0]])[None],
-                                     waypoint=np.array([[10.0, 0.0]])[None],
-                                     anchor=None)
-        nxt = mobility.step_motion(state, cfg, [[np.random.default_rng(9)]])
+        route = np.array([[[[10.0, 0.0], [20.0, 0.0]]]])
+        state = mobility.MotionState(position=np.array([[[0.0, 0.0]]]),
+                                     waypoint=route[:, :, 0], route=route,
+                                     leg=np.zeros((1, 1), dtype=int))
+        nxt = mobility.step_motion(state, cfg)
         assert np.allclose(nxt.position, [[[2.5, 0.0]]], atol=1e-12)
         assert np.array_equal(nxt.waypoint, [[[10.0, 0.0]]])
+        assert np.array_equal(nxt.leg, [[0]])
 
     def test_displacement_never_exceeds_speed(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(10)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], 100_000)
         for _ in range(100_000):
-            nxt = mobility.step_motion(state, cfg, [[rng]])
+            nxt = mobility.step_motion(state, cfg)
             step = np.linalg.norm(nxt.position[0, 0] - state.position[0, 0])
             assert step <= cfg.speed + 1e-9
             assert 0.0 <= nxt.position[0, 0, 0] <= cfg.map_width
@@ -150,21 +177,21 @@ class TestStepMotion:
     def test_limited_trajectory_stays_in_disc(self):
         cfg = MobilityConfig(variant="limited", anchors=((100.0, 60.0),))
         rng = np.random.default_rng(11)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], 5_000)
         bound = max(cfg.init_radius, cfg.waypoint_radius)
         for _ in range(5_000):
-            state = mobility.step_motion(state, cfg, [[rng]])
-            assert np.linalg.norm(state.position[0, 0] - state.anchor[0, 0]) <= bound + 1e-9
+            state = mobility.step_motion(state, cfg)
+            assert np.linalg.norm(state.position[0, 0] - cfg.anchors[0]) <= bound + 1e-9
 
 
 class TestVariantContrast:
     def _position_variance(self, variant, seed, n_steps=10_000):
         cfg = MobilityConfig(variant=variant)
         rng = np.random.default_rng(seed)
-        state = mobility.init_positions(cfg, [[rng]])
+        state = mobility.init_positions(cfg, [[rng]], n_steps)
         pts = np.empty((n_steps, 2))
         for t in range(n_steps):
-            state = mobility.step_motion(state, cfg, [[rng]])
+            state = mobility.step_motion(state, cfg)
             pts[t] = state.position[0, 0]
         return pts.var(axis=0).sum()
 
@@ -182,10 +209,10 @@ class TestDeterminism:
 
         def run(seed):
             rngs = make_rngs(3, seed)
-            state = mobility.init_positions(cfg, [rngs])
+            state = mobility.init_positions(cfg, [rngs], 200)
             out = []
             for _ in range(200):
-                state = mobility.step_motion(state, cfg, [rngs])
+                state = mobility.step_motion(state, cfg)
                 out.append(state.position)
             return np.stack(out)
 
@@ -195,10 +222,15 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
 
 
+# Map sides, and coordinates that put pinned anchors on edges and corners.
+_SIDES = st.sampled_from([50.0, 137.5, 200.0, 300.0])
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
 class TestMatchesReference:
     """The array kernel against the per-user loop in ``reference_impl``:
-    bit-equal positions and waypoints, and every user's stream left in the
-    same state after every step."""
+    bit-equal positions, waypoints and routes, the route being the
+    waypoints the loop draws one arrival at a time."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -217,7 +249,7 @@ class TestMatchesReference:
         cfg = MobilityConfig(variant=variant, speed=speed, anchors=anchors)
         rngs, ref_rngs = make_rngs(n_ues, seed), make_rngs(n_ues, seed)
 
-        state = mobility.init_positions(cfg, [rngs])
+        state = mobility.init_positions(cfg, [rngs], n_steps)
         ref_states = ref.init_positions(cfg, n_ues, ref_rngs)
         # Put some users exactly one step short of their waypoint, or on it.
         for j, s in enumerate(ref_states):
@@ -226,21 +258,27 @@ class TestMatchesReference:
             elif on_waypoint[j] == "zero":
                 s.position = s.waypoint.copy()
         state = state._replace(position=np.array([s.position for s in ref_states])[None])
+        # Every waypoint each reference user has drawn so far, in order.
+        visited = [[s.waypoint] for s in ref_states]
 
         def assert_same(state, ref_states):
             assert np.array_equal(state.position, [[s.position for s in ref_states]])
             assert np.array_equal(state.waypoint, [[s.waypoint for s in ref_states]])
+            for j, drawn in enumerate(visited):
+                assert state.leg[0, j] == len(drawn) - 1
+                assert np.array_equal(state.route[0, j, :len(drawn)], drawn)
             if variant == "limited":
-                assert np.array_equal(state.anchor, [[s.anchor for s in ref_states]])
-            else:
-                assert state.anchor is None
-            for g, h in zip(rngs, ref_rngs):
-                assert g.bit_generator.state == h.bit_generator.state
+                for j, s in enumerate(ref_states):
+                    reach = np.linalg.norm(state.route[0, j] - s.anchor, axis=-1)
+                    assert (reach <= cfg.waypoint_radius + 1e-9).all()
 
         assert_same(state, ref_states)
         for _ in range(n_steps):
-            state = mobility.step_motion(state, cfg, [rngs])
+            state = mobility.step_motion(state, cfg)
             ref_states = [ref.step_motion(s, cfg, g) for s, g in zip(ref_states, ref_rngs)]
+            for drawn, s in zip(visited, ref_states):
+                if not np.array_equal(drawn[-1], s.waypoint):
+                    drawn.append(s.waypoint)
             assert_same(state, ref_states)
 
     @pytest.mark.parametrize("variant, anchors", [
@@ -251,15 +289,70 @@ class TestMatchesReference:
     def test_batched_init_matches_per_episode_reference(self, variant, anchors):
         cfg = MobilityConfig(variant=variant, anchors=anchors)
         rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
-        ref_rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
-        state = mobility.init_positions(cfg, rngs)
-        ref_states = [ref.init_positions(cfg, 3, row) for row in ref_rngs]
-        assert np.array_equal(state.position, [[s.position for s in row] for row in ref_states])
-        assert np.array_equal(state.waypoint, [[s.waypoint for s in row] for row in ref_states])
+        state = mobility.init_positions(cfg, rngs, 30)
+        refs = [reference_route(cfg, seed, 3, 30) for seed in (0, 1, 2)]
+        assert np.array_equal(state.position, [[s.position for s in row] for row, _ in refs])
+        assert np.array_equal(state.waypoint, [[s.waypoint for s in row] for row, _ in refs])
+        assert np.array_equal(state.route, [route for _, route in refs])
         if variant == "limited":
-            assert np.array_equal(state.anchor, [[s.anchor for s in row] for row in ref_states])
-        else:
-            assert state.anchor is None
-        for row, ref_row in zip(rngs, ref_rngs):
-            for g, h in zip(row, ref_row):
-                assert g.bit_generator.state == h.bit_generator.state
+            for b, (row, _) in enumerate(refs):
+                for j, s in enumerate(row):
+                    reach = np.linalg.norm(state.route[b, j] - s.anchor, axis=-1)
+                    assert (reach <= cfg.waypoint_radius + 1e-9).all()
+        if anchors is not None or variant == "full":
+            # No draw can be rejected here, so one chunk per user is exactly
+            # what the reference reads: the streams end in the same state.
+            ref_rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
+            for row, ref_row in zip(rngs, ref_rngs):
+                states = ref.init_positions(cfg, 3, ref_row)
+                for g, h, s in zip(row, ref_row, states):
+                    for _ in range(30):
+                        ref.sample_waypoint(cfg, s, h)
+                    assert g.bit_generator.state == h.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           width=_SIDES, height=_SIDES,
+           variant=st.sampled_from(["full", "limited"]),
+           pinned=st.booleans(),
+           radius_scale=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.5))] * 2),
+           speed_kind=st.sampled_from(["zero", "slow", "past-diagonal"]),
+           n_ues=st.integers(1, 4),
+           horizon=st.integers(1, 25),
+           seeds=st.sampled_from([1, 3]).flatmap(
+               lambda b: st.lists(st.integers(0, 2 ** 32 - 1), min_size=b, max_size=b)))
+    def test_reset_positions_match_per_user_loop(self, data, width, height, variant,
+                                                 pinned, radius_scale, speed_kind,
+                                                 n_ues, horizon, seeds):
+        """Reset's whole-episode positions equal the reference's per-step
+        chain bit for bit: radii from 0 to beyond the map size, anchors on
+        edges and corners, and speeds at least the map diagonal, where every
+        user arrives on every step and walks all ``horizon + 1`` legs."""
+        side = max(width, height)
+        diagonal = float(np.hypot(width, height))
+        speed = {"zero": 0.0, "slow": data.draw(st.floats(0.5, 0.2 * side)),
+                 "past-diagonal": data.draw(st.floats(diagonal, 2.0 * diagonal))}[speed_kind]
+        anchors = None
+        if variant == "limited" and pinned:
+            anchors = tuple((data.draw(_UNIT) * width, data.draw(_UNIT) * height)
+                            for _ in range(n_ues))
+        motion = MobilityConfig(variant=variant, speed=speed, map_width=width,
+                                map_height=height, init_radius=radius_scale[0] * side,
+                                waypoint_radius=radius_scale[1] * side, anchors=anchors)
+        cfg = NetworkConfig(n_bs=1, n_ues=n_ues, bs_positions=((0.0, 0.0),),
+                            mobility=motion, horizon=horizon)
+        batch = EpisodeBatch(cfg)
+        batch.reset(seeds)
+
+        expected = []
+        for seed in seeds:
+            # Fresh per-user streams, derived as reset derives them.
+            rngs = [np.random.default_rng(ss) for ss in
+                    np.random.SeedSequence(seed).spawn(3)[0].spawn(n_ues)]
+            states = ref.init_positions(motion, n_ues, rngs)
+            rows = [[s.position for s in states]]
+            for _ in range(horizon):
+                states = [ref.step_motion(s, motion, g) for s, g in zip(states, rngs)]
+                rows.append([s.position for s in states])
+            expected.append(rows)
+        assert np.array_equal(batch._positions, np.swapaxes(expected, 0, 1))
