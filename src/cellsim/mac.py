@@ -22,8 +22,9 @@ composed per-user utility.
 
 ``reward_terms`` is a station stage (each pair's connection and delivered
 rate; station i's row depends only on its own SNRs and tau_i) followed by a
-user stage (sum over stations, aggregate, utility).  ``action_rewards``
-scores every action at once: it runs the station stage once per station
+user stage (aggregate, utility) on each user's rate and serving-station
+count, both summed over stations in station order.  ``action_rewards``
+shares that in-order sum: it runs the station stage once per station
 threshold, then keeps a running sum over the stations of every partial
 action code, so each user's rate adds the same numbers in the same station
 order as ``reward_terms`` on that action's thresholds, and the bits agree.
@@ -127,7 +128,14 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     or ``reward_snr`` a batch of faded matrices.
     """
     delivered, conn = _station_stage(snr_state, tau, params, reward_snr)
-    return _user_stage(delivered.sum(axis=-2), conn.sum(axis=-2), params)
+    # Stations in order, as action_rewards adds them; connections count as
+    # 0.0 or 1.0.  On large batches in-order adds beat numpy's short-axis
+    # reduction.
+    rate, n = delivered[..., 0, :], conn[..., 0, :] * 1.0
+    for i in range(1, delivered.shape[-2]):
+        rate = rate + delivered[..., i, :]
+        n = n + conn[..., i, :]
+    return _user_stage(rate, n, params)
 
 
 def action_rewards(snr_state, taus, params: UtilityParams):
@@ -196,6 +204,20 @@ class JensenReport:
         return header + "\n" + row
 
 
+def _thresholds(tau) -> np.ndarray:
+    """A caller's threshold vector as floats, checked: 1-D, non-empty, every
+    entry finite and in [0, 1]."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or tau.size == 0:
+        raise ValueError(f"tau must be a non-empty 1-D array, got shape {tau.shape}")
+    if not (np.isfinite(tau).all() and (tau >= 0.0).all() and (tau <= 1.0).all()):
+        raise ValueError("tau must be finite and lie in [0, 1]")
+    return tau
+
+
+_JENSEN_CHUNK = 4096  # samples scored per reward_terms call: ~0.5 MB per (chunk, 3, 5) array
+
+
 def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
                   n_samples: int = 100_000, fixed_allocation: bool = True,
                   rng=None) -> JensenReport:
@@ -205,26 +227,41 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     their state values (the regime in which the bound is a theorem) and the
     check asserts ``mean_R <= r + 3 std_R / sqrt(n)``.  Without it the whole
     pipeline is recomputed from every faded draw and the report is
-    informational only.  ``snr`` must be finite and non-negative.
+    informational only.  ``snr`` must be a finite, non-negative
+    (n_bs, n_ues) matrix and ``tau`` one threshold in [0, 1] per station.
+
+    All ``n_samples`` fading blocks are drawn in one ``sample_fading`` call,
+    then scored in chunks of a few thousand samples, so each chunk's arrays
+    stay in cache; only the amplitude array and the per-sample rewards grow
+    with ``n_samples``.  The mean and standard deviation run over all the
+    rewards at once, so the report does not depend on the chunk size.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
     snr = np.asarray(snr, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    if snr.ndim != 2:
+        raise ValueError(f"SNR must be an (n_bs, n_ues) matrix, got shape {snr.shape}")
     if not (np.isfinite(snr).all() and (snr >= 0.0).all()):
         raise ValueError("SNR must be finite and non-negative")
+    tau = _thresholds(tau)
+    if len(tau) != snr.shape[0]:
+        raise ValueError(f"tau has {len(tau)} thresholds but the SNR matrix has"
+                         f" {snr.shape[0]} stations")
     r = float(reward_terms(snr, tau, params)[0])
     if fading.kind == "none":
         # Degenerate distribution: every sample equals r exactly.
         return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    faded = snr * sample_fading(fading, np.random.default_rng(rng),
-                                (n_samples,) + snr.shape) ** 2
-    if fixed_allocation:
-        samples, _ = reward_terms(snr, tau, params, reward_snr=faded)
-    else:
-        samples, _ = reward_terms(faded, tau, params)
+    amplitude = sample_fading(fading, np.random.default_rng(rng), (n_samples,) + snr.shape)
+    samples = np.empty(n_samples)
+    for start in range(0, n_samples, _JENSEN_CHUNK):
+        chunk = slice(start, start + _JENSEN_CHUNK)
+        faded = snr * amplitude[chunk] ** 2
+        if fixed_allocation:
+            samples[chunk] = reward_terms(snr, tau, params, reward_snr=faded)[0]
+        else:
+            samples[chunk] = reward_terms(faded, tau, params)[0]
     mean_r = float(samples.mean())
     std_r = float(samples.std())
     holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)
@@ -264,12 +301,15 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
         G(lambda x + (1 - lambda) y) >= lambda G(x) + (1 - lambda) G(y) - tol
 
     for every user, where G is the per-user utility of ``reward_terms`` with
-    x, y or their mix as the rate-term SNR.  ``n_trials`` must be at least 1.
+    x, y or their mix as the rate-term SNR.  ``n_trials`` and ``n_ues`` must
+    be at least 1 and ``tau`` one threshold in [0, 1] per station.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if n_ues < 1:
+        raise ValueError("n_ues must be at least 1")
+    tau = _thresholds(tau)
     rng = np.random.default_rng(rng)
-    tau = np.asarray(tau, dtype=float)
     shape = (n_trials, tau.shape[-1], n_ues)
     base = 1.0 - rng.random(shape)  # entries in (0, 1]
     x = rng.random(shape) * _PROBE_GAMMA_HIGH

@@ -60,9 +60,13 @@ def sample_fading(model: FadingModel, rng: np.random.Generator, size):
     if model.kind == "none":
         return np.ones(size)
     if model.kind == "rayleigh":
-        # Inverse CDF of the Rayleigh amplitude law; 1 - U keeps the log finite.
-        u = 1.0 - rng.random(size)
-        return np.sqrt(-model.omega * np.log(u))
+        # Inverse CDF of the Rayleigh amplitude law, sqrt(-omega log(1 - U)),
+        # in place as in _rician; 1 - U keeps the log finite.
+        h = rng.random(size)
+        np.subtract(1.0, h, out=h)
+        np.log(h, out=h)
+        h *= -model.omega
+        return np.sqrt(h, out=h)
     return _rician(model, rng.standard_normal(size), rng.standard_normal(size))
 
 

@@ -14,6 +14,11 @@ Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
 that user's own RNG stream.  This is the per-user loop the array kernel in
 ``cellsim.mobility`` replaced; it must stay bit-equal to it, draws included.
 
+Monte Carlo: ``reference_verify_jensen`` scores every fading draw in one
+``mac.reward_terms`` call over the whole (n_samples, n_bs, n_ues) array, so
+the chunked loop of ``cellsim.mac.verify_jensen`` has a whole-array
+comparison point; ``reference_reward`` is the check on the reward itself.
+
 It also holds two helpers that only tests use: ``encode_action``, the
 inverse of ``cellsim.env.decode_action``, and ``histogram_overlap`` of two
 tiers' return histograms.
@@ -23,6 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from cellsim.mac import JensenReport, reward_terms
+from cellsim.radio import sample_fading
 
 
 def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
@@ -79,6 +87,25 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
 
     return sum(utilities) / n_ue, utilities
 
+
+def reference_verify_jensen(snr, tau, fading, params, n_samples, fixed_allocation, rng):
+    """``verify_jensen``'s report, every sample scored in one pass over the
+    whole array; for a fading model other than ``none``, inputs unchecked."""
+    snr = np.asarray(snr, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    r = float(reward_terms(snr, tau, params)[0])
+    faded = snr * sample_fading(fading, np.random.default_rng(rng),
+                                (n_samples,) + snr.shape) ** 2
+    if fixed_allocation:
+        samples, _ = reward_terms(snr, tau, params, reward_snr=faded)
+    else:
+        samples, _ = reward_terms(faded, tau, params)
+    mean_r = float(samples.mean())
+    std_r = float(samples.std())
+    holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)
+    return JensenReport(model=fading.label(), n_samples=n_samples,
+                        fixed_allocation=fixed_allocation,
+                        r=r, mean_R=mean_r, std_R=std_r, holds=bool(holds))
 
 
 def encode_action(deltas, n_bs=None):

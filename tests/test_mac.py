@@ -5,15 +5,19 @@ delivered rate of 9 maps to utility 0.75 under the default shape because
 10*log10(10) = 10 sits three quarters of the way through [-20, 20].
 """
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellsim.config import FadingModel, UtilityParams
+from cellsim.config import FadingModel, UtilityParams, parse_fading
 from cellsim import mac, radio
 from cellsim.env import decode_action
 
-from reference_impl import reference_reward
+from reference_impl import reference_reward, reference_verify_jensen
 
 
 class TestDataRate:
@@ -302,6 +306,32 @@ class TestJensenBound:
             mac.verify_jensen(snr, tau, FadingModel("rayleigh"), UtilityParams(),
                               n_samples=10_000, rng=0)
 
+    @pytest.mark.parametrize("tau, match", [
+        ([np.nan, 0.1, 0.2], "finite and lie in"),
+        ([0.1, np.inf, 0.2], "finite and lie in"),
+        ([5.0, -3.0, 0.1], "finite and lie in"),
+        ([0.1, 0.2, 1.5], "finite and lie in"),
+        ([0.1, -0.1, 0.2], "finite and lie in"),
+        ([[0.1, 0.2, 0.3]], "non-empty 1-D"),
+        (0.3, "non-empty 1-D"),
+        ([], "non-empty 1-D"),
+        ([0.1, 0.2], "2 thresholds but the SNR matrix has 3 stations"),
+        ([0.1, 0.2, 0.3, 0.4], "4 thresholds but the SNR matrix has 3 stations"),
+    ], ids=["nan", "inf", "out-of-range", "above-1", "negative", "2-D", "scalar",
+            "empty", "too-short", "too-long"])
+    def test_bad_tau_rejected(self, tau, match):
+        snr, _ = self._instance()
+        with pytest.raises(ValueError, match=match):
+            mac.verify_jensen(snr, tau, FadingModel("rayleigh"), UtilityParams(),
+                              n_samples=10_000, rng=0)
+
+    @pytest.mark.parametrize("shape", [(15,), (1, 3, 5)], ids=["1-D", "3-D"])
+    def test_snr_must_be_a_matrix(self, shape):
+        snr = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=r"SNR must be an \(n_bs, n_ues\) matrix"):
+            mac.verify_jensen(snr, np.full(3, 0.2), FadingModel("rayleigh"),
+                              UtilityParams(), n_samples=10_000, rng=0)
+
     def test_no_fading_is_exact(self):
         snr, tau = self._instance()
         rep = mac.verify_jensen(snr, tau, FadingModel("none"), UtilityParams())
@@ -343,6 +373,66 @@ class TestJensenBound:
         assert rep.to_csv().splitlines()[0].startswith("model,")
 
 
+@st.composite
+def jensen_cases(draw):
+    """A state SNR matrix (1-4 stations and 1-9 users, or 8 stations and one
+    user) with rate-0 entries, one threshold per station, a fading model,
+    and a chunk size with a sample count on or next to a chunk boundary."""
+    n_bs, n_ues = draw(st.tuples(st.integers(1, 4), st.integers(1, 9)) | st.just((8, 1)))
+    entry = st.floats(0.0, 1.0) | st.sampled_from([0.0, 2.0 ** -53])
+    snr = np.reshape(draw(st.lists(entry, min_size=n_bs * n_ues, max_size=n_bs * n_ues)),
+                     (n_bs, n_ues))
+    tau = draw(st.lists(st.floats(0.0, 1.0), min_size=n_bs, max_size=n_bs))
+    fading = parse_fading(draw(st.sampled_from(["rayleigh", "rician:0", "rician:3",
+                                                "rician:10"])))
+    # The shipped chunk, and one whose edges sit at the 10000-sample floor.
+    chunk = draw(st.sampled_from([mac._JENSEN_CHUNK, 10_001]))
+    k = math.ceil(10_001 / chunk)  # the first multiple with k * chunk - 1 >= 10000
+    n_samples = draw(st.sampled_from([10_000, k * chunk - 1, k * chunk, k * chunk + 1,
+                                      2 * k * chunk + 1]))
+    return snr, tau, fading, chunk, n_samples
+
+
+class TestJensenChunks:
+    """verify_jensen scores its samples in chunks; the report equals one
+    pass over the whole sample array, field for field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=jensen_cases(), fixed=st.booleans(),
+           aggregate=st.sampled_from(["mean", "sum"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_report_equals_whole_array_reference(self, case, fixed, aggregate, seed):
+        snr, tau, fading, chunk, n_samples = case
+        params = UtilityParams(aggregate=aggregate)
+        with mock.patch.object(mac, "_JENSEN_CHUNK", chunk):
+            got = mac.verify_jensen(snr, tau, fading, params, n_samples=n_samples,
+                                    fixed_allocation=fixed, rng=seed)
+        assert got == reference_verify_jensen(snr, tau, fading, params, n_samples,
+                                              fixed, seed)
+
+    # Peak traced memory of a 200000-sample call on a 3x5 matrix.  One
+    # (200000, 3, 5) float block is 22.9 MiB.  The amplitude array is one
+    # block; a Rician draw holds its real and imaginary normals, two blocks,
+    # until it combines them.  The chunked scoring measured at most 4.1 MiB
+    # on top (numpy 2.4: 26.3-27.0 MiB Rayleigh, 45.8 MiB Rician), and the
+    # bound allows it 8 MiB.  Scoring the whole array at once peaked at
+    # 91.6 MiB (fixed allocation) and 126.5 MiB (recomputed) for either
+    # model, and an out-of-place Rayleigh draw alone holds three blocks.
+    @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "recomputed"])
+    @pytest.mark.parametrize("label, blocks", [("rayleigh", 1), ("rician:3", 2)])
+    def test_peak_memory_bounded(self, label, blocks, fixed):
+        snr = np.random.default_rng(3).random((3, 5))
+        n_samples = 200_000
+        block_mib = n_samples * snr.size * 8 / 2 ** 20
+        tracemalloc.start()
+        try:
+            mac.verify_jensen(snr, np.full(3, 0.2), parse_fading(label), UtilityParams(),
+                              n_samples=n_samples, fixed_allocation=fixed, rng=0)
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib < blocks * block_mib + 8.0, f"peak {peak_mib:.1f} MiB"
+
+
 class TestConcavityProbe:
     def test_probe_passes_at_default_tolerance(self):
         rep = mac.concavity_probe(UtilityParams(), np.full(3, 0.4),
@@ -362,3 +452,21 @@ class TestConcavityProbe:
         rep = mac.concavity_probe(UtilityParams(aggregate="sum"),
                                   np.full(3, 0.4), n_trials=2_000, rng=4)
         assert rep.passed
+
+    @pytest.mark.parametrize("tau, match", [
+        ([np.nan, 0.1, 0.2], "finite and lie in"),
+        ([5.0, -3.0, 0.1], "finite and lie in"),
+        ([0.1, 0.2, 1.5], "finite and lie in"),
+        ([[0.1, 0.2, 0.3]], "non-empty 1-D"),
+        ([], "non-empty 1-D"),
+    ], ids=["nan", "out-of-range", "above-1", "2-D", "empty"])
+    def test_bad_tau_rejected(self, tau, match):
+        with pytest.raises(ValueError, match=match):
+            mac.concavity_probe(UtilityParams(), tau, n_trials=10, rng=0)
+
+    @pytest.mark.parametrize("n_ues", [0, -2])
+    def test_user_count_floor_enforced(self, n_ues):
+        # Zero users would give a report of zero checks that reads as passed.
+        with pytest.raises(ValueError, match="n_ues must be at least 1"):
+            mac.concavity_probe(UtilityParams(), np.full(3, 0.4), n_trials=10,
+                                rng=0, n_ues=n_ues)

@@ -134,6 +134,14 @@ class TestFadingSamplers:
         assert np.std(h) < 1e-2
         assert np.mean(h) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    def test_rayleigh_is_inverse_cdf_of_uniform_draws(self, omega):
+        # The in-place form equals the plain expression bit for bit.
+        u = np.random.default_rng(20).random((50, 3, 5))
+        h = radio.sample_fading(FadingModel("rayleigh", omega=omega),
+                                np.random.default_rng(20), (50, 3, 5))
+        assert np.array_equal(h, np.sqrt(-omega * np.log(1.0 - u)))
+
     def test_rayleigh_distribution_shape(self):
         rng = np.random.default_rng(15)
         h = radio.sample_fading(FadingModel("rayleigh"), rng, size=100_000)
