@@ -11,8 +11,8 @@ integer in [0, 3**n_bs).  A step applies the deltas (thresholds move by
 and SNR matrix, and emits the mean-utility reward.  Fading, when enabled,
 perturbs only the reward path; the state SNR matrix stays clean.
 
-``EpisodeBatch`` is the one implementation of reset, step, preview and
-observation.  It holds B episodes of one config and steps them in
+``EpisodeBatch`` is the one implementation of reset, step, preview, scoring
+and observation.  It holds B episodes of one config and steps them in
 lockstep: positions and waypoints are (B, n_ues, 2) arrays, thresholds
 (B, n_bs) and the SNR matrix (B, n_bs, n_ues), and each stage is one numpy
 pass over the whole batch.  The horizon is fixed, so all B episodes end
@@ -22,21 +22,34 @@ returns one action code per episode; it may keep actions drawn ahead in
 ``policy_plan``, which reset clears.  ``CellularNetworkEnv`` is the B=1
 view, and ``policy(env)`` is ``act`` on the batch behind it.
 
+The batch keeps one row per state of the episode, time-major: row 0 is the
+reset state and row t + 1 the state after step t.  A row holds every
+episode's thresholds, SNR matrix and, when faded, |H|^2 blocks, and once
+scored its rewards and per-user utilities.  A row's reward depends only on
+that row, so rows need not be scored in step order: a step the preview saw
+takes its row from the preview when fading is off, and ``score`` scores
+every other row reached so far in one ``mac.reward`` call.  ``rollout``
+scores once per block, after the last step; the B=1 view scores its row at
+reset and after each step, so its observation can carry the utilities.
+
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
 seed: mobility (one child stream per user), fading, and policy noise.
-Motion and fading do not depend on the actions, so reset draws the whole
-exogenous episode: each user draws its start and ``horizon + 1`` waypoints
-from its own stream in one chunk, reset steps every user ``horizon`` times
-along that route, and keeps the positions and SNR matrices of every step;
-a faded episode also draws all its (n_bs, n_ues) |H|^2 blocks from its own
-fading stream, one for the reset's reward and one per step, step-major, in
-the order per-step draws would take them.
-Step and preview only index these rows, and the preview draws nothing.  So
-an episode is a pure function of (config, seed, actions), whatever batch it
-runs in, which is what makes collected trajectories reproducible byte for
-byte.  ``preview_step_rewards`` keeps every action's fading-free reward
-for the next ``step``.
+They are numpy's ``SeedSequence(seed).spawn(3)`` children, mobility's own
+``spawn(n_ues)`` children, and ``default_rng`` of each, state for state;
+``_streams.stream_words`` hashes every seed of a block in one array pass,
+and only the generators are built one by one.  Motion and fading do not depend on
+the actions, so reset draws the whole exogenous episode: each user draws
+its start and ``horizon + 1`` waypoints from its own stream in one chunk,
+reset steps every user ``horizon`` times along that route, and keeps the
+positions and SNR matrices of every step; a faded episode also draws all
+its (n_bs, n_ues) |H|^2 blocks from its own fading stream, one for the
+reset's reward and one per step, step-major, in the order per-step draws
+would take them.  Step and preview only index these rows, and the preview
+draws nothing.  So an episode is a pure function of (config, seed,
+actions), whatever batch it runs in, which is what makes collected
+trajectories reproducible byte for byte.  ``preview_step_rewards`` keeps
+every action's fading-free reward for the next ``step``.
 """
 
 from __future__ import annotations
@@ -69,7 +82,14 @@ def _unit(x):
 
 
 class EpisodeBatch:
-    """B episodes of one config, stepped in lockstep."""
+    """B episodes of one config, stepped in lockstep.
+
+    Each state is a time-major row, 0 for reset and t + 1 after step t, of
+    thresholds ``_taus`` (B, n_bs), SNRs ``_snrs``, |H|^2 ``_power`` when
+    faded, and, once ``_scored``, rewards ``_rewards`` (B,) and utilities
+    ``_utils`` (B, n_ues).  ``score`` fills every row not yet scored;
+    ``observations`` reads scored rows.
+    """
 
     def __init__(self, cfg: NetworkConfig):
         self.cfg = cfg
@@ -81,28 +101,27 @@ class EpisodeBatch:
         self._positions = None  # until the first reset
         self._done = True
 
-    def reset(self, seeds) -> np.ndarray:
-        """Start one fresh episode per non-negative seed; returns the
-        (B, obs_dim) initial observations."""
+    def reset(self, seeds) -> None:
+        """Start one fresh episode per non-negative seed; row 0 is left for
+        ``score``."""
         cfg = self.cfg
         low = min(seeds)
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
-        ue_rngs, self.policy_rngs, power = [], [], []
-        faded = cfg.fading.kind != "none"
-        for seed in seeds:
-            mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
-            ue_rngs.append([np.random.default_rng(ss) for ss in mobility_ss.spawn(cfg.n_ues)])
-            if faded:
-                power.append(radio.episode_fading_power(
-                    cfg.fading, np.random.default_rng(fading_ss), cfg.horizon + 1,
-                    (cfg.n_bs, cfg.n_ues)))
-            self.policy_rngs.append(np.random.default_rng(policy_ss))
-        # (B, horizon + 1, n_bs, n_ues) |H|^2: row 0 for reset, t + 1 for step t.
-        self._power = np.array(power) if faded else None
+        # Imported here: loading numpy.random costs ~2 MB of RSS, and a
+        # process that only hands blocks to a pool never resets an episode.
+        from ._streams import generator, stream_words
+        words = stream_words(seeds, cfg.n_ues)
+        rows = cfg.horizon + 1
+        self.policy_rngs = [generator(w) for w in words[:, 1]]
+        # (horizon + 1, B, n_bs, n_ues) |H|^2: row 0 for reset, t + 1 for step t.
+        self._power = None if cfg.fading.kind == "none" else np.stack(
+            [radio.episode_fading_power(cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
+             for w in words[:, 0]], axis=1)
         # A policy's actions drawn ahead for the rest of the episode.
         self.policy_plan = None
-        motion = mobility.init_positions(cfg.mobility, ue_rngs, cfg.horizon)
+        motion = mobility.init_positions(
+            cfg.mobility, [[generator(w) for w in user] for user in words[:, 2:]], cfg.horizon)
         positions = [motion.position]
         for _ in range(cfg.horizon):
             motion = mobility.step_motion(motion, cfg.mobility)
@@ -112,34 +131,45 @@ class EpisodeBatch:
         self._positions = np.array(positions)
         self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
         self._preview = None
-        self._rows = np.arange(len(ue_rngs))
-        self._thresholds = np.full((len(self._rows), cfg.n_bs), 0.5)
-        # Seed the previous-utility slot with the utilities of the initial
-        # state so the first observation already has the in-episode shape.
-        _, self._prev_utilities = mac.reward(self._snrs[0], self._thresholds, cfg.utility,
-                                             self._fading_power(0))
+        self._episodes = np.arange(len(words))
+        # Thresholds, rewards and per-user utilities of every row; a row's
+        # rewards and utilities are set once ``_scored``.
+        self._taus = np.full((rows, len(words), cfg.n_bs), 0.5)
+        self._rewards = np.empty((rows, len(words)))
+        self._utils = np.empty((rows, len(words), cfg.n_ues))
+        self._scored = np.zeros(rows, dtype=bool)
         self._t = 0
         self._done = False
-        return self._observation()
 
-    def step(self, actions):
-        """Apply one action code per episode; returns (obs (B, obs_dim),
-        rewards (B,), done)."""
+    def step(self, actions) -> None:
+        """Apply one action code per episode.  With fading off, a step the
+        preview saw takes its rewards from the preview; any other step
+        leaves its row for ``score``."""
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
-        self._thresholds = _unit(self._thresholds + self._moves[actions])
+        t = self._t + 1
+        self._taus[t] = _unit(self._taus[t - 1] + self._moves[actions])
         previewed, self._preview = self._preview, None
-        if previewed is not None and self.cfg.fading.kind == "none":
+        if previewed is not None and self._power is None:
             # The preview already holds each action's fading-free reward.
-            pick = self._rows, actions
-            rew, utils = previewed[0][pick], previewed[1][pick]
-        else:
-            rew, utils = mac.reward(self._snrs[self._t + 1], self._thresholds,
-                                    self.cfg.utility, self._fading_power(self._t + 1))
-        self._prev_utilities = utils
-        self._t += 1
-        self._done = self._t >= self.cfg.horizon
-        return self._observation(), rew, self._done
+            pick = self._episodes, actions
+            self._rewards[t], self._utils[t] = previewed[0][pick], previewed[1][pick]
+            self._scored[t] = True
+        self._t = t
+        self._done = t >= self.cfg.horizon
+
+    def score(self) -> None:
+        """Score every row up to the current one that is not scored yet,
+        in one ``mac.reward`` call."""
+        todo = np.flatnonzero(~self._scored[:self._t + 1])
+        if todo.size == 0:
+            return
+        if todo[-1] - todo[0] + 1 == todo.size:  # one run of rows: views, not copies
+            todo = slice(todo[0], todo[-1] + 1)
+        power = None if self._power is None else self._power[todo]
+        self._rewards[todo], self._utils[todo] = mac.reward(
+            self._snrs[todo], self._taus[todo], self.cfg.utility, power)
+        self._scored[todo] = True
 
     def preview_step_rewards(self) -> np.ndarray:
         """Fading-free one-step reward of every action in every episode,
@@ -151,18 +181,17 @@ class EpisodeBatch:
         if self._done:
             raise RuntimeError("environment must be mid-episode to preview")
         if self._preview is None:
-            taus = _unit(self._thresholds[:, None, :] + self._shifts)  # (B, 3, n_bs)
+            taus = _unit(self._taus[self._t][:, None, :] + self._shifts)  # (B, 3, n_bs)
             self._preview = mac.action_rewards(self._snrs[self._t + 1], taus, self.cfg.utility)
         return self._preview[0]
 
-    def _fading_power(self, row):
-        """Every episode's (B, n_bs, n_ues) |H|^2 of one reward, or None."""
-        return None if self._power is None else self._power[:, row]
-
-    def _observation(self) -> np.ndarray:
-        return np.concatenate([self._thresholds,
-                               self._snrs[self._t].reshape(len(self._rows), -1),
-                               self._prev_utilities], axis=-1)
+    def observations(self, start: int, stop: int) -> np.ndarray:
+        """Observations of scored rows start..stop-1, episode-major:
+        (B, stop - start, obs_dim)."""
+        rows = slice(start, stop)
+        snrs = self._snrs[rows].reshape(stop - start, len(self._episodes), -1)
+        return np.concatenate([self._taus[rows].transpose(1, 0, 2), snrs.transpose(1, 0, 2),
+                               self._utils[rows].transpose(1, 0, 2)], axis=-1)
 
 
 class CellularNetworkEnv:
@@ -177,17 +206,21 @@ class CellularNetworkEnv:
 
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh episode; returns the initial observation."""
-        return self._batch.reset((seed,))[0]
+        self._batch.reset((seed,))
+        self._batch.score()
+        return self._batch.observations(0, 1)[0, 0]
 
     def step(self, action: int):
         """Apply one action; returns (obs, reward, done, info)."""
         code = int(action)
         if not 0 <= code < self.cfg.n_actions:
             raise ValueError(f"action {action} outside [0, {self.cfg.n_actions})")
-        obs, rew, done = self._batch.step(np.array([code]))
-        info = {"utilities": self._batch._prev_utilities[0].copy(),
-                "thresholds": self._batch._thresholds[0].copy()}
-        return obs[0], float(rew[0]), done, info
+        batch = self._batch
+        batch.step(np.array([code]))
+        batch.score()
+        t = batch._t
+        info = {"utilities": batch._utils[t, 0].copy(), "thresholds": batch._taus[t, 0].copy()}
+        return batch.observations(t, t + 1)[0, 0], float(batch._rewards[t, 0]), batch._done, info
 
     # -- policy support ------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Trajectory collection, dataset files, ablation, and return statistics."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import re
@@ -18,7 +19,9 @@ from cellsim.data import (
     collect_medium_expert,
     collect_trajectory,
     load_dataset,
+    map_seeds,
     return_stats,
+    rollout,
     write_dataset,
 )
 from cellsim.env import CellularNetworkEnv
@@ -142,19 +145,40 @@ def _stepped_one_by_one(cfg, policy, seeds):
     return records, returns
 
 
+def _scenario(name: str) -> cs.NetworkConfig:
+    """``variant/fading``, optionally ``/9-users-sum``: nine users (numpy
+    sums eight or more terms pairwise) with summed station rates."""
+    variant, fading, *wide = name.split("/")
+    cfg = cs.default_config(mobility_variant=variant, fading=fading, horizon=20)
+    if wide:
+        cfg = dataclasses.replace(cfg, n_ues=9, utility=cs.UtilityParams(aggregate="sum"))
+    return cfg
+
+
+class _ExpertThenRandom:
+    """The expert for the first ``SWITCH`` steps, then the random tier: with
+    fading off, rows taken from the preview and rows scored in bulk mix."""
+
+    policy_id = "expert-then-random"
+    SWITCH = 6
+
+    def __init__(self):
+        self._expert, self._random = make_policy("expert"), make_policy("random")
+
+    def act(self, batch):
+        return (self._expert if batch._t < self.SWITCH else self._random).act(batch)
+
+    def __call__(self, env):
+        return int(self.act(env._batch)[0])
+
+
 class TestBlockInvariance:
     """Episodes stepped together in blocks, in one or two processes, give
     the same bytes as one environment stepped per seed."""
 
     SEED_BASE = 300
 
-    @pytest.mark.parametrize("policy_name", ["expert", "medium", "random"])
-    @pytest.mark.parametrize("scenario", ["full/none", "limited/rayleigh",
-                                          "full/rician:3"])
-    def test_blocks_match_single_episodes(self, scenario, policy_name):
-        variant, fading = scenario.split("/")
-        cfg = cs.default_config(mobility_variant=variant, fading=fading, horizon=20)
-        policy = make_policy(policy_name)
+    def _check(self, cfg, policy):
         assert 64 <= CAP, "n_traj=64 must fit in one block at workers=1"
         records, returns = _stepped_one_by_one(
             cfg, policy, range(self.SEED_BASE, self.SEED_BASE + 64))
@@ -162,11 +186,69 @@ class TestBlockInvariance:
             for workers in (1, 2):
                 where = f"n={n} workers={workers}"
                 man = collect(cfg, policy, n, seed_base=self.SEED_BASE, workers=workers)
-                got = [json.dumps(t.to_record()) for t in man.tiers[policy_name]]
+                got = [json.dumps(t.to_record()) for t in man.tiers[policy.policy_id]]
                 assert got == records[:n], where
                 res = evaluate(cfg, policy, n_episodes=n, seed_base=self.SEED_BASE,
                                workers=workers)
                 assert json.dumps(res.returns) == json.dumps(returns[:n]), where
+
+    @pytest.mark.parametrize("policy_name", ["expert", "medium", "random"])
+    @pytest.mark.parametrize("scenario", ["full/none", "limited/rayleigh",
+                                          "full/rician:3", "full/none/9-users-sum"])
+    def test_blocks_match_single_episodes(self, scenario, policy_name):
+        self._check(_scenario(scenario), make_policy(policy_name))
+
+    @pytest.mark.parametrize("scenario", ["full/none", "limited/rayleigh"])
+    def test_random_steps_after_expert_steps(self, scenario):
+        self._check(_scenario(scenario), _ExpertThenRandom())
+
+
+class TestBlockScoring:
+    """``rollout`` scores a block's rows in one reward call."""
+
+    @pytest.mark.parametrize("policy_name", ["expert", "medium", "random"])
+    @pytest.mark.parametrize("fading", ["none", "rayleigh", "rician:3"])
+    def test_one_reward_call_per_block(self, fading, policy_name, monkeypatch):
+        calls = []
+        reward = cs.mac.reward
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return reward(*args, **kwargs)
+
+        monkeypatch.setattr(cs.mac, "reward", counting)
+        cfg = cs.default_config(fading=fading, horizon=12)
+        rollout(cfg, make_policy(policy_name), range(5))
+        assert len(calls) == 1, calls
+        rollout(cfg, _ExpertThenRandom(), range(5), observe=False)
+        assert len(calls) == 2, calls
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("n, workers, size", [(2, 8, 2), (5, 3, 3), (3, 64, 3)])
+    def test_pool_has_no_more_workers_than_blocks(self, n, workers, size, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records ``max_workers`` and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        seeds = map_seeds(lambda cfg, policy, block: list(block), [(None, None, 10, n)],
+                          workers)
+        assert sizes == [size]
+        assert seeds == list(range(10, 10 + n))
 
 
 class TestCollectMediumExpert:

@@ -1,12 +1,15 @@
 """Episode mechanics: action codes, observation layout, determinism."""
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cellsim as cs
 from cellsim import mac, mobility, radio
 from cellsim.config import MobilityConfig, NetworkConfig, UtilityParams
+from cellsim._streams import generator, stream_words
 from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
 from reference_impl import encode_action
 
@@ -171,6 +174,45 @@ class TestDeterminism:
         assert np.array_equal(positions(base), positions(faded))
 
 
+# Seeds at the edges of numpy's uint32 word counts: 1, 2, 3, 4, 5 and 6 words.
+_EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160)
+
+
+class TestStreams:
+    """Every stream reset builds is numpy's own ``SeedSequence`` tree, state
+    for state, whatever mix of seed sizes a block holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**200),
+                          min_size=1, max_size=6),
+           n_ues=st.integers(1, 9))
+    @example(seeds=list(range(2**32 - 3, 2**32 + 3)), n_ues=9)
+    @example(seeds=list(_EDGE_SEEDS), n_ues=1)
+    def test_equal_to_numpy_spawn_tree(self, seeds, n_ues):
+        words = stream_words(seeds, n_ues)
+        assert words.shape == (len(seeds), 2 + n_ues, 4)
+        for seed, row in zip(seeds, words):
+            mobility_ss, fading_ss, policy_ss = np.random.SeedSequence(seed).spawn(3)
+            want = [fading_ss, policy_ss, *mobility_ss.spawn(n_ues)]
+            for k, (w, ss) in enumerate(zip(row, want)):
+                assert (generator(w).bit_generator.state
+                        == np.random.default_rng(ss).bit_generator.state), (seed, k)
+
+    def test_policy_stream_survives_pickle(self, short_cfg):
+        batch = EpisodeBatch(short_cfg)
+        batch.reset([2**64 + 5])
+        g = batch.policy_rngs[0]
+        g.random(3)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy.bit_generator.state == g.bit_generator.state
+        assert np.array_equal(copy.bit_generator.seed_seq.words, g.bit_generator.seed_seq.words)
+        assert np.array_equal(copy.integers(27, size=50), g.integers(27, size=50))
+
+    def test_non_integer_seed_rejected(self, short_cfg):
+        with pytest.raises(TypeError):
+            EpisodeBatch(short_cfg).reset([1.5])
+
+
 class TestResetDrawsTheEpisode:
     """Reset steps motion through the whole horizon up front; its rows are
     the per-step chain the actions never influence."""
@@ -310,7 +352,7 @@ class TestPreviewMatchesPerActionReward:
         batch.reset(range(b))
         # Replace the thresholds and the SNR row of the next step; the
         # preview keeps its (rewards, utilities) for ``step``.
-        batch._thresholds = thr
+        batch._taus[batch._t] = thr
         batch._snrs[batch._t + 1] = snr
         rewards = batch.preview_step_rewards()
         utils = batch._preview[1]
