@@ -25,6 +25,7 @@ import copy
 import hashlib
 import json
 import os
+import pickle
 import uuid
 from dataclasses import dataclass, field
 from itertools import chain
@@ -213,9 +214,9 @@ class DatasetManifest:
 # 14.1 MiB in it (reset peaks at 12.0 MiB), under tracemalloc.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
 # on a 2-core host: 11.2, 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and
-# 128) and by less than a tenth beyond it.  The default 500-per-tier
-# protocol already runs blocks of 125 at 4 workers, so a larger cap would
-# hold more memory for little gain.
+# 128) and by less than a tenth beyond it.  At 2 workers the default
+# 500-per-tier protocol already runs at the cap (three blocks of 128 and one
+# of 116 per tier), so a larger cap would hold more memory for little gain.
 CAP = 128
 
 
@@ -225,9 +226,18 @@ def map_seeds(fn, jobs, workers: int) -> list:
 
     Each job's seeds are cut into contiguous blocks of ``min(ceil(n /
     workers), CAP)``; ``fn(cfg, policy, block)`` returns one result per seed
-    of its block, and the blocks of every job are spread over one process
-    pool of ``min(workers, blocks)`` processes when ``workers > 1``.
-    Results do not depend on the worker count or the block size.
+    of its block.  With ``w = min(workers, blocks, usable CPUs) > 1``, the
+    blocks of every job are dealt round-robin to ``w`` processes forked once
+    per call: process k runs blocks k, k + w, k + 2w, ... and pickles each
+    block's results back through a pipe as it ends, and the calling process
+    runs no block.  Forking copies the caller, so ``fn`` and the jobs need
+    not pickle; the results must.  An exception a block raises is raised
+    again in the caller, with the worker's traceback as its cause; a worker
+    that dies without sending its results raises ``RuntimeError`` naming the
+    worker and its exit status.  Either way no worker process and no pipe
+    outlives the call.  Where ``os.fork`` does not exist, or ``w`` is 1, the
+    blocks run in this process.  Results do not depend on the worker count,
+    the CPU count or the block size.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -237,17 +247,100 @@ def map_seeds(fn, jobs, workers: int) -> list:
         end = seed_base + n
         blocks += [(cfg, policy, range(s, min(s + size, end)))
                    for s in range(seed_base, end, size)]
-    if workers > 1 and len(blocks) > 1:
-        # Imported here: loading multiprocessing costs every cold start
-        # ~15-20 ms, and most calls never start a pool.
-        from concurrent.futures import ProcessPoolExecutor
-        # Under fork the pool starts all its workers at the first submit, so
-        # it gets no more than there are blocks.
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(fn, *zip(*blocks)))
+    w = min(workers, len(blocks), _usable_cpus())
+    if w > 1 and hasattr(os, "fork"):
+        results = _run_forked(fn, blocks, w)
     else:
         results = [fn(*block) for block in blocks]
     return [r for block in results for r in block]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process."""
+
+
+def _run_forked(fn, blocks, w: int) -> list:
+    """``[fn(*block) for block in blocks]``, share k = ``blocks[k::w]`` run in
+    forked child k; see ``map_seeds``."""
+    readers, pids = [], {}  # pipe read ends; worker -> pid not yet reaped
+    try:
+        for k in range(w):
+            r, wr = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pids[k] = os.fork()
+                if pids[k] == 0:
+                    _serve(fn, blocks[k::w], wr)
+            finally:
+                # Only the child may hold the write end, or its pipe never
+                # reaches EOF if it dies.
+                os.close(wr)
+        # Block i is the next message on pipe i % w, so each worker waits
+        # only for the parent to take its previous block.
+        results = []
+        for i in range(len(blocks)):
+            k = i % w
+            try:
+                ok, value = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError):  # empty or cut short
+                raise RuntimeError(f"worker {k} exited with status {_reap(pids, k)} "
+                                   "without a result") from None
+            if not ok:
+                exc, tb = value
+                raise exc from _WorkerTraceback(tb)
+            results.append(value)
+        for k in range(w):
+            code = _reap(pids, k)
+            if code != 0:
+                raise RuntimeError(f"worker {k} exited with status {code}")
+        return results
+    finally:
+        for reader in readers:
+            reader.close()
+        if pids:
+            import signal  # loaded only when a worker must be stopped
+            for pid in pids.values():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+
+
+def _reap(pids: dict, k: int) -> int:
+    """Wait for worker k; its exit status, or minus the signal that killed it."""
+    status = os.waitpid(pids[k], 0)[1]
+    del pids[k]
+    return os.waitstatus_to_exitcode(status)
+
+
+def _serve(fn, share, wr: int):
+    """In a forked child: run ``share`` block by block, pickling ``(True,
+    results)`` for each, or ``(False, (exception, traceback text))`` for the
+    first that raises, into the pipe ``wr``; then exit, with status 0 only
+    once every message is written.  Never returns."""
+    code = 1
+    try:
+        with open(wr, "wb") as pipe:
+            for block in share:
+                try:
+                    payload = (True, fn(*block))
+                except BaseException as exc:  # raised again in the parent
+                    import traceback
+                    payload = (False, (exc, "".join(traceback.format_exception(exc))))
+                pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+                if not payload[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
@@ -269,7 +362,7 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
                           workers: int = 1) -> DatasetManifest:
     """The default two-tier dataset: n expert episodes on seeds
     [seed_base, seed_base + n) and n medium episodes on the next n seeds.
-    Both tiers' blocks share one process pool."""
+    Both tiers' blocks share one set of worker processes."""
     if n_per_tier < 0:
         raise ValueError("n_per_tier must be non-negative")
     # Both policies first, so a bad epsilon fails before any episode runs.

@@ -109,7 +109,7 @@ class EpisodeBatch:
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
         # Imported here: loading numpy.random costs ~2 MB of RSS, and a
-        # process that only hands blocks to a pool never resets an episode.
+        # process that only hands blocks to workers never resets an episode.
         from ._streams import generator, stream_words
         words = stream_words(seeds, cfg.n_ues)
         rows = cfg.horizon + 1

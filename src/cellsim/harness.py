@@ -47,7 +47,7 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
 
 
 def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -> list:
-    """``evaluate`` of each config on the same seeds, through one process pool."""
+    """``evaluate`` of each config on the same seeds, in one ``map_seeds`` call."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
     rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],
@@ -117,7 +117,7 @@ class SweepReport:
 def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
                  seed_base: int = 0, baselines=None, workers: int = 1) -> SweepReport:
     """Evaluate one policy under several fading models on shared seeds,
-    every model's seed blocks through one process pool.
+    every model's seed blocks through one set of worker processes.
 
     ``baselines``, when given as (expert_mean, random_mean), adds a 0-100
     score column.  The ordering check sorts models from least to most

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny scenarios that keep the unit tests fast."""
 
 import json
+import os
 
 import pytest
 
@@ -28,6 +29,30 @@ def frozen_cfg():
                               waypoint_radius=0.0,
                               anchors=((100.0, 60.0),) * 5)
     return NetworkConfig(mobility=mobility, horizon=10)
+
+
+# More forks than any test here needs: a call past it fails before forking, so
+# a broken process cap cannot start thousands of processes.
+MAX_FORKS = 8
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that grows by one at each ``os.fork`` in this process, on a
+    machine with 2 usable CPUs."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork does not exist on this platform")
+    calls = []
+    fork = os.fork
+
+    def counting():
+        assert len(calls) < MAX_FORKS, f"more than {MAX_FORKS} forks"
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
 
 
 def _set_step(i, **fields):

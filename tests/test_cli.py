@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import cellsim as cs
 from cellsim.cli import main
 from cellsim.config import default_config, save_config
 from cellsim.data import load_dataset
@@ -70,6 +71,19 @@ class TestCollect:
                              "--horizon", "5", "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("error:") and f"'{target}'" in err and ".tmp" not in err
+
+    def test_worker_error_exits_1_and_writes_nothing(self, capsys, tmp_path, forks,
+                                                    monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("rollout failed")
+
+        monkeypatch.setattr(cs.data, "rollout", failing)
+        code, out, err = run(capsys, "collect", "--tier", "random", "--n", "4",
+                             "--horizon", "5", "--out", str(tmp_path / "x.jsonl"),
+                             "--workers", "2")
+        assert len(forks) == 2
+        assert (code, out, err) == (1, "", "error: rollout failed\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_count_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "collect", "--tier", "random", "--n", "0",

@@ -1,10 +1,12 @@
 """Trajectory collection, dataset files, ablation, and return statistics."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
+import pickle
 import re
+import time
 
 import numpy as np
 import pytest
@@ -224,31 +226,148 @@ class TestBlockScoring:
         assert len(calls) == 2, calls
 
 
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _seeds(cfg, policy, block):
+    return list(block)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _assert_nothing_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
 class TestPoolSize:
     @pytest.mark.parametrize("n, workers, size", [(2, 8, 2), (5, 3, 3), (3, 64, 3)])
-    def test_pool_has_no_more_workers_than_blocks(self, n, workers, size, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records ``max_workers`` and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        seeds = map_seeds(lambda cfg, policy, block: list(block), [(None, None, 10, n)],
-                          workers)
-        assert sizes == [size]
+    def test_pool_has_no_more_workers_than_blocks(self, n, workers, size, forks,
+                                                  monkeypatch):
+        _set_cpus(monkeypatch, 64)
+        seeds = map_seeds(_seeds, [(None, None, 10, n)], workers)
+        assert len(forks) == size
         assert seeds == list(range(10, 10 + n))
+
+    @pytest.mark.parametrize("n, workers, cpus, size",
+                             [(3, 64, 2, 2), (100_000, 100_000, 2, 2), (5, 3, 1, 0)])
+    def test_pool_has_no_more_workers_than_cpus(self, n, workers, cpus, size, forks,
+                                                monkeypatch):
+        _set_cpus(monkeypatch, cpus)
+        assert map_seeds(_seeds, [(None, None, 10, n)], workers) == list(range(10, 10 + n))
+        assert len(forks) == size
+
+    def test_cpu_count_where_affinity_does_not_exist(self, forks, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert map_seeds(_seeds, [(None, None, 0, 5)], 8) == list(range(5))
+        assert len(forks) == 3
+
+    def test_blocks_run_in_process_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        _set_cpus(monkeypatch, 2)
+        pids = map_seeds(lambda cfg, policy, block: [os.getpid()] * len(block),
+                         [(None, None, 0, 6)], 3)
+        assert pids == [os.getpid()] * 6
+
+
+def _raise_boom_at_7(cfg, policy, block):
+    if 7 in block:
+        raise ValueError("boom")
+    return list(block)
+
+
+def _exit_3_at_6(cfg, policy, block):
+    if 6 in block:
+        os._exit(3)
+    return list(block)
+
+
+def _unpicklable_at_6(cfg, policy, block):
+    return [lambda: None] if 6 in block else list(block)
+
+
+def _raise_at_0_sleep_at_3(cfg, policy, block):
+    if 0 in block:
+        raise ValueError("boom")
+    if 3 in block:
+        time.sleep(60)
+    return list(block)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestForkedWorkers:
+    """Whatever a worker does, the caller sees its result or an error, and no
+    child process or pipe is left after the call."""
+
+    JOB = [(None, None, 0, 10)]  # at workers=5: blocks of 2; shares 0, 2, 4 and 1, 3
+
+    def test_success_leaves_nothing(self, forks):
+        fds = _open_fds()
+        assert map_seeds(_seeds, self.JOB, 5) == list(range(10))
+        assert len(forks) == 2
+        _assert_nothing_left(fds)
+
+    def test_results_larger_than_a_pipe_arrive_in_block_order(self, forks):
+        big = map_seeds(lambda cfg, policy, block: [np.full(200_000, s) for s in block],
+                        [(None, None, 0, 6)], 6)
+        assert len(forks) == 2
+        assert [int(a[0]) for a in big] == list(range(6))
+        assert all((a == a[0]).all() for a in big)
+
+    def test_worker_exception_is_raised_in_caller(self, forks):
+        fds = _open_fds()
+        with pytest.raises(ValueError, match="^boom$") as info:
+            map_seeds(_raise_boom_at_7, self.JOB, 2)
+        assert "_raise_boom_at_7" in str(info.value.__cause__)
+        _assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("fn, status", [(_exit_3_at_6, 3), (_unpicklable_at_6, 1)])
+    def test_worker_without_result_is_named(self, fn, status, forks):
+        fds = _open_fds()
+        with pytest.raises(RuntimeError,
+                           match=f"^worker 1 exited with status {status} without a result$"):
+            map_seeds(fn, self.JOB, 5)
+        _assert_nothing_left(fds)
+
+    def test_failure_stops_the_other_workers(self, forks):
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^boom$"):
+            map_seeds(_raise_at_0_sleep_at_3, self.JOB, 5)
+        assert time.monotonic() - start < 30
+        _assert_nothing_left(fds)
+
+    def test_interrupt_while_reading_stops_every_worker(self, forks, monkeypatch):
+        def interrupted(file):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "load", interrupted)
+        fds = _open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            map_seeds(_raise_at_0_sleep_at_3, self.JOB, 5)
+        _assert_nothing_left(fds)
+
+    def test_failed_fork_stops_the_started_workers(self, forks, monkeypatch):
+        fork = os.fork
+
+        def second_fails():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(BlockingIOError):
+            map_seeds(lambda cfg, policy, block: time.sleep(60), self.JOB, 5)
+        assert len(forks) == 1
+        assert time.monotonic() - start < 30
+        _assert_nothing_left(fds)
 
 
 class TestCollectMediumExpert:
@@ -277,19 +396,11 @@ class TestCollectMediumExpert:
             collect_medium_expert(short_cfg, 3, epsilon=7)
         assert blocks == []
 
-    def test_both_tiers_share_one_process_pool(self, short_cfg, monkeypatch):
-        pools = []
-        executor = concurrent.futures.ProcessPoolExecutor
-
-        def counting(*args, **kwargs):
-            pools.append(1)
-            return executor(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    def test_both_tiers_share_one_process_pool(self, short_cfg, forks):
         pooled = collect_medium_expert(short_cfg, 4, seed_base=20, workers=2)
-        assert len(pools) == 1
+        assert len(forks) == 2
         serial = collect_medium_expert(short_cfg, 4, seed_base=20)
-        assert len(pools) == 1, "workers=1 starts no pool"
+        assert len(forks) == 2, "workers=1 forks nothing"
         assert pooled.meta == serial.meta
         assert ([t.to_record() for t in pooled.all_trajectories()]
                 == [t.to_record() for t in serial.all_trajectories()])

@@ -1,7 +1,5 @@
 """Evaluation harness: scoring, rescaling, and fading sweeps."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
@@ -134,22 +132,14 @@ class TestFadingSweep:
         assert fields[6] == ""  # no baselines, empty score column
         assert float(fields[4]) == rep.rows[0].mean
 
-    def test_models_share_one_process_pool(self, short_cfg, monkeypatch):
-        pools = []
-        executor = concurrent.futures.ProcessPoolExecutor
-
-        def counting(*args, **kwargs):
-            pools.append(1)
-            return executor(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-        models = [parse_fading(s) for s in ("none", "rician:3", "rayleigh")]
+    def test_models_share_one_process_pool(self, short_cfg, forks):
+        models = [parse_fading(m) for m in ("none", "rician:3", "rayleigh")]
         pooled = fading_sweep(short_cfg, make_policy("random"), models, n_episodes=4,
                               seed_base=7, workers=2)
-        assert len(pools) == 1
+        assert len(forks) == 2
         serial = fading_sweep(short_cfg, make_policy("random"), models, n_episodes=4,
                               seed_base=7)
-        assert len(pools) == 1, "workers=1 starts no pool"
+        assert len(forks) == 2, "workers=1 forks nothing"
         assert pooled == serial
 
     def test_episode_count_validation(self, short_cfg):
