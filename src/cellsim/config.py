@@ -64,17 +64,25 @@ DEFAULT_THRESHOLD_STEP = 0.1
 DEFAULT_MEDIUM_EPSILON = 0.3
 
 
-def _snr_from_distance(distance, tx_power_dbm, noise_dbm, reference_pathloss_db,
-                       pathloss_exponent, reference_distance):
-    """Linear SNR of the log-distance law; accepts scalars or arrays."""
-    d = np.maximum(distance, reference_distance)
-    snr_db = (tx_power_dbm - noise_dbm - reference_pathloss_db
-              - 10.0 * pathloss_exponent * np.log10(d / reference_distance))
-    return 10.0 ** (snr_db / 10.0)
+def _snr_from_distance(distance: np.ndarray, tx_power_dbm, noise_dbm,
+                       reference_pathloss_db, pathloss_exponent, reference_distance):
+    """Linear SNR of the log-distance law,
+
+        10 ** ((tx - noise - PL0 - 10 n log10(max(d, d0) / d0)) / 10),
+
+    computed in the float array of distances ``distance``, which it
+    overwrites and returns."""
+    d = np.maximum(distance, reference_distance, out=distance)
+    d /= reference_distance
+    np.log10(d, out=d)
+    d *= 10.0 * pathloss_exponent
+    np.subtract(tx_power_dbm - noise_dbm - reference_pathloss_db, d, out=d)
+    d /= 10.0
+    return np.power(10.0, d, out=d)
 
 
 def _default_ref(distance):
-    return float(_snr_from_distance(distance, _TX_POWER_DBM, _NOISE_DBM,
+    return float(_snr_from_distance(np.array(distance, dtype=float), _TX_POWER_DBM, _NOISE_DBM,
                                     _REFERENCE_PATHLOSS_DB, _PATHLOSS_EXPONENT,
                                     _REFERENCE_DISTANCE))
 
@@ -149,9 +157,9 @@ class RadioParams:
 
     def raw_snr_at_distance(self, distance):
         """Linear SNR at a given link distance (scalar or array)."""
-        return _snr_from_distance(distance, self.tx_power_dbm, self.noise_dbm,
-                                  self.reference_pathloss_db, self.pathloss_exponent,
-                                  self.reference_distance)
+        return _snr_from_distance(np.array(distance, dtype=float), self.tx_power_dbm,
+                                  self.noise_dbm, self.reference_pathloss_db,
+                                  self.pathloss_exponent, self.reference_distance)[()]
 
 
 @dataclass(frozen=True)

@@ -204,14 +204,14 @@ class DatasetManifest:
 
 # Most episodes stepped together in one block.  Each preview builds
 # (B, 3, n_bs, n_ues) station temporaries and per-user sums of up to
-# (B, n_actions, n_ues) (one preview peaks at about 0.9 MB of temporaries at
+# (B, n_actions, n_ues) (one preview peaks at 588 KiB of temporaries at
 # B=128 on the default map, under tracemalloc), and a block holds every
 # episode's positions, waypoint route and SNR matrices for the whole horizon
 # (about 8 KB, 8 KB and 12 KB per 100-step episode, 3.6 MB at B=128), plus
 # as much again as the SNR for |H|^2 when faded, so memory grows with B.
 # The block's one reward call scores all horizon + 1 rows at once: a faded
 # 100-step random block at B=128 holds 5.1 MiB before it and peaks at
-# 14.1 MiB in it (reset peaks at 12.0 MiB), under tracemalloc.
+# 10.3 MiB in it (reset peaks at 6.7 MiB), under tracemalloc.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
 # on a 2-core host: 11.2, 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and
 # 128) and by less than a tenth beyond it.  At 2 workers the default
@@ -249,6 +249,9 @@ def map_seeds(fn, jobs, workers: int) -> list:
                    for s in range(seed_base, end, size)]
     w = min(workers, len(blocks), _usable_cpus())
     if w > 1 and hasattr(os, "fork"):
+        # Every block resets episodes, which needs numpy.random: loaded here
+        # once, the workers inherit it instead of each importing it anew.
+        from . import _streams  # noqa: F401
         results = _run_forked(fn, blocks, w)
     else:
         results = [fn(*block) for block in blocks]

@@ -41,11 +41,12 @@ They are numpy's ``SeedSequence(seed).spawn(3)`` children, mobility's own
 and only the generators are built one by one.  Motion and fading do not depend on
 the actions, so reset draws the whole exogenous episode: each user draws
 its start and ``horizon + 1`` waypoints from its own stream in one chunk,
-reset steps every user ``horizon`` times along that route, and keeps the
-positions and SNR matrices of every step; a faded episode also draws all
-its (n_bs, n_ues) |H|^2 blocks from its own fading stream, one for the
-reset's reward and one per step, step-major, in the order per-step draws
-would take them.  Step and preview only index these rows, and the preview
+one ``mobility.step_motion`` call walks every user of the block
+``horizon`` steps along its route into one array of positions, and reset
+keeps those and the SNR matrices of every step; a faded episode also
+draws all its (n_bs, n_ues) |H|^2 blocks from its own fading stream, one
+for the reset's reward and one per step, step-major, in the order
+per-step draws would take them, into the block's one |H|^2 array.  Step and preview only index these rows, and the preview
 draws nothing.  So an episode is a pure function of (config, seed,
 actions), whatever batch it runs in, which is what makes collected
 trajectories reproducible byte for byte.  ``preview_step_rewards`` keeps
@@ -108,27 +109,27 @@ class EpisodeBatch:
         low = min(seeds)
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
-        # Imported here: loading numpy.random costs ~2 MB of RSS, and a
-        # process that only hands blocks to workers never resets an episode.
+        # Imported here: loading numpy.random costs ~2 MB of RSS, which a
+        # process that never resets an episode need not pay (``map_seeds``
+        # loads it just before it forks workers).
         from ._streams import generator, stream_words
         words = stream_words(seeds, cfg.n_ues)
         rows = cfg.horizon + 1
         self.policy_rngs = [generator(w) for w in words[:, 1]]
         # (horizon + 1, B, n_bs, n_ues) |H|^2: row 0 for reset, t + 1 for step t.
-        self._power = None if cfg.fading.kind == "none" else np.stack(
-            [radio.episode_fading_power(cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
-             for w in words[:, 0]], axis=1)
+        self._power = None
+        if cfg.fading.kind != "none":
+            self._power = np.empty((rows, len(words), cfg.n_bs, cfg.n_ues))
+            for b, w in enumerate(words[:, 0]):
+                self._power[:, b] = radio.episode_fading_power(
+                    cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
         # A policy's actions drawn ahead for the rest of the episode.
         self.policy_plan = None
         motion = mobility.init_positions(
             cfg.mobility, [[generator(w) for w in user] for user in words[:, 2:]], cfg.horizon)
-        positions = [motion.position]
-        for _ in range(cfg.horizon):
-            motion = mobility.step_motion(motion, cfg.mobility)
-            positions.append(motion.position)
         # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
         # n_ues) SNR matrices, rows laid out as in ``_power``.
-        self._positions = np.array(positions)
+        self._positions = mobility.step_motion(motion, cfg.mobility, cfg.horizon)
         self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
         self._preview = None
         self._episodes = np.arange(len(words))

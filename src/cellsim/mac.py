@@ -62,7 +62,16 @@ __all__ = [
 
 def data_rate(gamma, bandwidth: float):
     """Achievable rate b log2(1 + gamma) of a non-negative SNR."""
-    return bandwidth * np.log2(1.0 + gamma)
+    return _rate(np.array(gamma, dtype=float), bandwidth)[()]
+
+
+def _rate(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
+    """``data_rate`` computed in the float array ``gamma``, which it
+    overwrites and returns."""
+    gamma += 1.0
+    np.log2(gamma, out=gamma)
+    gamma *= bandwidth
+    return gamma
 
 
 def connections(snr, tau) -> np.ndarray:
@@ -73,7 +82,9 @@ def connections(snr, tau) -> np.ndarray:
     (..., n_bs); leading axes broadcast, so a single SNR matrix can be
     evaluated against a batch of threshold vectors at once.
     """
-    return (snr >= tau[..., None]) & (snr > 2.0 ** -53)
+    conn = snr >= tau[..., None]
+    conn &= snr > 2.0 ** -53
+    return conn
 
 
 def ratefair_fractions(rates, conn) -> np.ndarray:
@@ -84,38 +95,75 @@ def ratefair_fractions(rates, conn) -> np.ndarray:
     ``a_ij d_ij`` is the same for every connected user j, namely
     ``1 / sum_k c_ik / d_ik``.
     """
-    safe = np.where(conn, rates, 1.0)
-    load = np.where(conn, 1.0 / safe, 0.0).sum(axis=-1, keepdims=True)
+    return _fractions(np.where(conn, rates, 1.0), conn)
+
+
+def _fractions(safe, conn) -> np.ndarray:
+    """``ratefair_fractions`` from ``safe``, the state rates where connected
+    and 1.0 elsewhere, which it leaves as they are."""
+    # 1 / 1.0 where unconnected, so the product is np.where(conn, 1 / safe, 0.0).
+    terms = np.divide(1.0, safe)
+    terms *= conn
+    load = terms.sum(axis=-1, keepdims=True)
     share = np.divide(1.0, load, out=np.zeros_like(load), where=load > 0)
-    return np.where(conn, share / safe, 0.0)
+    # Where unconnected share / 1.0 may be inf (a rate near the float
+    # maximum), and 0 * inf is NaN: mask instead of multiplying.
+    return np.where(conn, np.divide(share, safe, out=terms), 0.0)
 
 
 def utility(rate, params: UtilityParams):
     """Clipped log utility of a delivered rate, rescaled onto [0, 1]."""
-    g = np.clip(params.w1 * np.log(params.w2 + rate) / np.log(params.w3),
-                params.clip_low, params.clip_high)
-    return (g - params.clip_low) / (params.clip_high - params.clip_low)
+    return _utility(np.array(rate, dtype=float), params)[()]
 
 
-def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
+def _utility(rate: np.ndarray, params: UtilityParams) -> np.ndarray:
+    """``utility`` computed in the float array ``rate``, which it overwrites
+    and returns."""
+    rate += params.w2
+    np.log(rate, out=rate)
+    rate *= params.w1
+    rate /= np.log(params.w3)
+    np.clip(rate, params.clip_low, params.clip_high, out=rate)
+    rate -= params.clip_low
+    rate /= params.clip_high - params.clip_low
+    return rate
+
+
+def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None, power=None):
     """Per station-user pair: (delivered rate ``a_ij d_ij``, 0 where
-    unconnected; connections), as ``reward_terms`` describes its arguments."""
+    unconnected; connections).  Connections and allocations come from
+    ``snr_state``; the rate terms are the state rates, or those of
+    ``reward_snr`` or of ``snr_state * power`` when given.  Those are worked
+    out only after the allocations, so fewer full-size arrays live at once."""
     conn = connections(snr_state, tau)
-    state_rates = data_rate(snr_state, params.bandwidth)
-    alloc = ratefair_fractions(state_rates, conn)
-    rates = state_rates if reward_snr is None else data_rate(reward_snr, params.bandwidth)
-    return np.where(conn, alloc * rates, 0.0), conn
+    safe = np.where(conn, data_rate(snr_state, params.bandwidth), 1.0)
+    delivered = _fractions(safe, conn)
+    if reward_snr is None and power is None:
+        # Where unconnected the fraction is 0.0 and safe 1.0, so the product
+        # is the 0.0 a mask would give.
+        delivered *= safe
+        return delivered, conn
+    del safe
+    rates = (data_rate(reward_snr, params.bandwidth) if power is None else
+             _rate(np.multiply(snr_state, power), params.bandwidth))
+    # A faded rate may be inf, and 0 * inf is NaN: mask instead.  Either
+    # operand may broadcast over the other; the product goes into the one
+    # of full shape.
+    shape = np.broadcast_shapes(delivered.shape, rates.shape)
+    out = delivered if delivered.shape == shape else rates if rates.shape == shape else None
+    return np.where(conn, np.multiply(delivered, rates, out=out), 0.0), conn
 
 
 def _user_stage(rate, n, params: UtilityParams):
     """(mean utility, per-user utilities) from each user's delivered rate
-    summed over stations and its number of serving stations."""
+    summed over stations and its number of serving stations, both float
+    arrays of the caller's, which it overwrites."""
     if params.aggregate != "sum":
         # Mean over the serving stations; 0 when unserved: there every term
         # of the sum is the station stage's literal 0.0, so rate is +0.0
         # and dividing it by 1 keeps those bytes.
-        rate = rate / np.maximum(n, 1)
-    utils = utility(rate, params)
+        rate /= np.maximum(n, 1.0, out=n)
+    utils = _utility(rate, params)
     return utils.mean(axis=-1), utils
 
 
@@ -127,14 +175,19 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    delivered, conn = _station_stage(snr_state, tau, params, reward_snr)
+    return _reward_core(snr_state, tau, params, reward_snr)
+
+
+def _reward_core(snr_state, tau, params: UtilityParams, reward_snr=None, power=None):
+    """``reward_terms``, with ``_station_stage``'s choice of rate terms."""
+    delivered, conn = _station_stage(snr_state, tau, params, reward_snr, power)
     # Stations in order, as action_rewards adds them; connections count as
     # 0.0 or 1.0.  On large batches in-order adds beat numpy's short-axis
     # reduction.
-    rate, n = delivered[..., 0, :], conn[..., 0, :] * 1.0
+    rate, n = delivered[..., 0, :].copy(), conn[..., 0, :] * 1.0
     for i in range(1, delivered.shape[-2]):
-        rate = rate + delivered[..., i, :]
-        n = n + conn[..., i, :]
+        rate += delivered[..., i, :]
+        n += conn[..., i, :]
     return _user_stage(rate, n, params)
 
 
@@ -165,8 +218,7 @@ def reward(snr_state, tau, params: UtilityParams, power=None):
     pair, a slice of the blocks each episode drew at reset, or None when
     fading is off; the rate terms then use ``snr_state * power``.
     """
-    faded = None if power is None else snr_state * power
-    return reward_terms(snr_state, tau, params, reward_snr=faded)
+    return _reward_core(snr_state, tau, params, power=power)
 
 
 @dataclass(frozen=True)
@@ -257,11 +309,11 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     samples = np.empty(n_samples)
     for start in range(0, n_samples, _JENSEN_CHUNK):
         chunk = slice(start, start + _JENSEN_CHUNK)
-        faded = snr * amplitude[chunk] ** 2
+        power = np.square(amplitude[chunk])
         if fixed_allocation:
-            samples[chunk] = reward_terms(snr, tau, params, reward_snr=faded)[0]
+            samples[chunk] = _reward_core(snr, tau, params, power=power)[0]
         else:
-            samples[chunk] = reward_terms(faded, tau, params)[0]
+            samples[chunk] = reward_terms(np.multiply(power, snr, out=power), tau, params)[0]
     mean_r = float(samples.mean())
     std_r = float(samples.std())
     holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)

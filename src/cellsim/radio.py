@@ -20,25 +20,35 @@ import math
 
 import numpy as np
 
-from .config import FadingModel, RadioParams
+from .config import FadingModel, RadioParams, _snr_from_distance
 
 __all__ = ["normalize_snr", "snr_matrix", "sample_fading", "episode_fading_power"]
 
 
 def normalize_snr(raw, params: RadioParams):
     """Rescale a linear SNR onto [0, 1] between the configured references."""
-    span = params.snr_upper_ref - params.snr_lower_ref
-    return np.clip((raw - params.snr_lower_ref) / span, 0.0, 1.0)
+    return _normalize(np.array(raw, dtype=float), params)[()]
+
+
+def _normalize(snr: np.ndarray, params: RadioParams) -> np.ndarray:
+    """``normalize_snr`` computed in the float array ``snr``, which it
+    overwrites and returns."""
+    snr -= params.snr_lower_ref
+    snr /= params.snr_upper_ref - params.snr_lower_ref
+    return np.clip(snr, 0.0, 1.0, out=snr)
 
 
 def snr_matrix(bs_positions, ue_positions, params: RadioParams) -> np.ndarray:
     """Normalized SNR for every station-user pair, shape (..., n_bs, n_ues),
     from (n_bs, 2) station and (..., n_ues, 2) user position arrays; leading
-    axes are episodes."""
+    axes are episodes.  Every step after the distances runs in place, in
+    the one result array."""
     bs, ue = bs_positions, ue_positions
-    dist = np.hypot(bs[:, None, 0] - ue[..., None, :, 0],
-                    bs[:, None, 1] - ue[..., None, :, 1])
-    return normalize_snr(params.raw_snr_at_distance(dist), params)
+    snr = np.subtract(bs[:, None, 0], ue[..., None, :, 0])
+    np.hypot(snr, np.subtract(bs[:, None, 1], ue[..., None, :, 1]), out=snr)
+    return _normalize(_snr_from_distance(
+        snr, params.tx_power_dbm, params.noise_dbm, params.reference_pathloss_db,
+        params.pathloss_exponent, params.reference_distance), params)
 
 
 def _rician(model: FadingModel, re, im):
@@ -79,6 +89,8 @@ def episode_fading_power(model: FadingModel, rng: np.random.Generator, steps: in
     before its imaginary block, as the per-step calls draw them."""
     if model.kind == "rician":
         z = rng.standard_normal((steps, 2, *shape))
-        return _rician(model, z[:, 0], z[:, 1]) ** 2
-    return sample_fading(model, rng, (steps, *shape)) ** 2
+        h = _rician(model, z[:, 0], z[:, 1])
+    else:
+        h = sample_fading(model, rng, (steps, *shape))
+    return np.square(h, out=h)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,17 @@ def frozen_cfg():
                               waypoint_radius=0.0,
                               anchors=((100.0, 60.0),) * 5)
     return NetworkConfig(mobility=mobility, horizon=10)
+
+
+def peak_traced_bytes(fn, *args, **kwargs) -> int:
+    """The most memory ``fn(*args, **kwargs)`` held at once, in bytes, as
+    tracemalloc counts it from the start of the call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # More forks than any test here needs: a call past it fails before forking, so

@@ -152,10 +152,7 @@ def test_mobility_variants_contrast(full_dataset, limited_dataset):
         rngs = [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(cfg.n_ues)]
         state = mobility.init_positions(mob, [rngs], n_steps)
-        track = np.empty((n_steps, cfg.n_ues, 2))
-        for t in range(n_steps):
-            state = mobility.step_motion(state, mob)
-            track[t] = state.position[0]
+        track = mobility.step_motion(state, mob, n_steps)[1:, 0]
         return track.var(axis=0).sum(axis=-1)
 
     var_full = per_ue_variance(cs.default_config(), seed=0)

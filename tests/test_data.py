@@ -6,6 +6,9 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -266,6 +269,30 @@ class TestPoolSize:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert map_seeds(_seeds, [(None, None, 0, 5)], 8) == list(range(5))
         assert len(forks) == 3
+
+    def test_workers_inherit_numpy_random(self):
+        # A fresh interpreter, so that no earlier test has loaded numpy.random:
+        # importing cellsim does not load it, and a call that forks loads it
+        # before every fork, so no worker imports it on its own.
+        script = textwrap.dedent("""
+            import os, sys
+            import cellsim as cs
+            assert "numpy.random" not in sys.modules
+            seen, fork = [], os.fork
+            def recording():
+                seen.append("numpy.random" in sys.modules)
+                return fork()
+            os.fork = recording
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cfg = cs.default_config(horizon=3, fading="rayleigh")
+            cs.evaluate(cfg, cs.RandomPolicy(), n_episodes=4, workers=2)
+            print(seen)
+        """)
+        src = os.path.dirname(os.path.dirname(cs.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[True, True]"
 
     def test_blocks_run_in_process_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cellsim as cs
-from cellsim import mac, mobility, radio
+from cellsim import mac, radio
 from cellsim.config import MobilityConfig, NetworkConfig, UtilityParams
 from cellsim._streams import generator, stream_words
 from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
+import reference_impl as ref
 from reference_impl import encode_action
 
 
@@ -227,18 +228,20 @@ class TestResetDrawsTheEpisode:
         cfg = NetworkConfig(mobility=motion, horizon=40)
         batch = EpisodeBatch(cfg)
         batch.reset(seeds)
-        # Fresh per-user streams, derived as reset derives them.
+        # Fresh per-user streams, derived as reset derives them, each user
+        # stepped one step at a time by the reference loop.
         rngs = [[np.random.default_rng(ss)
                  for ss in np.random.SeedSequence(s).spawn(3)[0].spawn(cfg.n_ues)]
                 for s in seeds]
-        state = mobility.init_positions(motion, rngs, cfg.horizon)
+        states = [ref.init_positions(motion, cfg.n_ues, row) for row in rngs]
         positions, snrs = [], []
         for t in range(cfg.horizon + 1):
             if t:
-                state = mobility.step_motion(state, motion)
-            positions.append(state.position)
-            snrs.append(radio.snr_matrix(np.array(cfg.bs_positions), state.position,
-                                         cfg.radio))
+                states = [[ref.step_motion(s, motion, g) for s, g in zip(row, streams)]
+                          for row, streams in zip(states, rngs)]
+            position = np.array([[s.position for s in row] for row in states])
+            positions.append(position)
+            snrs.append(radio.snr_matrix(np.array(cfg.bs_positions), position, cfg.radio))
         assert np.array_equal(batch._positions, np.array(positions))
         assert np.array_equal(batch._snrs, np.array(snrs))
         if motion.speed > 0:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import cellsim as cs
 from cellsim.config import parse_fading
 from cellsim.data import collect_trajectory
-from cellsim.harness import EvalResult, evaluate, fading_sweep, rescale
+from cellsim.harness import EvalResult, _block_returns, evaluate, fading_sweep, rescale
 from cellsim.policies import make_policy
+from conftest import peak_traced_bytes
 
 
 class TestEvaluate:
@@ -60,6 +62,20 @@ class TestEvaluate:
         assert "policy=random" in text
         assert f"mean={res.mean!r}" in text
         assert f"std={res.std!r}" in text
+
+
+class TestBlockMemory:
+    # One block of 40 faded random episodes, what each worker of a 2-worker
+    # 80-episode evaluate runs.  Its peak (numpy 2.4) was 4562 KiB while
+    # reset and scoring chained full-size temporaries, and is 3323 KiB with
+    # motion walked into one array and the SNR and reward built in place;
+    # the bound leaves about a tenth for allocator and version drift.
+    def test_faded_block_peak_bounded(self):
+        cfg = cs.default_config(mobility_variant="limited", fading="rayleigh")
+        _block_returns(cfg, make_policy("random"), range(2))  # imports done before tracing
+        peak_kib = peak_traced_bytes(_block_returns, cfg, make_policy("random"),
+                                     range(40)) / 1024
+        assert peak_kib < 3650, f"peak {peak_kib:.0f} KiB"
 
 
 class TestRescale:

@@ -6,7 +6,6 @@ delivered rate of 9 maps to utility 0.75 under the default shape because
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,7 @@ from cellsim.config import FadingModel, UtilityParams, parse_fading
 from cellsim import mac, radio
 from cellsim.env import decode_action
 
+from conftest import peak_traced_bytes
 from reference_impl import reference_reward, reference_verify_jensen
 
 
@@ -115,6 +115,22 @@ class TestRateFair:
                 row = delivered[i][conn[i]]
                 if row.size > 1:
                     assert row.max() - row.min() <= 1e-12 * max(1.0, row.max())
+
+
+class TestArgumentsUntouched:
+    def test_kernels_leave_their_arguments(self):
+        # The kernels compute in place, but only in arrays of their own.
+        rng = np.random.default_rng(9)
+        snr, tau, faded = rng.random((2, 3, 5)), rng.random((2, 3)), rng.random((2, 3, 5))
+        conn = mac.connections(snr, tau)
+        rates = mac.data_rate(snr, 10.0)
+        before = [a.copy() for a in (snr, tau, faded, conn, rates)]
+        mac.data_rate(snr, 10.0)
+        mac.ratefair_fractions(rates, conn)
+        mac.utility(rates, UtilityParams())
+        mac.reward_terms(snr, tau, UtilityParams(), reward_snr=faded)
+        mac.reward(snr, tau, UtilityParams(), faded)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (snr, tau, faded, conn, rates)))
 
 
 class TestUtility:
@@ -223,6 +239,53 @@ def reward_cases(draw):
     return snr, taus, faded, draw(st.sampled_from(["mean", "sum"]))
 
 
+@st.composite
+def engine_cases(draw):
+    """A (rows, B) batch of state SNR matrices in [0, 1] with rate-0 pairs,
+    one station that connects nobody (its SNRs are 0, or its threshold lies
+    above them), thresholds in [0, 1] with ties, and |H|^2 blocks or None."""
+    rows, b, n_bs, n_ues = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                            draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    shape = (rows, b, n_bs, n_ues)
+    size = int(np.prod(shape))
+    entry = st.sampled_from([0.0, 2.0 ** -53, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    snr = np.reshape(draw(st.lists(entry, min_size=size, max_size=size)), shape)
+    tie = st.sampled_from([0.0, 1.0, "tie"]) | st.floats(0.0, 1.0)
+    tau = np.array([[[snr[r, e, i, 0] if (p := draw(tie)) == "tie" else p
+                      for i in range(n_bs)] for e in range(b)] for r in range(rows)])
+    dead = draw(st.integers(0, n_bs - 1))
+    if draw(st.booleans()):
+        snr[..., dead, :] = 0.0
+    else:
+        snr[..., dead, :] = np.minimum(snr[..., dead, :], 0.5)
+        tau[..., dead] = 0.75
+    power = None
+    if draw(st.booleans()):
+        gain = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)
+        power = np.reshape(draw(st.lists(gain, min_size=size, max_size=size)), shape)
+    return snr, tau, power, draw(st.sampled_from(["mean", "sum"]))
+
+
+def _concavity_reference(params, tau, n_trials, seed, n_ues):
+    """``concavity_probe``'s (n_checks, violations, max_violation) from the
+    scalar reference reward, on the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    shape = (n_trials, len(tau), n_ues)
+    base = 1.0 - rng.random(shape)
+    x = rng.random(shape) * mac._PROBE_GAMMA_HIGH
+    y = rng.random(shape) * mac._PROBE_GAMMA_HIGH
+    lam = rng.random((n_trials, 1))
+    mix = lam[..., None] * x + (1.0 - lam[..., None]) * y
+    gaps = []
+    for t in range(n_trials):
+        g_mix, g_x, g_y = (np.array(reference_reward(
+            base[t].tolist(), list(tau), params.bandwidth, aggregate=params.aggregate,
+            snr_reward=z[t].tolist())[1]) for z in (mix, x, y))
+        gaps.append(lam[t] * g_x + (1.0 - lam[t]) * g_y - g_mix)
+    gap = np.array(gaps)
+    return gap.size, int((gap > mac._PROBE_TOL).sum()), float(gap.max())
+
+
 class TestRewardTermsMatchesReference:
     """The vectorized reward against the scalar loops in ``reference_impl``,
     one threshold row of the batch at a time."""
@@ -241,6 +304,42 @@ class TestRewardTermsMatchesReference:
                 snr_reward=None if faded is None else faded.tolist())
             assert rews[b] == pytest.approx(want_rew, abs=1e-12)
             assert utils[b].tolist() == pytest.approx(want_utils, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=engine_cases())
+    def test_engine_reward_matches_scalar_reference(self, case):
+        """The block reward ``mac.reward`` (the engine's one call per block),
+        pair by pair against the scalar loop and bit for bit against
+        ``reward_terms`` on the faded matrix; its inputs stay as they were."""
+        snr, tau, power, aggregate = case
+        params = UtilityParams(aggregate=aggregate)
+        inputs = [a.copy() for a in (snr, tau, power) if a is not None]
+        rews, utils = mac.reward(snr, tau, params, power)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(inputs, [a for a in (snr, tau, power) if a is not None]))
+        faded = None if power is None else snr * power
+        want = mac.reward_terms(snr, tau, params, reward_snr=faded)
+        assert np.array_equal(rews, want[0]) and np.array_equal(utils, want[1])
+        for idx in np.ndindex(rews.shape):
+            want_rew, want_utils = reference_reward(
+                snr[idx].tolist(), tau[idx].tolist(), params.bandwidth, aggregate=aggregate,
+                snr_reward=None if faded is None else faded[idx].tolist())
+            assert rews[idx] == pytest.approx(want_rew, abs=1e-12)
+            assert utils[idx].tolist() == pytest.approx(want_utils, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tau=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=1, max_size=3),
+           n_trials=st.integers(1, 6), n_ues=st.integers(1, 4),
+           aggregate=st.sampled_from(["mean", "sum"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_concavity_probe_matches_scalar_reference(self, tau, n_trials, n_ues,
+                                                      aggregate, seed):
+        """A threshold of 1 leaves its station with no connection."""
+        params = UtilityParams(aggregate=aggregate)
+        rep = mac.concavity_probe(params, tau, n_trials=n_trials, rng=seed, n_ues=n_ues)
+        n_checks, violations, worst = _concavity_reference(params, tau, n_trials, seed, n_ues)
+        assert (rep.n_checks, rep.violations) == (n_checks, violations)
+        assert rep.max_violation == pytest.approx(worst, abs=1e-12)
 
 
 @st.composite
@@ -366,6 +465,43 @@ class TestJensenBound:
             assert lo.mean_R <= hi.mean_R + slack, \
                 f"{lo.model} mean {lo.mean_R} above {hi.model} mean {hi.mean_R}"
 
+    # Reports of extreme inputs the checks accept, recorded from the
+    # whole-array reward before it worked in place: faded SNRs that overflow
+    # to inf (and 0 * inf = NaN on zero-SNR pairs, which must stay masked
+    # out), and a bandwidth at the float maximum, where a station's share
+    # 1 / (1 / rate) is inf.  Recomputing the allocation from inf SNRs is
+    # NaN there too.
+    _HUGE = [[1e300, 0.5, 0.0, 2.0 ** -53, 0.9], [0.0, 1e308, 0.25, 0.75, 1.0],
+             [0.1, 0.0, 0.6, 1e200, 0.3]]
+    _LARGE = [[1e150, 0.5, 0.0, 2.0 ** -53, 0.9], [0.0, 1e120, 0.25, 0.75, 1.0],
+              [0.1, 0.0, 0.6, 1e100, 0.3]]
+    _MAX_BW = UtilityParams(bandwidth=float(np.finfo(float).max))
+
+    @pytest.mark.parametrize("snr, fading, params, fixed, row", [
+        (_HUGE, FadingModel("rayleigh", omega=1e308), UtilityParams(), True,
+         "rayleigh,10000,True,0.986488340853813,1.0,0.0,0.0,False"),
+        (_HUGE, FadingModel("rayleigh", omega=1e308), UtilityParams(), False,
+         "rayleigh,10000,False,0.986488340853813,nan,nan,nan,False"),
+        (_LARGE, FadingModel("rician", k_factor=3.0), UtilityParams(), True,
+         "rician:3,10000,True,0.9864855251613642,0.9787364951674201,"
+         "0.015657653446288895,0.00015657653446288894,True"),
+        (_LARGE, FadingModel("rician", k_factor=3.0), UtilityParams(), False,
+         "rician:3,10000,False,0.9864855251613642,0.9698478715638262,"
+         "0.024116431704888138,0.00024116431704888138,True"),
+        (_LARGE, FadingModel("rayleigh", omega=1e3), UtilityParams(aggregate="sum"), True,
+         "rayleigh,10000,True,0.9864855251613642,0.9999635749630764,"
+         "0.0009794709858182706,9.794709858182707e-06,False"),
+        ([[1.0, 0.5, 0.0], [0.0, 0.3, 1.0]], FadingModel("rayleigh"), _MAX_BW, True,
+         "rayleigh,10000,True,1.0,1.0,0.0,0.0,True"),
+    ], ids=["huge-omega-fixed", "huge-omega-recomputed", "rician-fixed",
+            "rician-recomputed", "omega-1e3-sum", "bandwidth-at-float-max"])
+    def test_extreme_inputs_report_as_recorded(self, snr, fading, params, fixed, row):
+        snr = np.array(snr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = mac.verify_jensen(snr, np.array([0.2, 0.5, 0.0])[:len(snr)], fading, params,
+                                    n_samples=10_000, fixed_allocation=fixed, rng=5)
+        assert rep.to_csv().splitlines()[1] == row
+
     def test_report_serialization_mentions_fields(self):
         snr, tau = self._instance()
         rep = mac.verify_jensen(snr, tau, FadingModel("none"), UtilityParams())
@@ -423,13 +559,9 @@ class TestJensenChunks:
         snr = np.random.default_rng(3).random((3, 5))
         n_samples = 200_000
         block_mib = n_samples * snr.size * 8 / 2 ** 20
-        tracemalloc.start()
-        try:
-            mac.verify_jensen(snr, np.full(3, 0.2), parse_fading(label), UtilityParams(),
-                              n_samples=n_samples, fixed_allocation=fixed, rng=0)
-            peak_mib = tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+        peak_mib = peak_traced_bytes(
+            mac.verify_jensen, snr, np.full(3, 0.2), parse_fading(label), UtilityParams(),
+            n_samples=n_samples, fixed_allocation=fixed, rng=0) / 2 ** 20
         assert peak_mib < blocks * block_mib + 8.0, f"peak {peak_mib:.1f} MiB"
 
 

@@ -39,7 +39,7 @@ class TestInitPositions:
     def test_full_positions_inside_map(self):
         cfg = MobilityConfig(variant="full")
         state = mobility.init_positions(cfg, [make_rngs(5)], 10)
-        assert state.position.shape == state.waypoint.shape == (1, 5, 2)
+        assert state.position.shape == (1, 5, 2)
         assert state.route.shape == (1, 5, 11, 2)
         assert np.array_equal(state.leg, np.zeros((1, 5)))
         for x, y in np.concatenate([state.position[0], state.route[0].reshape(-1, 2)]):
@@ -120,68 +120,71 @@ class TestStepMotion:
     def test_zero_speed_freezes_everything(self):
         cfg = MobilityConfig(variant="full", speed=0.0)
         rng = np.random.default_rng(7)
-        state = mobility.init_positions(cfg, [[rng]], 1)
+        state = mobility.init_positions(cfg, [[rng]], 3)
         before = rng.bit_generator.state
-        nxt = mobility.step_motion(state, cfg)
-        assert np.array_equal(nxt.position, state.position)
-        assert np.array_equal(nxt.waypoint, state.waypoint)
-        assert np.array_equal(nxt.leg, state.leg)
+        walk = mobility.step_motion(state, cfg, 3)
+        assert walk.shape == (4, 1, 1, 2)
+        assert np.array_equal(walk, np.broadcast_to(state.position, walk.shape))
         # No draws should be consumed while frozen.
         assert rng.bit_generator.state == before
 
     def test_exact_arrival_lands_on_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=5.0)
         rng = np.random.default_rng(8)
-        state = mobility.init_positions(cfg, [[rng]], 1)
-        state = state._replace(position=state.waypoint - np.array([5.0, 0.0]))
-        old_waypoint = state.waypoint.copy()
-        nxt = mobility.step_motion(state, cfg)
-        assert np.allclose(nxt.position, old_waypoint, atol=1e-12)
-        assert not np.array_equal(nxt.waypoint, old_waypoint)
-        assert np.array_equal(nxt.waypoint, state.route[:, :, 1])
-        assert np.array_equal(state.waypoint, old_waypoint), "input state unchanged"
-        assert np.array_equal(state.leg, [[0]]) and np.array_equal(nxt.leg, [[1]])
+        state = mobility.init_positions(cfg, [[rng]], 2)
+        state = state._replace(position=state.route[:, :, 0] - np.array([5.0, 0.0]))
+        position, leg = state.position.copy(), state.leg.copy()
+        walk = mobility.step_motion(state, cfg, 2)
+        assert np.allclose(walk[1], state.route[:, :, 0], atol=1e-12)
+        # Then it heads for the next waypoint of its route.
+        ahead = np.linalg.norm(state.route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
+        assert ahead[1] == pytest.approx(max(ahead[0] - cfg.speed, 0.0), abs=1e-9)
+        assert np.array_equal(state.position, position), "input state unchanged"
+        assert np.array_equal(state.leg, leg) and np.array_equal(leg, [[0]])
 
     def test_standing_on_waypoint_draws_a_new_one(self):
+        # A user on its waypoint arrives at once and heads for the next one.
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(12)
-        state = mobility.init_positions(cfg, [[rng]], 1)
-        state = state._replace(position=state.waypoint.copy())
-        nxt = mobility.step_motion(state, cfg)
-        assert np.array_equal(nxt.position, state.waypoint)
-        assert not np.array_equal(nxt.waypoint, state.waypoint)
+        state = mobility.init_positions(cfg, [[rng]], 2)
+        state = state._replace(position=state.route[:, :, 0].copy())
+        walk = mobility.step_motion(state, cfg, 2)
+        assert np.array_equal(walk[1], state.route[:, :, 0])
+        ahead = np.linalg.norm(state.route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
+        assert ahead[1] == pytest.approx(max(ahead[0] - cfg.speed, 0.0), abs=1e-9)
 
     def test_partial_step_moves_toward_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
-        route = np.array([[[[10.0, 0.0], [20.0, 0.0]]]])
-        state = mobility.MotionState(position=np.array([[[0.0, 0.0]]]),
-                                     waypoint=route[:, :, 0], route=route,
+        route = np.array([[[[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]]]])
+        state = mobility.MotionState(position=np.array([[[0.0, 0.0]]]), route=route,
                                      leg=np.zeros((1, 1), dtype=int))
-        nxt = mobility.step_motion(state, cfg)
-        assert np.allclose(nxt.position, [[[2.5, 0.0]]], atol=1e-12)
-        assert np.array_equal(nxt.waypoint, [[[10.0, 0.0]]])
-        assert np.array_equal(nxt.leg, [[0]])
+        walk = mobility.step_motion(state, cfg, 2)
+        assert np.allclose(walk[:, 0, 0], [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]], atol=1e-12)
+
+    def test_route_must_cover_every_step(self):
+        cfg = MobilityConfig(variant="full", speed=2.5)
+        state = mobility.init_positions(cfg, [make_rngs(2)], 3)
+        with pytest.raises(ValueError, match="cannot be walked 4 steps"):
+            mobility.step_motion(state, cfg, 4)
+        with pytest.raises(ValueError, match="cannot be walked 3 steps"):
+            mobility.step_motion(state._replace(leg=state.leg + [[0, 1]]), cfg, 3)
 
     def test_displacement_never_exceeds_speed(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(10)
         state = mobility.init_positions(cfg, [[rng]], 100_000)
-        for _ in range(100_000):
-            nxt = mobility.step_motion(state, cfg)
-            step = np.linalg.norm(nxt.position[0, 0] - state.position[0, 0])
-            assert step <= cfg.speed + 1e-9
-            assert 0.0 <= nxt.position[0, 0, 0] <= cfg.map_width
-            assert 0.0 <= nxt.position[0, 0, 1] <= cfg.map_height
-            state = nxt
+        walk = mobility.step_motion(state, cfg, 100_000)[:, 0, 0]
+        assert (np.linalg.norm(np.diff(walk, axis=0), axis=-1) <= cfg.speed + 1e-9).all()
+        assert ((0.0 <= walk[:, 0]) & (walk[:, 0] <= cfg.map_width)).all()
+        assert ((0.0 <= walk[:, 1]) & (walk[:, 1] <= cfg.map_height)).all()
 
     def test_limited_trajectory_stays_in_disc(self):
         cfg = MobilityConfig(variant="limited", anchors=((100.0, 60.0),))
         rng = np.random.default_rng(11)
         state = mobility.init_positions(cfg, [[rng]], 5_000)
         bound = max(cfg.init_radius, cfg.waypoint_radius)
-        for _ in range(5_000):
-            state = mobility.step_motion(state, cfg)
-            assert np.linalg.norm(state.position[0, 0] - cfg.anchors[0]) <= bound + 1e-9
+        walk = mobility.step_motion(state, cfg, 5_000)[:, 0, 0]
+        assert (np.linalg.norm(walk - cfg.anchors[0], axis=-1) <= bound + 1e-9).all()
 
 
 class TestVariantContrast:
@@ -189,10 +192,7 @@ class TestVariantContrast:
         cfg = MobilityConfig(variant=variant)
         rng = np.random.default_rng(seed)
         state = mobility.init_positions(cfg, [[rng]], n_steps)
-        pts = np.empty((n_steps, 2))
-        for t in range(n_steps):
-            state = mobility.step_motion(state, cfg)
-            pts[t] = state.position[0, 0]
+        pts = mobility.step_motion(state, cfg, n_steps)[1:, 0, 0]
         return pts.var(axis=0).sum()
 
     def test_limited_variance_below_full(self):
@@ -208,13 +208,8 @@ class TestDeterminism:
         cfg = MobilityConfig(variant=variant)
 
         def run(seed):
-            rngs = make_rngs(3, seed)
-            state = mobility.init_positions(cfg, [rngs], 200)
-            out = []
-            for _ in range(200):
-                state = mobility.step_motion(state, cfg)
-                out.append(state.position)
-            return np.stack(out)
+            state = mobility.init_positions(cfg, [make_rngs(3, seed)], 200)
+            return mobility.step_motion(state, cfg, 200)
 
         a, b = run(42), run(42)
         assert np.array_equal(a, b)
@@ -233,53 +228,63 @@ class TestMatchesReference:
     waypoints the loop draws one arrival at a time."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
+    @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
            n_ues=st.integers(1, 6),
            variant=st.sampled_from(["full", "limited"]),
            pinned=st.booleans(),
-           speed=st.one_of(st.just(0.0), st.floats(0.5, 60.0)),
+           # Dyadic speeds keep "exact" users exactly one step from their
+           # waypoint; the subtraction that places them is then exact.
+           speed=st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5, 8.0]),
+                           st.floats(0.5, 60.0)),
            on_waypoint=st.lists(st.sampled_from(["free", "exact", "zero"]),
-                                min_size=6, max_size=6),
+                                min_size=18, max_size=18),
            n_steps=st.integers(1, 40))
-    def test_array_step_matches_per_user_loop(self, seed, n_ues, variant, pinned,
+    def test_array_step_matches_per_user_loop(self, seeds, n_ues, variant, pinned,
                                               speed, on_waypoint, n_steps):
+        """One ``step_motion`` walk of B episodes equals the reference's
+        per-step chain at every step, and leaves its state unchanged."""
         anchors = None
         if variant == "limited" and pinned:
             anchors = tuple((20.0 + 30.0 * j, 180.0 - 25.0 * j) for j in range(n_ues))
         cfg = MobilityConfig(variant=variant, speed=speed, anchors=anchors)
-        rngs, ref_rngs = make_rngs(n_ues, seed), make_rngs(n_ues, seed)
+        rngs = [make_rngs(n_ues, seed) for seed in seeds]
+        ref_rngs = [make_rngs(n_ues, seed) for seed in seeds]
 
-        state = mobility.init_positions(cfg, [rngs], n_steps)
-        ref_states = ref.init_positions(cfg, n_ues, ref_rngs)
+        state = mobility.init_positions(cfg, rngs, n_steps)
+        ref_states = [ref.init_positions(cfg, n_ues, row) for row in ref_rngs]
         # Put some users exactly one step short of their waypoint, or on it.
-        for j, s in enumerate(ref_states):
-            if on_waypoint[j] == "exact":
+        for s, where in zip((s for row in ref_states for s in row), on_waypoint):
+            if where == "exact":
                 s.position = s.waypoint - np.array([speed, 0.0])
-            elif on_waypoint[j] == "zero":
+            elif where == "zero":
                 s.position = s.waypoint.copy()
-        state = state._replace(position=np.array([s.position for s in ref_states])[None])
+        state = state._replace(
+            position=np.array([[s.position for s in row] for row in ref_states]))
+        before = [a.copy() for a in state]
         # Every waypoint each reference user has drawn so far, in order.
-        visited = [[s.waypoint] for s in ref_states]
-
-        def assert_same(state, ref_states):
-            assert np.array_equal(state.position, [[s.position for s in ref_states]])
-            assert np.array_equal(state.waypoint, [[s.waypoint for s in ref_states]])
-            for j, drawn in enumerate(visited):
-                assert state.leg[0, j] == len(drawn) - 1
-                assert np.array_equal(state.route[0, j, :len(drawn)], drawn)
-            if variant == "limited":
-                for j, s in enumerate(ref_states):
-                    reach = np.linalg.norm(state.route[0, j] - s.anchor, axis=-1)
-                    assert (reach <= cfg.waypoint_radius + 1e-9).all()
-
-        assert_same(state, ref_states)
+        visited = [[[s.waypoint] for s in row] for row in ref_states]
+        expected = [[[s.position for s in row] for row in ref_states]]
         for _ in range(n_steps):
-            state = mobility.step_motion(state, cfg)
-            ref_states = [ref.step_motion(s, cfg, g) for s, g in zip(ref_states, ref_rngs)]
-            for drawn, s in zip(visited, ref_states):
-                if not np.array_equal(drawn[-1], s.waypoint):
-                    drawn.append(s.waypoint)
-            assert_same(state, ref_states)
+            ref_states = [[ref.step_motion(s, cfg, g) for s, g in zip(row, streams)]
+                          for row, streams in zip(ref_states, ref_rngs)]
+            for drawn_row, row in zip(visited, ref_states):
+                for drawn, s in zip(drawn_row, row):
+                    if not np.array_equal(drawn[-1], s.waypoint):
+                        drawn.append(s.waypoint)
+            expected.append([[s.position for s in row] for row in ref_states])
+
+        walk = mobility.step_motion(state, cfg, n_steps)
+        assert walk.shape == (n_steps + 1, len(seeds), n_ues, 2)
+        assert np.array_equal(walk, expected)
+        assert all(np.array_equal(a, b) for a, b in zip(state, before))
+        for b, drawn_row in enumerate(visited):
+            for j, drawn in enumerate(drawn_row):
+                assert np.array_equal(state.route[b, j, :len(drawn)], drawn)
+        if variant == "limited":
+            for b, row in enumerate(ref_states):
+                for j, s in enumerate(row):
+                    reach = np.linalg.norm(state.route[b, j] - s.anchor, axis=-1)
+                    assert (reach <= cfg.waypoint_radius + 1e-9).all()
 
     @pytest.mark.parametrize("variant, anchors", [
         ("full", None),
@@ -292,7 +297,8 @@ class TestMatchesReference:
         state = mobility.init_positions(cfg, rngs, 30)
         refs = [reference_route(cfg, seed, 3, 30) for seed in (0, 1, 2)]
         assert np.array_equal(state.position, [[s.position for s in row] for row, _ in refs])
-        assert np.array_equal(state.waypoint, [[s.waypoint for s in row] for row, _ in refs])
+        assert np.array_equal(state.route[:, :, 0],
+                              [[s.waypoint for s in row] for row, _ in refs])
         assert np.array_equal(state.route, [route for _, route in refs])
         if variant == "limited":
             for b, (row, _) in enumerate(refs):

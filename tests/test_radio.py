@@ -81,6 +81,17 @@ class TestNormalization:
 
 
 class TestSnrMatrix:
+    def test_arguments_left_as_they_are(self):
+        # The kernels compute in place, but only in arrays of their own.
+        cfg = default_config()
+        bs, ue = np.array(cfg.bs_positions), np.random.default_rng(0).random((4, 5, 2)) * 200
+        raw = np.array([0.5, 30.0, 1e5])
+        before = [bs.copy(), ue.copy(), raw.copy()]
+        radio.snr_matrix(bs, ue, cfg.radio)
+        radio.normalize_snr(raw, cfg.radio)
+        cfg.radio.raw_snr_at_distance(raw)
+        assert all(np.array_equal(a, b) for a, b in zip(before, [bs, ue, raw]))
+
     def test_shape_and_entries(self):
         cfg = default_config()
         ue_positions = np.array([[60.0, 110.0], [150.0, 100.0], [10.0, 10.0],
