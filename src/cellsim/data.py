@@ -457,15 +457,19 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
     """Write the JSONL data file and its manifest sidecar; returns the
     SHA-256 hex digest of the data file.  Neither target is touched unless
     both files were written in full, and a manifest that ``load_dataset``
-    would refuse, with no trajectories or with one from another config,
-    writes neither."""
+    would refuse, with no trajectories, with one from another config or
+    with one filed under another policy's tier, writes neither."""
     path = str(path)
     if not any(manifest.tiers.values()):
         raise ValueError(f"dataset {path} would be empty: the manifest has no trajectories")
-    for traj in manifest.all_trajectories():
-        if traj.config_hash != manifest.config_hash:
-            raise ValueError(f"dataset {path} would mix configs: trajectory seed={traj.seed} "
-                             f"({traj.policy_id}) is not from config {manifest.config_hash}")
+    for tier in sorted(manifest.tiers):
+        for traj in manifest.tiers[tier]:
+            if traj.config_hash != manifest.config_hash:
+                raise ValueError(f"dataset {path} would mix configs: trajectory seed={traj.seed}"
+                                 f" ({traj.policy_id}) is not from config {manifest.config_hash}")
+            if traj.policy_id != tier:
+                raise ValueError(f"dataset {path} would mislabel a tier: trajectory "
+                                 f"seed={traj.seed} ({traj.policy_id}) is in tier {tier}")
     digest = hashlib.sha256()
     with (_staged(path, "xb") as data_fh,
           _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh):
@@ -486,11 +490,17 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
     return digest.hexdigest()
 
 
+def _non_finite(token):
+    """Refuse the NaN and Infinity tokens that ``json`` reads by default."""
+    raise ValueError(f"{token} is not a finite number")
+
+
 def load_dataset(path) -> DatasetManifest:
     """Read a JSONL dataset back into a manifest.
 
     Tier membership comes from each line's policy_id; all lines must carry
-    the same config hash and ``obs`` width.  A malformed line raises
+    the same config hash and ``obs`` width, and every number must be
+    finite: ``NaN`` and ``Infinity`` are refused.  A malformed line raises
     ``ValueError`` naming its 1-based line number.  The sidecar, when present, restores metadata; its
     ``meta`` must be an object, its ``warnings`` a list of strings, its
     ``data_sha256`` the digest of the data file, its ``config_hash`` the
@@ -507,7 +517,7 @@ def load_dataset(path) -> DatasetManifest:
             if not line:
                 continue
             try:
-                traj = Trajectory.from_record(json.loads(line))
+                traj = Trajectory.from_record(json.loads(line, parse_constant=_non_finite))
                 if first is None:
                     first = traj
                 if traj.config_hash != first.config_hash:
@@ -525,9 +535,11 @@ def load_dataset(path) -> DatasetManifest:
         raise ValueError(f"dataset {path} is empty")
     try:
         with open(path + ".manifest.json", "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+            sidecar = json.load(fh, parse_constant=_non_finite)
     except FileNotFoundError:
         sidecar = {}
+    except ValueError as exc:
+        raise ValueError(f"{path}.manifest.json: {exc}") from None
     if not isinstance(sidecar, dict):
         raise ValueError(f"{path}.manifest.json: expected a JSON object")
     meta, warnings = sidecar.get("meta", {}), sidecar.get("warnings", [])

@@ -55,6 +55,8 @@ every action's fading-free reward for the next ``step``.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import mac, mobility, radio
@@ -69,7 +71,7 @@ def decode_action(action: int, n_bs: int) -> tuple:
     Codes are base-3 with the most significant digit on station 0:
     0 decodes to all -1, the middle code to all 0, the top code to all +1.
     """
-    a = int(action)
+    a = operator.index(action)
     n_actions = 3 ** n_bs
     if not 0 <= a < n_actions:
         raise ValueError(f"action {action} outside [0, {n_actions})")
@@ -125,11 +127,11 @@ class EpisodeBatch:
                     cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
         # A policy's actions drawn ahead for the rest of the episode.
         self.policy_plan = None
-        motion = mobility.init_positions(
+        start, route = mobility.init_positions(
             cfg.mobility, [[generator(w) for w in user] for user in words[:, 2:]], cfg.horizon)
         # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
         # n_ues) SNR matrices, rows laid out as in ``_power``.
-        self._positions = mobility.step_motion(motion, cfg.mobility, cfg.horizon)
+        self._positions = mobility.step_motion(start, route, cfg.mobility)
         self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
         self._preview = None
         self._episodes = np.arange(len(words))
@@ -213,7 +215,7 @@ class CellularNetworkEnv:
 
     def step(self, action: int):
         """Apply one action; returns (obs, reward, done, info)."""
-        code = int(action)
+        code = operator.index(action)
         if not 0 <= code < self.cfg.n_actions:
             raise ValueError(f"action {action} outside [0, {self.cfg.n_actions})")
         batch = self._batch

@@ -6,35 +6,25 @@ heads for its next waypoint.  The ``full`` variant draws waypoints
 uniformly over the whole map; the ``limited`` variant confines each user to
 a disc around a per-user anchor, which yields the low-mobility regime.
 
-All users' state is held in (B episodes, n_ues, ...) arrays
-(``MotionState``).  Each user owns its own RNG stream, and
-``init_positions`` draws from it everything the user will need for
-``steps`` steps: a user arrives at most once per step, so its route holds
-``steps + 1`` waypoints.  The values are those a user drawing one waypoint
-on each arrival would get, since it would read the same stream in the same
-order; only the unread tail of the stream differs.  ``step_motion`` draws
-nothing: one call walks every user of every episode all ``steps`` steps
-along its route and writes each step's positions into one preallocated
-array.  It leaves the state it walks from unchanged.
+Motion is two functions over (B episodes, n_ues, ...) arrays.  Each user
+owns its own RNG stream, and ``init_positions`` draws from it everything
+the user will need for ``steps`` steps: its start and, since a user
+arrives at most once per step, a route of ``steps + 1`` waypoints.  The
+values are those a user drawing one waypoint on each arrival would get,
+since it would read the same stream in the same order; only the unread
+tail of the stream differs.  ``step_motion`` draws nothing: one call walks
+every user of every episode from its start along its whole route, one
+step per waypoint after the first, and writes each step's positions into
+one preallocated array.  It leaves its inputs unchanged.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import MobilityConfig
 
-__all__ = ["MotionState", "init_positions", "step_motion"]
-
-
-class MotionState(NamedTuple):
-    """Motion bookkeeping for B episodes, one row per user."""
-
-    position: np.ndarray  # (B, n_ues, 2)
-    route: np.ndarray     # (B, n_ues, n_waypoints, 2) waypoints in visiting order
-    leg: np.ndarray       # (B, n_ues) index of the current waypoint in route
+__all__ = ["init_positions", "step_motion"]
 
 
 def _disc(cfg: MobilityConfig, anchors, pairs, radius):
@@ -96,9 +86,10 @@ def _disc_routes(cfg: MobilityConfig, anchors, pairs, users, n):
     return start, route
 
 
-def init_positions(cfg: MobilityConfig, rngs, steps: int) -> MotionState:
-    """Draw the motion of B episodes for ``steps`` steps, ``rngs[b][j]``
-    being user j's stream in episode b.
+def init_positions(cfg: MobilityConfig, rngs, steps: int):
+    """(start (B, n_ues, 2), route (B, n_ues, steps + 1, 2)): the motion of
+    B episodes for ``steps`` steps, ``rngs[b][j]`` being user j's stream in
+    episode b, and each route holding its waypoints in visiting order.
 
     Each user draws its anchor (``limited`` without pinned anchors), then
     its start position, then ``steps + 1`` waypoints, all in one chunk of
@@ -119,38 +110,33 @@ def init_positions(cfg: MobilityConfig, rngs, steps: int) -> MotionState:
         anchors = (pairs[:, 0] * size if drawn else
                    np.tile(np.array(cfg.anchors, dtype=float), (len(rngs), 1)))
         start, route = _disc_routes(cfg, anchors, pairs[:, drawn:], users, steps + 1)
-    route = route.reshape(len(rngs), -1, steps + 1, 2)
-    return MotionState(position=start.reshape(len(rngs), -1, 2), route=route,
-                       leg=np.zeros(route.shape[:2], dtype=int))
+    return start.reshape(len(rngs), -1, 2), route.reshape(len(rngs), -1, steps + 1, 2)
 
 
-def step_motion(state: MotionState, cfg: MobilityConfig, steps: int) -> np.ndarray:
-    """Walk every user of B episodes ``steps`` steps along its route; the
-    (steps + 1, B, n_ues, 2) positions, row 0 the state's own and row t + 1
+def step_motion(start, route, cfg: MobilityConfig) -> np.ndarray:
+    """Walk every user of B episodes from its (B, n_ues, 2) start along its
+    (B, n_ues, steps + 1, 2) route, one step per waypoint after the first;
+    the (steps + 1, B, n_ues, 2) positions, row 0 the start and row t + 1
     those after step t.
 
     Zero speed freezes every user entirely.  A user whose waypoint is no
     farther than one step lands on it exactly, the leftover distance is
-    discarded, and it heads for the next waypoint of its route.  The route
-    must hold a waypoint for every arrival: ``leg + steps`` waypoints past
-    the current one.
+    discarded, and it heads for the next waypoint of its route.  A user
+    arrives at most once per step, so the route never runs out.
     """
-    n_legs = state.route.shape[-2]
-    if state.leg.size and state.leg.max() + steps >= n_legs:
-        raise ValueError(f"a route of {n_legs} waypoints cannot be walked {steps} steps"
-                         " from its current leg")
-    walk = np.empty((steps + 1, *state.position.shape))
-    walk[0] = state.position
+    n_legs = route.shape[-2]
+    walk = np.empty((n_legs, *start.shape))
+    walk[0] = start
     if cfg.speed <= 0.0:
-        walk[1:] = state.position
+        walk[1:] = start
         return walk
     # One row per user, every array preallocated: a step writes its
     # positions straight into the next row of the walk.  Per-user values
     # are kept twice, once per coordinate, so each pass is over a plain
     # (U, 2) array.
-    path = walk.reshape(steps + 1, -1, 2)
-    route = state.route.reshape(-1, 2)
-    at = np.arange(len(path[0])) * n_legs + state.leg.ravel()  # current waypoint, in route
+    path = walk.reshape(n_legs, -1, 2)
+    route = route.reshape(-1, 2)
+    at = np.arange(len(path[0])) * n_legs  # current waypoint, in route
     waypoint = route[at]
     delta, dist = np.empty_like(waypoint), np.empty_like(waypoint)
     arrived = np.empty(waypoint.shape, dtype=bool)

@@ -71,6 +71,10 @@ def _set_step(i, **fields):
     return lambda rec: rec["steps"][i].update(fields)
 
 
+def _set_first_obs(value):
+    return lambda rec: rec["steps"][0]["obs"].__setitem__(0, value)
+
+
 def _cut_obs(n):
     def edit(rec):
         for step in rec["steps"]:
@@ -91,6 +95,8 @@ INEXACT_RECORDS = {
     "t-7-on-step-1": (_set_step(1, t=7), "step 1 has t=7"),
     "obs-cut-to-3": (_cut_obs(3), "obs rows have 3 entries, the first record's have 23"),
     "obs-empty": (_cut_obs(0), "obs rows are empty"),
+    "obs-NaN": (_set_first_obs(float("nan")), "NaN is not a finite number"),
+    "reward-Infinity": (_set_step(0, reward=float("inf")), "Infinity is not a finite number"),
     "policy_id-5": (lambda rec: rec.update(policy_id=5), "policy_id 5 is not a string"),
     "config_hash-7": (lambda rec: rec.update(config_hash=7), "config_hash 7 is not a string"),
 }

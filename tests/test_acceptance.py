@@ -151,8 +151,8 @@ def test_mobility_variants_contrast(full_dataset, limited_dataset):
         mob = cfg.mobility
         rngs = [np.random.default_rng(c)
                 for c in np.random.SeedSequence(seed).spawn(cfg.n_ues)]
-        state = mobility.init_positions(mob, [rngs], n_steps)
-        track = mobility.step_motion(state, mob, n_steps)[1:, 0]
+        start, route = mobility.init_positions(mob, [rngs], n_steps)
+        track = mobility.step_motion(start, route, mob)[1:, 0]
         return track.var(axis=0).sum(axis=-1)
 
     var_full = per_ue_variance(cs.default_config(), seed=0)

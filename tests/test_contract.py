@@ -1,6 +1,7 @@
 """The Python contract: the README quickstart runs as written, the package
-exports exactly its documented surface, and every callable the benchmark
-traces stays at its module path."""
+exports exactly its documented surface, every module's ``__all__`` names
+only what exists, and every callable the benchmark traces stays at its
+module path."""
 
 import re
 from pathlib import Path
@@ -24,7 +25,7 @@ EXPORTS = [
 
 # Step kernels that live only in their modules, not in the package namespace.
 KERNELS = {
-    "mobility": ["MotionState", "init_positions", "step_motion"],
+    "mobility": ["init_positions", "step_motion"],
     "radio": ["snr_matrix", "normalize_snr", "sample_fading"],
     "mac": ["connections", "data_rate", "ratefair_fractions", "utility", "reward",
             "reward_terms"],
@@ -75,6 +76,14 @@ def test_kernels_stay_in_their_modules(module):
     for name in KERNELS[module]:
         assert hasattr(getattr(cs, module), name), f"{module}.{name}"
         assert not hasattr(cs, name), name
+
+
+@pytest.mark.parametrize("module", sorted(set(KERNELS) | set(TRACED_MODULES)))
+def test_every_name_in_all_exists(module):
+    # A name left in __all__ after its object is gone breaks ``import *``.
+    mod = getattr(cs, module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.{name}"
 
 
 def test_benchmark_trace_targets_exist():

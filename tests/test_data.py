@@ -599,6 +599,17 @@ class TestDatasetFiles:
             write_dataset(mixed, tmp_path / "mixed.jsonl")
         assert list(tmp_path.iterdir()) == []
 
+    def test_manifest_with_a_mislabelled_tier_is_not_written(self, short_cfg, tmp_path):
+        # load_dataset files records by policy_id, so it would count these
+        # as random, not expert.
+        random = collect(short_cfg, make_policy("random"), 2)
+        mislabelled = DatasetManifest(tiers={"expert": random.tiers["random"]},
+                                      config_hash=random.config_hash)
+        with pytest.raises(ValueError, match="would mislabel a tier: trajectory seed=0 "
+                                             r"\(random\) is in tier expert"):
+            write_dataset(mislabelled, tmp_path / "mislabelled.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -652,8 +663,9 @@ class TestDatasetFiles:
         ({"counts": {"random": 2, "expert": 1}}, "counts {'random': 2, 'expert': 1} do not"),
         ({"counts": {}}, "counts {} do not match the records"),
         ({"counts": 2}, "counts 2 do not match"),
+        ({"meta": {"epsilon": float("nan")}}, "NaN is not a finite number"),
     ], ids=["meta-int", "warnings-int", "warnings-non-string", "digest", "config-hash",
-            "counts-99", "counts-extra-tier", "counts-empty", "counts-int"])
+            "counts-99", "counts-extra-tier", "counts-empty", "counts-int", "meta-NaN"])
     def test_malformed_sidecar_rejected(self, short_cfg, tmp_path, edit, message):
         path = tmp_path / "set.jsonl"
         write_dataset(collect(short_cfg, make_policy("random"), 2), path)

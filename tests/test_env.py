@@ -38,6 +38,10 @@ class TestActionCodes:
             decode_action(-1, 3)
         with pytest.raises(ValueError):
             decode_action(27, 3)
+        for code in (26.5, "5", np.float64(2.0)):
+            with pytest.raises(TypeError):
+                decode_action(code, 3)
+        assert decode_action(np.int64(26), 3) == (1, 1, 1)
 
     def test_two_station_codes(self):
         assert decode_action(0, 2) == (-1, -1)
@@ -107,8 +111,11 @@ class TestStep:
     def test_episode_ends_exactly_at_horizon(self, short_cfg):
         env = CellularNetworkEnv(short_cfg)
         env.reset(seed=1)
+        for code in (2.9, "5"):
+            with pytest.raises(TypeError):
+                env.step(code)
         for t in range(10):
-            _, _, done, _ = env.step(13)
+            _, _, done, _ = env.step(np.int64(13))
             assert done == (t == 9)
         assert env.done
         with pytest.raises(RuntimeError):

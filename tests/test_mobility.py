@@ -38,18 +38,17 @@ def reference_route(cfg, seed, n, steps):
 class TestInitPositions:
     def test_full_positions_inside_map(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, [make_rngs(5)], 10)
-        assert state.position.shape == (1, 5, 2)
-        assert state.route.shape == (1, 5, 11, 2)
-        assert np.array_equal(state.leg, np.zeros((1, 5)))
-        for x, y in np.concatenate([state.position[0], state.route[0].reshape(-1, 2)]):
+        start, route = mobility.init_positions(cfg, [make_rngs(5)], 10)
+        assert start.shape == (1, 5, 2)
+        assert route.shape == (1, 5, 11, 2)
+        for x, y in np.concatenate([start[0], route[0].reshape(-1, 2)]):
             assert 0.0 <= x <= cfg.map_width
             assert 0.0 <= y <= cfg.map_height
 
     def test_full_positions_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(1)
-        pts = np.array([mobility.init_positions(cfg, [[rng]], 0).position[0, 0]
+        pts = np.array([mobility.init_positions(cfg, [[rng]], 0)[0][0, 0]
                         for _ in range(10_000)])
         assert np.allclose(pts.mean(axis=0), [100.0, 100.0], atol=2.0)
         # Chi-square uniformity over a 10x10 occupancy grid.
@@ -60,17 +59,17 @@ class TestInitPositions:
 
     def test_limited_positions_near_anchor(self):
         cfg = MobilityConfig(variant="limited")
-        state = mobility.init_positions(cfg, [make_rngs(10_000, seed=2)], 0)
+        start, _ = mobility.init_positions(cfg, [make_rngs(10_000, seed=2)], 0)
         anchors = drawn_anchors(cfg, 2, 10_000)
-        dist = np.linalg.norm(state.position[0] - anchors, axis=-1)
+        dist = np.linalg.norm(start[0] - anchors, axis=-1)
         assert (dist <= cfg.init_radius + 1e-9).all()
 
     def test_limited_sampled_anchors_cover_map(self):
         cfg = MobilityConfig(variant="limited")
         anchors = drawn_anchors(cfg, 3, 5_000)
         # The drawn anchors are the ones init_positions centres its discs on.
-        state = mobility.init_positions(cfg, [make_rngs(5_000, seed=3)], 0)
-        dist = np.linalg.norm(state.position[0] - anchors, axis=-1)
+        start, _ = mobility.init_positions(cfg, [make_rngs(5_000, seed=3)], 0)
+        dist = np.linalg.norm(start[0] - anchors, axis=-1)
         assert (dist <= cfg.init_radius + 1e-9).all()
         assert np.allclose(anchors.mean(axis=0), [100.0, 100.0], atol=4.0)
         assert anchors[:, 0].max() > 180.0 and anchors[:, 0].min() < 20.0
@@ -79,15 +78,16 @@ class TestInitPositions:
         pinned = ((30.0, 40.0), (150.0, 160.0))
         cfg = MobilityConfig(variant="limited", init_radius=0.0, waypoint_radius=0.0,
                              anchors=pinned)
-        state = mobility.init_positions(cfg, [make_rngs(2)], 3)
-        assert np.array_equal(state.position, [pinned])
-        assert np.array_equal(state.route, np.broadcast_to(np.array(pinned)[None, :, None],
-                                                           (1, 2, 4, 2)))
+        start, route = mobility.init_positions(cfg, [make_rngs(2)], 3)
+        assert np.array_equal(start, [pinned])
+        assert np.array_equal(route, np.broadcast_to(np.array(pinned)[None, :, None],
+                                                     (1, 2, 4, 2)))
 
     def test_single_user(self):
         cfg = MobilityConfig(variant="full")
-        state = mobility.init_positions(cfg, [make_rngs(1)], 1)
-        assert state.position.shape == (1, 1, 2)
+        start, route = mobility.init_positions(cfg, [make_rngs(1)], 1)
+        assert start.shape == (1, 1, 2)
+        assert route.shape == (1, 1, 2, 2)
 
 
 class TestSampleWaypoint:
@@ -96,7 +96,7 @@ class TestSampleWaypoint:
     def test_full_waypoints_uniform(self):
         cfg = MobilityConfig(variant="full")
         rng = np.random.default_rng(4)
-        pts = mobility.init_positions(cfg, [[rng]], 9_999).route[0, 0]
+        pts = mobility.init_positions(cfg, [[rng]], 9_999)[1][0, 0]
         counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1],
                                       bins=10, range=[[0, 200], [0, 200]])
         stat = scipy.stats.chisquare(counts.ravel())
@@ -104,7 +104,7 @@ class TestSampleWaypoint:
 
     def test_limited_waypoints_near_anchor(self):
         cfg = MobilityConfig(variant="limited")
-        route = mobility.init_positions(cfg, [make_rngs(1, seed=5)], 9_999).route[0, 0]
+        route = mobility.init_positions(cfg, [make_rngs(1, seed=5)], 9_999)[1][0, 0]
         anchor = drawn_anchors(cfg, 5, 1)[0]
         assert (np.linalg.norm(route - anchor, axis=-1) <= cfg.waypoint_radius + 1e-9).all()
 
@@ -112,7 +112,7 @@ class TestSampleWaypoint:
         cfg = MobilityConfig(variant="limited", waypoint_radius=0.0,
                              anchors=((70.0, 80.0),))
         rng = np.random.default_rng(6)
-        route = mobility.init_positions(cfg, [[rng]], 5).route[0, 0]
+        route = mobility.init_positions(cfg, [[rng]], 5)[1][0, 0]
         assert np.allclose(route, [70.0, 80.0], atol=1e-12)
 
 
@@ -120,60 +120,49 @@ class TestStepMotion:
     def test_zero_speed_freezes_everything(self):
         cfg = MobilityConfig(variant="full", speed=0.0)
         rng = np.random.default_rng(7)
-        state = mobility.init_positions(cfg, [[rng]], 3)
+        start, route = mobility.init_positions(cfg, [[rng]], 3)
         before = rng.bit_generator.state
-        walk = mobility.step_motion(state, cfg, 3)
+        walk = mobility.step_motion(start, route, cfg)
         assert walk.shape == (4, 1, 1, 2)
-        assert np.array_equal(walk, np.broadcast_to(state.position, walk.shape))
+        assert np.array_equal(walk, np.broadcast_to(start, walk.shape))
         # No draws should be consumed while frozen.
         assert rng.bit_generator.state == before
 
     def test_exact_arrival_lands_on_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=5.0)
         rng = np.random.default_rng(8)
-        state = mobility.init_positions(cfg, [[rng]], 2)
-        state = state._replace(position=state.route[:, :, 0] - np.array([5.0, 0.0]))
-        position, leg = state.position.copy(), state.leg.copy()
-        walk = mobility.step_motion(state, cfg, 2)
-        assert np.allclose(walk[1], state.route[:, :, 0], atol=1e-12)
+        _, route = mobility.init_positions(cfg, [[rng]], 2)
+        start = route[:, :, 0] - np.array([5.0, 0.0])
+        inputs = start.copy(), route.copy()
+        walk = mobility.step_motion(start, route, cfg)
+        assert np.allclose(walk[1], route[:, :, 0], atol=1e-12)
         # Then it heads for the next waypoint of its route.
-        ahead = np.linalg.norm(state.route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
+        ahead = np.linalg.norm(route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
         assert ahead[1] == pytest.approx(max(ahead[0] - cfg.speed, 0.0), abs=1e-9)
-        assert np.array_equal(state.position, position), "input state unchanged"
-        assert np.array_equal(state.leg, leg) and np.array_equal(leg, [[0]])
+        assert np.array_equal(start, inputs[0]), "start unchanged"
+        assert np.array_equal(route, inputs[1]), "route unchanged"
 
     def test_standing_on_waypoint_draws_a_new_one(self):
         # A user on its waypoint arrives at once and heads for the next one.
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(12)
-        state = mobility.init_positions(cfg, [[rng]], 2)
-        state = state._replace(position=state.route[:, :, 0].copy())
-        walk = mobility.step_motion(state, cfg, 2)
-        assert np.array_equal(walk[1], state.route[:, :, 0])
-        ahead = np.linalg.norm(state.route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
+        _, route = mobility.init_positions(cfg, [[rng]], 2)
+        walk = mobility.step_motion(route[:, :, 0].copy(), route, cfg)
+        assert np.array_equal(walk[1], route[:, :, 0])
+        ahead = np.linalg.norm(route[0, 0, 1] - walk[1:, 0, 0], axis=-1)
         assert ahead[1] == pytest.approx(max(ahead[0] - cfg.speed, 0.0), abs=1e-9)
 
     def test_partial_step_moves_toward_waypoint(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         route = np.array([[[[10.0, 0.0], [20.0, 0.0], [30.0, 0.0]]]])
-        state = mobility.MotionState(position=np.array([[[0.0, 0.0]]]), route=route,
-                                     leg=np.zeros((1, 1), dtype=int))
-        walk = mobility.step_motion(state, cfg, 2)
+        walk = mobility.step_motion(np.array([[[0.0, 0.0]]]), route, cfg)
         assert np.allclose(walk[:, 0, 0], [[0.0, 0.0], [2.5, 0.0], [5.0, 0.0]], atol=1e-12)
-
-    def test_route_must_cover_every_step(self):
-        cfg = MobilityConfig(variant="full", speed=2.5)
-        state = mobility.init_positions(cfg, [make_rngs(2)], 3)
-        with pytest.raises(ValueError, match="cannot be walked 4 steps"):
-            mobility.step_motion(state, cfg, 4)
-        with pytest.raises(ValueError, match="cannot be walked 3 steps"):
-            mobility.step_motion(state._replace(leg=state.leg + [[0, 1]]), cfg, 3)
 
     def test_displacement_never_exceeds_speed(self):
         cfg = MobilityConfig(variant="full", speed=2.5)
         rng = np.random.default_rng(10)
-        state = mobility.init_positions(cfg, [[rng]], 100_000)
-        walk = mobility.step_motion(state, cfg, 100_000)[:, 0, 0]
+        walk = mobility.step_motion(*mobility.init_positions(cfg, [[rng]], 100_000),
+                                    cfg)[:, 0, 0]
         assert (np.linalg.norm(np.diff(walk, axis=0), axis=-1) <= cfg.speed + 1e-9).all()
         assert ((0.0 <= walk[:, 0]) & (walk[:, 0] <= cfg.map_width)).all()
         assert ((0.0 <= walk[:, 1]) & (walk[:, 1] <= cfg.map_height)).all()
@@ -181,9 +170,9 @@ class TestStepMotion:
     def test_limited_trajectory_stays_in_disc(self):
         cfg = MobilityConfig(variant="limited", anchors=((100.0, 60.0),))
         rng = np.random.default_rng(11)
-        state = mobility.init_positions(cfg, [[rng]], 5_000)
         bound = max(cfg.init_radius, cfg.waypoint_radius)
-        walk = mobility.step_motion(state, cfg, 5_000)[:, 0, 0]
+        walk = mobility.step_motion(*mobility.init_positions(cfg, [[rng]], 5_000),
+                                    cfg)[:, 0, 0]
         assert (np.linalg.norm(walk - cfg.anchors[0], axis=-1) <= bound + 1e-9).all()
 
 
@@ -191,8 +180,8 @@ class TestVariantContrast:
     def _position_variance(self, variant, seed, n_steps=10_000):
         cfg = MobilityConfig(variant=variant)
         rng = np.random.default_rng(seed)
-        state = mobility.init_positions(cfg, [[rng]], n_steps)
-        pts = mobility.step_motion(state, cfg, n_steps)[1:, 0, 0]
+        pts = mobility.step_motion(*mobility.init_positions(cfg, [[rng]], n_steps),
+                                   cfg)[1:, 0, 0]
         return pts.var(axis=0).sum()
 
     def test_limited_variance_below_full(self):
@@ -208,8 +197,8 @@ class TestDeterminism:
         cfg = MobilityConfig(variant=variant)
 
         def run(seed):
-            state = mobility.init_positions(cfg, [make_rngs(3, seed)], 200)
-            return mobility.step_motion(state, cfg, 200)
+            return mobility.step_motion(
+                *mobility.init_positions(cfg, [make_rngs(3, seed)], 200), cfg)
 
         a, b = run(42), run(42)
         assert np.array_equal(a, b)
@@ -242,7 +231,7 @@ class TestMatchesReference:
     def test_array_step_matches_per_user_loop(self, seeds, n_ues, variant, pinned,
                                               speed, on_waypoint, n_steps):
         """One ``step_motion`` walk of B episodes equals the reference's
-        per-step chain at every step, and leaves its state unchanged."""
+        per-step chain at every step, and leaves its inputs unchanged."""
         anchors = None
         if variant == "limited" and pinned:
             anchors = tuple((20.0 + 30.0 * j, 180.0 - 25.0 * j) for j in range(n_ues))
@@ -250,7 +239,7 @@ class TestMatchesReference:
         rngs = [make_rngs(n_ues, seed) for seed in seeds]
         ref_rngs = [make_rngs(n_ues, seed) for seed in seeds]
 
-        state = mobility.init_positions(cfg, rngs, n_steps)
+        _, route = mobility.init_positions(cfg, rngs, n_steps)
         ref_states = [ref.init_positions(cfg, n_ues, row) for row in ref_rngs]
         # Put some users exactly one step short of their waypoint, or on it.
         for s, where in zip((s for row in ref_states for s in row), on_waypoint):
@@ -258,9 +247,8 @@ class TestMatchesReference:
                 s.position = s.waypoint - np.array([speed, 0.0])
             elif where == "zero":
                 s.position = s.waypoint.copy()
-        state = state._replace(
-            position=np.array([[s.position for s in row] for row in ref_states]))
-        before = [a.copy() for a in state]
+        start = np.array([[s.position for s in row] for row in ref_states])
+        before = start.copy(), route.copy()
         # Every waypoint each reference user has drawn so far, in order.
         visited = [[[s.waypoint] for s in row] for row in ref_states]
         expected = [[[s.position for s in row] for row in ref_states]]
@@ -273,17 +261,17 @@ class TestMatchesReference:
                         drawn.append(s.waypoint)
             expected.append([[s.position for s in row] for row in ref_states])
 
-        walk = mobility.step_motion(state, cfg, n_steps)
+        walk = mobility.step_motion(start, route, cfg)
         assert walk.shape == (n_steps + 1, len(seeds), n_ues, 2)
         assert np.array_equal(walk, expected)
-        assert all(np.array_equal(a, b) for a, b in zip(state, before))
+        assert all(np.array_equal(a, b) for a, b in zip((start, route), before))
         for b, drawn_row in enumerate(visited):
             for j, drawn in enumerate(drawn_row):
-                assert np.array_equal(state.route[b, j, :len(drawn)], drawn)
+                assert np.array_equal(route[b, j, :len(drawn)], drawn)
         if variant == "limited":
             for b, row in enumerate(ref_states):
                 for j, s in enumerate(row):
-                    reach = np.linalg.norm(state.route[b, j] - s.anchor, axis=-1)
+                    reach = np.linalg.norm(route[b, j] - s.anchor, axis=-1)
                     assert (reach <= cfg.waypoint_radius + 1e-9).all()
 
     @pytest.mark.parametrize("variant, anchors", [
@@ -294,16 +282,16 @@ class TestMatchesReference:
     def test_batched_init_matches_per_episode_reference(self, variant, anchors):
         cfg = MobilityConfig(variant=variant, anchors=anchors)
         rngs = [make_rngs(3, seed) for seed in (0, 1, 2)]
-        state = mobility.init_positions(cfg, rngs, 30)
+        start, route = mobility.init_positions(cfg, rngs, 30)
         refs = [reference_route(cfg, seed, 3, 30) for seed in (0, 1, 2)]
-        assert np.array_equal(state.position, [[s.position for s in row] for row, _ in refs])
-        assert np.array_equal(state.route[:, :, 0],
+        assert np.array_equal(start, [[s.position for s in row] for row, _ in refs])
+        assert np.array_equal(route[:, :, 0],
                               [[s.waypoint for s in row] for row, _ in refs])
-        assert np.array_equal(state.route, [route for _, route in refs])
+        assert np.array_equal(route, [r for _, r in refs])
         if variant == "limited":
             for b, (row, _) in enumerate(refs):
                 for j, s in enumerate(row):
-                    reach = np.linalg.norm(state.route[b, j] - s.anchor, axis=-1)
+                    reach = np.linalg.norm(route[b, j] - s.anchor, axis=-1)
                     assert (reach <= cfg.waypoint_radius + 1e-9).all()
         if anchors is not None or variant == "full":
             # No draw can be rejected here, so one chunk per user is exactly
