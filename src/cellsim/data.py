@@ -14,8 +14,9 @@ file behind.  Loading checks each record's returns-to-go and the sidecar's
 digest against the bytes read.  Collection is deterministic: trajectory
 k of a tier uses seed ``seed_base + k``.  Seeds run in contiguous blocks,
 each block's episodes stepped together in lockstep (``EpisodeBatch``), and
-the blocks are spread over worker processes; results are assembled in seed
-order, so the output is independent of the worker count and block size.
+the blocks are spread over the calling process and forked workers;
+results are assembled in seed order, so the output is independent of the
+worker count and block size.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     Returns (observations, actions, rewards, returns-to-go), episode-major:
     (B, T, obs_dim) (None unless ``observe``), then three (B, T) arrays.
     The steps only move thresholds; after the last one, every row that no
-    preview scored, reset's row 0 included, is scored in one ``mac.reward``
-    call, and the observations are built in one pass.
+    preview scored, reset's row 0 included, is scored by ``score``, 16 rows
+    per ``mac.reward`` call, and the observations are built in one pass.
     """
     batch = EpisodeBatch(cfg)
     batch.reset(seeds)
@@ -209,9 +210,11 @@ class DatasetManifest:
 # episode's positions, waypoint route and SNR matrices for the whole horizon
 # (about 8 KB, 8 KB and 12 KB per 100-step episode, 3.6 MB at B=128), plus
 # as much again as the SNR for |H|^2 when faded, so memory grows with B.
-# The block's one reward call scores all horizon + 1 rows at once: a faded
-# 100-step random block at B=128 holds 5.1 MiB before it and peaks at
-# 10.3 MiB in it (reset peaks at 6.7 MiB), under tracemalloc.
+# Scoring takes 16 rows per reward call: a faded 100-step random block at
+# B=128 holds 5.1 MiB before it and peaks at 5.9 MiB in it (10.3 MiB when
+# one call took all 101 rows; reset peaks at 6.7 MiB), under tracemalloc.
+# At ``workers`` > 1 the calling process runs one share of the blocks, so it
+# holds one block on top of every result gathered so far.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
 # on a 2-core host: 11.2, 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and
 # 128) and by less than a tenth beyond it.  At 2 workers the default
@@ -227,17 +230,19 @@ def map_seeds(fn, jobs, workers: int) -> list:
     Each job's seeds are cut into contiguous blocks of ``min(ceil(n /
     workers), CAP)``; ``fn(cfg, policy, block)`` returns one result per seed
     of its block.  With ``w = min(workers, blocks, usable CPUs) > 1``, the
-    blocks of every job are dealt round-robin to ``w`` processes forked once
-    per call: process k runs blocks k, k + w, k + 2w, ... and pickles each
-    block's results back through a pipe as it ends, and the calling process
-    runs no block.  Forking copies the caller, so ``fn`` and the jobs need
-    not pickle; the results must.  An exception a block raises is raised
-    again in the caller, with the worker's traceback as its cause; a worker
-    that dies without sending its results raises ``RuntimeError`` naming the
-    worker and its exit status.  Either way no worker process and no pipe
-    outlives the call.  Where ``os.fork`` does not exist, or ``w`` is 1, the
-    blocks run in this process.  Results do not depend on the worker count,
-    the CPU count or the block size.
+    blocks of every job are dealt round-robin to ``w`` shares: share k runs
+    blocks k, k + w, k + 2w, ...  The calling process runs share 0 itself,
+    and ``w - 1`` processes forked once per call run the others, each
+    pickling a block's results back through a pipe as it ends.  Forking
+    copies the caller, so ``fn`` and the jobs need not pickle; the results
+    must.  An exception a worker's block raises is raised again in the
+    caller, with the worker's traceback as its cause, and one raised in the
+    caller's own block propagates as it is; a worker that dies without
+    sending its results raises ``RuntimeError`` naming the worker and its
+    exit status.  Either way no worker process and no pipe outlives the
+    call.  Where ``os.fork`` does not exist, or ``w`` is 1, the blocks run
+    in this process.  Results do not depend on the worker count, the CPU
+    count or the block size.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -270,13 +275,14 @@ class _WorkerTraceback(Exception):
 
 
 def _run_forked(fn, blocks, w: int) -> list:
-    """``[fn(*block) for block in blocks]``, share k = ``blocks[k::w]`` run in
-    forked child k; see ``map_seeds``."""
-    readers, pids = [], {}  # pipe read ends; worker -> pid not yet reaped
+    """``[fn(*block) for block in blocks]``, share k = ``blocks[k::w]`` run by
+    the caller for k = 0 and in forked child k for k = 1..w-1; see
+    ``map_seeds``."""
+    readers, pids = {}, {}  # worker -> pipe read end; worker -> pid not yet reaped
     try:
-        for k in range(w):
+        for k in range(1, w):
             r, wr = os.pipe()
-            readers.append(open(r, "rb"))
+            readers[k] = open(r, "rb")
             try:
                 pids[k] = os.fork()
                 if pids[k] == 0:
@@ -285,11 +291,15 @@ def _run_forked(fn, blocks, w: int) -> list:
                 # Only the child may hold the write end, or its pipe never
                 # reaches EOF if it dies.
                 os.close(wr)
-        # Block i is the next message on pipe i % w, so each worker waits
-        # only for the parent to take its previous block.
+        # Block i is the caller's own when i % w == 0, else the next message
+        # on pipe i % w, so each worker waits only for the caller to take its
+        # previous block.
         results = []
-        for i in range(len(blocks)):
+        for i, block in enumerate(blocks):
             k = i % w
+            if k == 0:
+                results.append(fn(*block))
+                continue
             try:
                 ok, value = pickle.load(readers[k])
             except (EOFError, pickle.UnpicklingError):  # empty or cut short
@@ -299,13 +309,13 @@ def _run_forked(fn, blocks, w: int) -> list:
                 exc, tb = value
                 raise exc from _WorkerTraceback(tb)
             results.append(value)
-        for k in range(w):
+        for k in range(1, w):
             code = _reap(pids, k)
             if code != 0:
                 raise RuntimeError(f"worker {k} exited with status {code}")
         return results
     finally:
-        for reader in readers:
+        for reader in readers.values():
             reader.close()
         if pids:
             import signal  # loaded only when a worker must be stopped
@@ -457,8 +467,9 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
     """Write the JSONL data file and its manifest sidecar; returns the
     SHA-256 hex digest of the data file.  Neither target is touched unless
     both files were written in full, and a manifest that ``load_dataset``
-    would refuse, with no trajectories, with one from another config or
-    with one filed under another policy's tier, writes neither."""
+    would refuse, with no trajectories, with one from another config, with
+    one filed under another policy's tier or with a ``NaN`` or ``Infinity``
+    anywhere, writes neither."""
     path = str(path)
     if not any(manifest.tiers.values()):
         raise ValueError(f"dataset {path} would be empty: the manifest has no trajectories")
@@ -474,7 +485,13 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
     with (_staged(path, "xb") as data_fh,
           _staged(path + ".manifest.json", "x", encoding="utf-8") as sidecar_fh):
         for traj in manifest.all_trajectories():
-            line = json.dumps(traj.to_record(), separators=(",", ":")).encode("utf-8")
+            try:
+                line = json.dumps(traj.to_record(), separators=(",", ":"), allow_nan=False)
+            except ValueError as exc:  # NaN or Infinity, which load_dataset refuses
+                raise ValueError(f"dataset {path} would hold a non-finite number: "
+                                 f"trajectory seed={traj.seed} ({traj.policy_id}): "
+                                 f"{exc}") from None
+            line = line.encode("utf-8")
             data_fh.write(line + b"\n")
             digest.update(line + b"\n")
         sidecar = {
@@ -485,7 +502,11 @@ def write_dataset(manifest: DatasetManifest, path) -> str:
             "warnings": manifest.warnings,
             "data_sha256": digest.hexdigest(),
         }
-        json.dump(sidecar, sidecar_fh, indent=2, sort_keys=True)
+        try:
+            json.dump(sidecar, sidecar_fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}.manifest.json would hold a non-finite number: "
+                             f"{exc}") from None
         sidecar_fh.write("\n")
     return digest.hexdigest()
 

@@ -28,9 +28,10 @@ episode's thresholds, SNR matrix and, when faded, |H|^2 blocks, and once
 scored its rewards and per-user utilities.  A row's reward depends only on
 that row, so rows need not be scored in step order: a step the preview saw
 takes its row from the preview when fading is off, and ``score`` scores
-every other row reached so far in one ``mac.reward`` call.  ``rollout``
-scores once per block, after the last step; the B=1 view scores its row at
-reset and after each step, so its observation can carry the utilities.
+every other row reached so far, in one ``mac.reward`` call per 16 rows.
+``rollout`` scores once per block, after the last step; the B=1 view
+scores its row at reset and after each step, so its observation can carry
+the utilities.
 
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
@@ -78,6 +79,12 @@ def decode_action(action: int, n_bs: int) -> tuple:
     return tuple((a // 3 ** (n_bs - 1 - i)) % 3 - 1 for i in range(n_bs))
 
 
+# Rows scored per ``mac.reward`` call: a row's reward depends only on that
+# row, so the chunk size moves no bits, and the call's temporaries stay the
+# size of 16 rows instead of growing with the horizon.
+_SCORE_CHUNK = 16
+
+
 def _unit(x):
     """Clip onto [0, 1]; the same values as ``np.clip(x, 0.0, 1.0)`` at a
     third of its call cost on small arrays."""
@@ -113,7 +120,8 @@ class EpisodeBatch:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
         # Imported here: loading numpy.random costs ~2 MB of RSS, which a
         # process that never resets an episode need not pay (``map_seeds``
-        # loads it just before it forks workers).
+        # loads it just before it forks the workers that run the shares it
+        # does not run itself).
         from ._streams import generator, stream_words
         words = stream_words(seeds, cfg.n_ues)
         rows = cfg.horizon + 1
@@ -163,15 +171,15 @@ class EpisodeBatch:
 
     def score(self) -> None:
         """Score every row up to the current one that is not scored yet,
-        in one ``mac.reward`` call."""
+        in one ``mac.reward`` call per ``_SCORE_CHUNK`` of them."""
         todo = np.flatnonzero(~self._scored[:self._t + 1])
-        if todo.size == 0:
-            return
-        if todo[-1] - todo[0] + 1 == todo.size:  # one run of rows: views, not copies
-            todo = slice(todo[0], todo[-1] + 1)
-        power = None if self._power is None else self._power[todo]
-        self._rewards[todo], self._utils[todo] = mac.reward(
-            self._snrs[todo], self._taus[todo], self.cfg.utility, power)
+        for start in range(0, todo.size, _SCORE_CHUNK):
+            rows = todo[start:start + _SCORE_CHUNK]
+            if rows[-1] - rows[0] + 1 == rows.size:  # one run of rows: views, not copies
+                rows = slice(rows[0], rows[-1] + 1)
+            power = None if self._power is None else self._power[rows]
+            self._rewards[rows], self._utils[rows] = mac.reward(
+                self._snrs[rows], self._taus[rows], self.cfg.utility, power)
         self._scored[todo] = True
 
     def preview_step_rewards(self) -> np.ndarray:

@@ -81,7 +81,7 @@ class TestCollect:
         code, out, err = run(capsys, "collect", "--tier", "random", "--n", "4",
                              "--horizon", "5", "--out", str(tmp_path / "x.jsonl"),
                              "--workers", "2")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert (code, out, err) == (1, "", "error: rollout failed\n")
         assert list(tmp_path.iterdir()) == []
 

@@ -209,7 +209,8 @@ class TestBlockInvariance:
 
 
 class TestBlockScoring:
-    """``rollout`` scores a block's rows in one reward call."""
+    """``rollout`` scores a block's unscored rows once, after the last step,
+    in one reward call per 16 rows: one call at horizon 12."""
 
     @pytest.mark.parametrize("policy_name", ["expert", "medium", "random"])
     @pytest.mark.parametrize("fading", ["none", "rayleigh", "rician:3"])
@@ -227,6 +228,31 @@ class TestBlockScoring:
         assert len(calls) == 1, calls
         rollout(cfg, _ExpertThenRandom(), range(5), observe=False)
         assert len(calls) == 2, calls
+
+    @pytest.mark.parametrize("policy", [make_policy("random"), _ExpertThenRandom()],
+                             ids=["random", "expert-then-random"])
+    @pytest.mark.parametrize("fading", ["none", "rayleigh", "rician:3"])
+    def test_rows_scored_in_chunks_match_one_call(self, fading, policy, monkeypatch):
+        # 41 rows: all of them unscored under fading or the random tier, and
+        # with the expert's previewed rows left out, runs of rows apart.
+        cfg = cs.default_config(fading=fading, horizon=40)
+        unscored = 41 if fading != "none" or policy.policy_id == "random" else 41 - 6
+        calls = []
+        reward = cs.mac.reward
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return reward(*args, **kwargs)
+
+        monkeypatch.setattr(cs.mac, "reward", counting)
+        chunked = rollout(cfg, policy, range(3))
+        assert len(calls) == -(-unscored // 16) and sum(calls) == unscored, calls
+        monkeypatch.setattr(cs.env, "_SCORE_CHUNK", 41)
+        calls.clear()
+        whole = rollout(cfg, policy, range(3))
+        assert calls == [unscored]
+        for got, want in zip(chunked, whole):
+            assert got.tobytes() == want.tobytes()
 
 
 def _set_cpus(monkeypatch, n):
@@ -248,12 +274,14 @@ def _assert_nothing_left(fds):
 
 
 class TestPoolSize:
+    # ``size`` processes run the blocks: the caller and ``size - 1`` forked
+    # workers, or the caller alone at 1 CPU (written 0: nothing forked).
     @pytest.mark.parametrize("n, workers, size", [(2, 8, 2), (5, 3, 3), (3, 64, 3)])
     def test_pool_has_no_more_workers_than_blocks(self, n, workers, size, forks,
                                                   monkeypatch):
         _set_cpus(monkeypatch, 64)
         seeds = map_seeds(_seeds, [(None, None, 10, n)], workers)
-        assert len(forks) == size
+        assert len(forks) == size - 1
         assert seeds == list(range(10, 10 + n))
 
     @pytest.mark.parametrize("n, workers, cpus, size",
@@ -262,13 +290,13 @@ class TestPoolSize:
                                                 monkeypatch):
         _set_cpus(monkeypatch, cpus)
         assert map_seeds(_seeds, [(None, None, 10, n)], workers) == list(range(10, 10 + n))
-        assert len(forks) == size
+        assert len(forks) == max(size - 1, 0)
 
     def test_cpu_count_where_affinity_does_not_exist(self, forks, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert map_seeds(_seeds, [(None, None, 0, 5)], 8) == list(range(5))
-        assert len(forks) == 3
+        assert len(forks) == 2
 
     def test_workers_inherit_numpy_random(self):
         # A fresh interpreter, so that no earlier test has loaded numpy.random:
@@ -292,7 +320,7 @@ class TestPoolSize:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[True, True]"
+        assert proc.stdout.strip() == "[True]"
 
     def test_blocks_run_in_process_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
@@ -318,31 +346,60 @@ def _unpicklable_at_6(cfg, policy, block):
     return [lambda: None] if 6 in block else list(block)
 
 
+def _sleep_at_3(cfg, policy, block):
+    if 3 in block:
+        time.sleep(60)
+    return list(block)
+
+
 def _raise_at_0_sleep_at_3(cfg, policy, block):
     if 0 in block:
         raise ValueError("boom")
-    if 3 in block:
+    return _sleep_at_3(cfg, policy, block)
+
+
+def _interrupt_at_0_sleep_at_3(cfg, policy, block):
+    if 0 in block:
+        raise KeyboardInterrupt
+    return _sleep_at_3(cfg, policy, block)
+
+
+def _raise_at_2_sleep_at_4(cfg, policy, block):
+    if 2 in block:
+        raise ValueError("boom")
+    if 4 in block:
         time.sleep(60)
     return list(block)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 class TestForkedWorkers:
-    """Whatever a worker does, the caller sees its result or an error, and no
-    child process or pipe is left after the call."""
+    """Whatever a worker or the caller's own share does, the caller sees the
+    results or an error, and no child process or pipe is left after the
+    call."""
 
-    JOB = [(None, None, 0, 10)]  # at workers=5: blocks of 2; shares 0, 2, 4 and 1, 3
+    # At workers=5 and 2 CPUs: blocks of 2; the caller runs blocks 0, 2 and
+    # 4, one forked worker blocks 1 and 3.
+    JOB = [(None, None, 0, 10)]
 
     def test_success_leaves_nothing(self, forks):
         fds = _open_fds()
         assert map_seeds(_seeds, self.JOB, 5) == list(range(10))
-        assert len(forks) == 2
+        assert len(forks) == 1
         _assert_nothing_left(fds)
+
+    def test_caller_runs_share_0(self, forks):
+        pids = map_seeds(lambda cfg, policy, block: [os.getpid()] * len(block), self.JOB, 5)
+        assert len(forks) == 1
+        caller = [pid for i, pid in enumerate(pids) if (i // 2) % 2 == 0]
+        worker = [pid for i, pid in enumerate(pids) if (i // 2) % 2 == 1]
+        assert caller == [os.getpid()] * 6
+        assert len(set(worker)) == 1 and worker[0] != os.getpid()
 
     def test_results_larger_than_a_pipe_arrive_in_block_order(self, forks):
         big = map_seeds(lambda cfg, policy, block: [np.full(200_000, s) for s in block],
                         [(None, None, 0, 6)], 6)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert [int(a[0]) for a in big] == list(range(6))
         assert all((a == a[0]).all() for a in big)
 
@@ -361,11 +418,27 @@ class TestForkedWorkers:
             map_seeds(fn, self.JOB, 5)
         _assert_nothing_left(fds)
 
-    def test_failure_stops_the_other_workers(self, forks):
+    def test_failure_stops_the_other_workers(self, forks, monkeypatch):
+        # At 3 CPUs: worker 1 raises in block 1 while worker 2 sleeps in block 2.
+        _set_cpus(monkeypatch, 3)
         fds = _open_fds()
         start = time.monotonic()
-        with pytest.raises(ValueError, match="^boom$"):
-            map_seeds(_raise_at_0_sleep_at_3, self.JOB, 5)
+        with pytest.raises(ValueError, match="^boom$") as info:
+            map_seeds(_raise_at_2_sleep_at_4, self.JOB, 5)
+        assert "_raise_at_2_sleep_at_4" in str(info.value.__cause__)
+        assert len(forks) == 2
+        assert time.monotonic() - start < 30
+        _assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("fn, exc", [(_raise_at_0_sleep_at_3, ValueError),
+                                         (_interrupt_at_0_sleep_at_3, KeyboardInterrupt)])
+    def test_failure_in_the_callers_block_stops_every_worker(self, fn, exc, forks):
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(exc) as info:
+            map_seeds(fn, self.JOB, 5)
+        assert info.value.__cause__ is None  # raised as it is, not from a worker
+        assert len(forks) == 1
         assert time.monotonic() - start < 30
         _assert_nothing_left(fds)
 
@@ -375,8 +448,10 @@ class TestForkedWorkers:
 
         monkeypatch.setattr(pickle, "load", interrupted)
         fds = _open_fds()
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            map_seeds(_raise_at_0_sleep_at_3, self.JOB, 5)
+            map_seeds(_sleep_at_3, self.JOB, 5)  # the caller's block 0 ends first
+        assert time.monotonic() - start < 30
         _assert_nothing_left(fds)
 
     def test_failed_fork_stops_the_started_workers(self, forks, monkeypatch):
@@ -388,6 +463,7 @@ class TestForkedWorkers:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fails)
+        _set_cpus(monkeypatch, 3)  # two workers to fork besides the caller
         fds = _open_fds()
         start = time.monotonic()
         with pytest.raises(BlockingIOError):
@@ -425,9 +501,9 @@ class TestCollectMediumExpert:
 
     def test_both_tiers_share_one_process_pool(self, short_cfg, forks):
         pooled = collect_medium_expert(short_cfg, 4, seed_base=20, workers=2)
-        assert len(forks) == 2
+        assert len(forks) == 1
         serial = collect_medium_expert(short_cfg, 4, seed_base=20)
-        assert len(forks) == 2, "workers=1 forks nothing"
+        assert len(forks) == 1, "workers=1 forks nothing"
         assert pooled.meta == serial.meta
         assert ([t.to_record() for t in pooled.all_trajectories()]
                 == [t.to_record() for t in serial.all_trajectories()])
@@ -608,6 +684,22 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="would mislabel a tier: trajectory seed=0 "
                                              r"\(random\) is in tier expert"):
             write_dataset(mislabelled, tmp_path / "mislabelled.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_with_a_non_finite_number_is_not_written(self, tmp_path):
+        # load_dataset refuses NaN and Infinity, so a write must not make them.
+        man = collect(cs.default_config(horizon=3), make_policy("random"), 2, seed_base=5)
+        man.tiers["random"][1].observations[0, 0] = np.nan
+        path = tmp_path / "nan.jsonl"
+        with pytest.raises(ValueError, match="would hold a non-finite number: trajectory "
+                                             r"seed=6 \(random\)"):
+            write_dataset(man, path)
+        assert list(tmp_path.iterdir()) == []
+        man.tiers["random"][1].observations[0, 0] = 0.5
+        man.meta["note"] = float("inf")
+        with pytest.raises(ValueError, match=re.escape(f"{path}.manifest.json would hold "
+                                                       "a non-finite number")):
+            write_dataset(man, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_file_rejected(self, tmp_path):
