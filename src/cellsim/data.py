@@ -211,8 +211,8 @@ class DatasetManifest:
 # (about 8 KB, 8 KB and 12 KB per 100-step episode, 3.6 MB at B=128), plus
 # as much again as the SNR for |H|^2 when faded, so memory grows with B.
 # Scoring takes 16 rows per reward call: a faded 100-step random block at
-# B=128 holds 5.1 MiB before it and peaks at 5.9 MiB in it (10.3 MiB when
-# one call took all 101 rows; reset peaks at 6.7 MiB), under tracemalloc.
+# B=128 holds 5.1 MiB before it and peaks at 5.9 MiB in it (reset peaks at
+# 6.7 MiB), under tracemalloc.
 # At ``workers`` > 1 the calling process runs one share of the blocks, so it
 # holds one block on top of every result gathered so far.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
