@@ -16,7 +16,10 @@ k of a tier uses seed ``seed_base + k``.  Seeds run in contiguous blocks,
 each block's episodes stepped together in lockstep (``EpisodeBatch``), and
 the blocks are spread over the calling process and forked workers;
 results are assembled in seed order, so the output is independent of the
-worker count and block size.
+worker count and block size.  The two tiers of ``collect_medium_expert``
+run as one seed range, so one block may hold episodes of both: they share
+each step's preview, and each keeps its own tier's decision rule and its
+own streams.
 """
 
 from __future__ import annotations
@@ -153,12 +156,42 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     return observations, actions, rewards, _returns_to_go(rewards)
 
 
-def _collect_block(cfg: NetworkConfig, policy, seeds) -> list:
-    """One trajectory per seed, the whole block stepped in lockstep."""
+def _trajectories(cfg: NetworkConfig, policy, seeds, policy_ids) -> list:
+    """One trajectory per seed, the whole block stepped in lockstep under
+    ``policy``, each labelled with its entry of ``policy_ids``."""
     config_hash = cfg.canonical_hash()
     # One row of each (B, T, ...) array per episode, in Trajectory field order.
-    return [Trajectory(seed, policy.policy_id, config_hash, *columns)
-            for seed, *columns in zip(seeds, *rollout(cfg, policy, seeds))]
+    return [Trajectory(seed, policy_id, config_hash, *columns)
+            for seed, policy_id, *columns in zip(seeds, policy_ids,
+                                                 *rollout(cfg, policy, seeds))]
+
+
+def _collect_block(cfg: NetworkConfig, policy, seeds) -> list:
+    """One trajectory of ``policy`` per seed, in one lockstep block."""
+    return _trajectories(cfg, policy, seeds, [policy.policy_id] * len(seeds))
+
+
+class _ExpertThenMedium:
+    """Acts on a block whose first ``n_expert`` episodes are expert ones and
+    whose others are medium ones: one preview serves both tiers, and each
+    tier keeps its own decision rule."""
+
+    def __init__(self, expert, medium, n_expert: int):
+        self.expert, self.medium, self.n_expert = expert, medium, n_expert
+
+    def act(self, batch) -> np.ndarray:
+        return self.medium._coins(batch, self.expert.act(batch), self.n_expert)
+
+
+def _collect_two_tier_block(cfg: NetworkConfig, tiers, seeds) -> list:
+    """One trajectory per seed of a block of ``collect_medium_expert``'s seed
+    range, ``tiers = (expert, medium, mid)``: seeds below ``mid`` are expert
+    episodes, the others medium ones."""
+    expert, medium, mid = tiers
+    n_expert = min(max(mid - seeds[0], 0), len(seeds))
+    policy_ids = ([expert.policy_id] * n_expert
+                  + [medium.policy_id] * (len(seeds) - n_expert))
+    return _trajectories(cfg, _ExpertThenMedium(expert, medium, n_expert), seeds, policy_ids)
 
 
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
@@ -217,9 +250,10 @@ class DatasetManifest:
 # holds one block on top of every result gathered so far.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
 # on a 2-core host: 11.2, 3.2, 1.9, 1.5 and 1.1 ms at B=1, 4, 10, 32 and
-# 128) and by less than a tenth beyond it.  At 2 workers the default
-# 500-per-tier protocol already runs at the cap (three blocks of 128 and one
-# of 116 per tier), so a larger cap would hold more memory for little gain.
+# 128) and by less than a tenth beyond it.  The default 500-per-tier
+# protocol, 1000 seeds in one range, already runs near the cap (eight blocks
+# of 125 at one worker and at two), so a larger cap would hold more memory
+# for little gain.
 CAP = 128
 
 
@@ -227,9 +261,12 @@ def map_seeds(fn, jobs, workers: int) -> list:
     """One result per seed of each ``(cfg, policy, seed_base, n)`` job, job
     after job, each job's seeds seed_base..seed_base+n-1 in seed order.
 
-    Each job's seeds are cut into contiguous blocks of ``min(ceil(n /
-    workers), CAP)``; ``fn(cfg, policy, block)`` returns one result per seed
-    of its block.  With ``w = min(workers, blocks, usable CPUs) > 1``, the
+    Each job's n seeds are cut into at most ``count = workers * ceil(n /
+    (workers * CAP))`` contiguous blocks of ``ceil(n / count)`` seeds, as
+    large and as even as ``CAP`` and the worker count allow: up to ``workers
+    * CAP`` seeds that is ``ceil(n / workers)`` per block, and beyond it no
+    share ends in a short remainder block.  ``fn(cfg, policy, block)``
+    returns one result per seed of its block.  With ``w = min(workers, blocks, usable CPUs) > 1``, the
     blocks of every job are dealt round-robin to ``w`` shares: share k runs
     blocks k, k + w, k + 2w, ...  The calling process runs share 0 itself,
     and ``w - 1`` processes forked once per call run the others, each
@@ -248,7 +285,8 @@ def map_seeds(fn, jobs, workers: int) -> list:
         raise ValueError("workers must be at least 1")
     blocks = []  # (cfg, policy, block)
     for cfg, policy, seed_base, n in jobs:
-        size = max(1, min(-(-n // workers), CAP))
+        count = workers * -(-n // (workers * CAP))
+        size = -(-n // count) if n else 1
         end = seed_base + n
         blocks += [(cfg, policy, range(s, min(s + size, end)))
                    for s in range(seed_base, end, size)]
@@ -375,13 +413,15 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
                           workers: int = 1) -> DatasetManifest:
     """The default two-tier dataset: n expert episodes on seeds
     [seed_base, seed_base + n) and n medium episodes on the next n seeds.
-    Both tiers' blocks share one set of worker processes."""
+    Both tiers run as one seed range, expert seeds first, so a block may
+    hold episodes of both tiers; each episode is the same as in a block of
+    its own tier alone."""
     if n_per_tier < 0:
         raise ValueError("n_per_tier must be non-negative")
     # Both policies first, so a bad epsilon fails before any episode runs.
     expert, medium = make_policy("expert"), make_policy("medium", epsilon=epsilon)
     n, mid = n_per_tier, seed_base + n_per_tier
-    trajs = map_seeds(_collect_block, [(cfg, expert, seed_base, n), (cfg, medium, mid, n)],
+    trajs = map_seeds(_collect_two_tier_block, [(cfg, (expert, medium, mid), seed_base, 2 * n)],
                       workers)
     seed_ranges = {expert.policy_id: [seed_base, mid], medium.policy_id: [mid, mid + n]}
     return DatasetManifest(tiers={expert.policy_id: trajs[:n], medium.policy_id: trajs[n:]},
@@ -396,13 +436,16 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     The surviving count per tier is round((1 - frac) * n) and survivors keep
     their original order.  Dropping from a tier that is absent or empty is a
     no-op recorded in the manifest warnings; dropping nothing at all returns
-    an identical manifest.  ``seed`` must be a non-negative integer.
+    an identical manifest.  Each fraction must be a number in [0, 1] and
+    ``seed`` a non-negative integer; a bool is neither.
     """
-    fracs = {"expert": float(drop_expert), "medium": float(drop_medium)}
+    fracs = {"expert": drop_expert, "medium": drop_medium}
     for tier, frac in fracs.items():
-        if not 0.0 <= frac <= 1.0:
+        if (isinstance(frac, bool) or not isinstance(frac, (int, float, np.integer, np.floating))
+                or not 0.0 <= frac <= 1.0):
             raise ValueError(f"drop fraction for {tier} must lie in [0, 1]")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        fracs[tier] = float(frac)
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}

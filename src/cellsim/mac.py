@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FadingModel, UtilityParams
-from .radio import sample_fading
+from .radio import _fading_chunks
 
 __all__ = [
     "data_rate",
@@ -282,11 +282,12 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     informational only.  ``snr`` must be a finite, non-negative
     (n_bs, n_ues) matrix and ``tau`` one threshold in [0, 1] per station.
 
-    All ``n_samples`` fading blocks are drawn in one ``sample_fading`` call,
-    then scored in chunks of a few thousand samples, so each chunk's arrays
-    stay in cache; only the amplitude array and the per-sample rewards grow
-    with ``n_samples``.  The mean and standard deviation run over all the
-    rewards at once, so the report does not depend on the chunk size.
+    The ``n_samples`` fading blocks are the draw of one ``sample_fading``
+    call, drawn and scored in chunks of a few thousand samples, so each
+    chunk's arrays stay in cache; only the per-sample rewards (and, for
+    Rician, the real normals) grow with ``n_samples``.  The mean and
+    standard deviation run over all the rewards at once, so the report does
+    not depend on the chunk size.
     """
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
@@ -305,11 +306,12 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
         return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    amplitude = sample_fading(fading, np.random.default_rng(rng), (n_samples,) + snr.shape)
+    chunks = _fading_chunks(fading, np.random.default_rng(rng), n_samples, snr.shape,
+                            _JENSEN_CHUNK)
     samples = np.empty(n_samples)
-    for start in range(0, n_samples, _JENSEN_CHUNK):
+    for start, amplitude in zip(range(0, n_samples, _JENSEN_CHUNK), chunks):
         chunk = slice(start, start + _JENSEN_CHUNK)
-        power = np.square(amplitude[chunk])
+        power = np.square(amplitude, out=amplitude)
         if fixed_allocation:
             samples[chunk] = _reward_core(snr, tau, params, power=power)[0]
         else:

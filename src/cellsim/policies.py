@@ -75,11 +75,15 @@ class MediumPolicy:
         self.epsilon = epsilon
 
     def act(self, batch) -> np.ndarray:
-        # The expert's argmax first, then each episode's coin and, on the
-        # coin, its random action, both from that episode's own stream.
-        actions = batch.preview_step_rewards().argmax(axis=-1)
+        return self._coins(batch, batch.preview_step_rewards().argmax(axis=-1), 0)
+
+    def _coins(self, batch, actions, start: int) -> np.ndarray:
+        """Overwrite ``actions``, the expert's argmax, from episode ``start``
+        on: each episode's coin and, on the coin, its random action, both
+        from that episode's own stream.  Episodes before ``start`` draw
+        nothing."""
         n_actions = batch.cfg.n_actions
-        for b, g in enumerate(batch.policy_rngs):
+        for b, g in enumerate(batch.policy_rngs[start:], start):
             if g.random() < self.epsilon:
                 actions[b] = g.integers(n_actions)
         return actions

@@ -80,6 +80,24 @@ def sample_fading(model: FadingModel, rng: np.random.Generator, size):
     return _rician(model, rng.standard_normal(size), rng.standard_normal(size))
 
 
+def _fading_chunks(model: FadingModel, rng: np.random.Generator, n: int, shape, chunk: int):
+    """The amplitudes of ``sample_fading(model, rng, (n, *shape))``, bit for
+    bit, yielded ``chunk`` rows at a time, leaving ``rng`` in the same
+    state.  Rayleigh (and ``none``) takes one ``sample_fading`` call per
+    chunk; Rician draws the whole real block first, as the one call does,
+    then each chunk's imaginary rows, so only the real block grows with
+    ``n``.  A yielded chunk is the caller's to overwrite."""
+    starts = range(0, n, chunk)
+    if model.kind != "rician":
+        for start in starts:
+            yield sample_fading(model, rng, (min(chunk, n - start), *shape))
+        return
+    re = rng.standard_normal((n, *shape))
+    for start in starts:
+        part = re[start:start + chunk]
+        yield _rician(model, part, rng.standard_normal(part.shape))
+
+
 def episode_fading_power(model: FadingModel, rng: np.random.Generator, steps: int,
                          shape) -> np.ndarray:
     """|H|^2 of an episode's ``steps`` successive ``shape`` blocks in one

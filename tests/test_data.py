@@ -372,6 +372,29 @@ def _raise_at_2_sleep_at_4(cfg, policy, block):
     return list(block)
 
 
+class TestBlockCut:
+    """A job of n seeds at ``workers`` is cut into contiguous blocks of
+    ceil(n / count) seeds, count = workers * ceil(n / (workers * CAP)): as
+    large and as even as CAP and the worker count allow."""
+
+    @pytest.mark.parametrize("n, workers, sizes", [
+        (400, 2, [100] * 4), (300, 2, [75] * 4), (258, 1, [86] * 3), (1000, 2, [125] * 8),
+        (1000, 1, [125] * 8), (5, 3, [2, 2, 1]), (256, 2, [128] * 2), (0, 2, []),
+    ])
+    def test_blocks(self, n, workers, sizes, monkeypatch):
+        _set_cpus(monkeypatch, 1)  # every block runs in this process
+        blocks = []
+
+        def recording(cfg, policy, block):
+            blocks.append(block)
+            return list(block)
+
+        assert map_seeds(recording, [(None, None, 7, n)], workers) == list(range(7, 7 + n))
+        assert [len(block) for block in blocks] == sizes
+        assert [block.start for block in blocks] == [7 + sum(sizes[:i])
+                                                     for i in range(len(sizes))]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 class TestForkedWorkers:
     """Whatever a worker or the caller's own share does, the caller sees the
@@ -508,6 +531,52 @@ class TestCollectMediumExpert:
         assert ([t.to_record() for t in pooled.all_trajectories()]
                 == [t.to_record() for t in serial.all_trajectories()])
 
+    # A short horizon; at n=65 and workers=3 the blocks are 44, 44 and 42
+    # seeds, so block 1 holds both tiers, and at n=129 (workers=1) the 258
+    # seeds cross CAP into three blocks of 86, the second of them mixed.
+    @pytest.mark.parametrize("scenario", ["full/none", "limited/rayleigh", "full/rician:3"])
+    @pytest.mark.parametrize("n, workers", [(n, w) for n in (0, 1, 3, 65) for w in (1, 2, 3)]
+                             + [(129, 1)])
+    def test_equals_one_collect_per_tier(self, scenario, n, workers, forks, monkeypatch):
+        _set_cpus(monkeypatch, 3)
+        variant, fading = scenario.split("/")
+        cfg = cs.default_config(mobility_variant=variant, fading=fading, horizon=4)
+        both = collect_medium_expert(cfg, n, seed_base=50, workers=workers)
+        for tier, seed_base in (("expert", 50), ("medium", 50 + n)):
+            one = collect(cfg, make_policy(tier), n, seed_base=seed_base, workers=workers)
+            want = [json.dumps(t.to_record()) for t in one.tiers[tier]]
+            assert [json.dumps(t.to_record()) for t in both.tiers[tier]] == want, tier
+
+    def test_both_tiers_run_as_one_block(self, short_cfg, monkeypatch):
+        blocks = []
+        rollout = cs.data.rollout
+
+        def recording(cfg, policy, seeds, *args, **kwargs):
+            blocks.append(seeds)
+            return rollout(cfg, policy, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(cs.data, "rollout", recording)
+        collect_medium_expert(short_cfg, 10)
+        assert blocks == [range(0, 20)]
+
+    def test_expert_episodes_draw_nothing_from_their_streams(self, short_cfg, monkeypatch):
+        batches = []
+
+        class Recording(cs.env.EpisodeBatch):
+            def reset(self, seeds):
+                super().reset(seeds)
+                batches.append(self)
+
+        monkeypatch.setattr(cs.data, "EpisodeBatch", Recording)
+        collect_medium_expert(short_cfg, 3, seed_base=40)
+        (batch,) = batches
+        fresh = cs.env.EpisodeBatch(short_cfg)
+        fresh.reset(range(40, 46))
+        states = [[g.bit_generator.state for g in b.policy_rngs] for b in (batch, fresh)]
+        assert states[0][:3] == states[1][:3], "an expert episode drew from its stream"
+        assert all(a != b for a, b in zip(states[0][3:], states[1][3:])), \
+            "a medium episode drew no coin"
+
     def test_tier_iteration_order(self):
         man = DatasetManifest(tiers={"random": [_toy_traj(0, "random", 1.0)],
                                      "zeta": [_toy_traj(1, "zeta", 2.0)],
@@ -586,6 +655,28 @@ class TestAblate:
     def test_negative_seed_rejected(self, drops):
         with pytest.raises(ValueError, match="seed"):
             ablate(self._manifest(), seed=-1, **drops)
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 2.0],
+                             ids=["True", "False", "np.True_", "2.0"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            ablate(self._manifest(), drop_expert=0.5, seed=seed)
+
+    @pytest.mark.parametrize("tier", ["expert", "medium"])
+    @pytest.mark.parametrize("frac", ["0.5", True, False, np.True_, None],
+                             ids=["str", "True", "False", "np.True_", "None"])
+    def test_non_numeric_fraction_rejected(self, tier, frac):
+        with pytest.raises(ValueError,
+                           match=rf"^drop fraction for {tier} must lie in \[0, 1\]$"):
+            ablate(self._manifest(), **{f"drop_{tier}": frac})
+
+    @pytest.mark.parametrize("frac", [np.float64(0.5), np.float32(0.5), 1, np.int64(1)],
+                             ids=["float64", "float32", "int", "int64"])
+    def test_numpy_and_integer_fractions_accepted(self, frac):
+        out = ablate(self._manifest(), drop_expert=frac, seed=np.int64(1))
+        assert out.counts()["expert"] == round((1.0 - float(frac)) * 10)
+        assert type(out.meta["ablation"]["drop_expert"]) is float
+        assert type(out.meta["ablation"]["seed"]) is int
 
 
 class TestReturnStats:

@@ -183,6 +183,21 @@ class TestEpisodeFadingPower:
         assert ahead.random() == stepped.random()
 
 
+class TestFadingChunks:
+    @pytest.mark.parametrize("label", ["rayleigh", "rician:0", "rician:3"])
+    @pytest.mark.parametrize("n, chunk", [(12, 4), (13, 4), (5, 8), (7, 1)],
+                             ids=["divides", "remainder", "one-short-chunk", "rows"])
+    def test_chunks_are_one_draw_in_pieces(self, label, n, chunk):
+        model = parse_fading(label)
+        pieces, whole = np.random.default_rng(22), np.random.default_rng(22)
+        chunks = list(radio._fading_chunks(model, pieces, n, (3, 5), chunk))
+        want = radio.sample_fading(model, whole, (n, 3, 5))
+        assert [len(c) for c in chunks] == [min(chunk, n - s) for s in range(0, n, chunk)]
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
+        # Both leave the stream at the same place.
+        assert pieces.bit_generator.state == whole.bit_generator.state
+
+
 class TestFadedSnr:
     """A faded SNR is the matrix times an independent |H|^2 draw per entry,
     ``snr * sample_fading(model, rng, snr.shape) ** 2``, as in ``verify_jensen``."""
