@@ -96,6 +96,17 @@ def _finite_real(value) -> bool:
             and math.isfinite(value))
 
 
+def _integer(name: str, value, kind: str = "an integer", low=None) -> int:
+    """The count or seed argument ``name`` as a Python int.  A bool, a float
+    or any other non-integer, and a value below ``low`` when given, raise
+    ``ValueError("<name> must be <kind>, got <value>")``; numpy integers
+    pass."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or low is not None and value < low):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _check_numbers(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
     number and every int field an integer; a bool is neither.  A float field

@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig
+from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _integer
 from .env import EpisodeBatch
 from .policies import make_policy
 
@@ -281,6 +281,7 @@ def map_seeds(fn, jobs, workers: int) -> list:
     in this process.  Results do not depend on the worker count, the CPU
     count or the block size.
     """
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     blocks = []  # (cfg, policy, block)
@@ -397,6 +398,7 @@ def _serve(fn, share, wr: int):
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
             workers: int = 1) -> DatasetManifest:
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
+    n_traj, seed_base = _integer("n_traj", n_traj), _integer("seed_base", seed_base)
     if n_traj < 0:
         raise ValueError("n_traj must be non-negative")
     trajs = map_seeds(_collect_block, [(cfg, policy, seed_base, n_traj)], workers)
@@ -416,6 +418,7 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     Both tiers run as one seed range, expert seeds first, so a block may
     hold episodes of both tiers; each episode is the same as in a block of
     its own tier alone."""
+    n_per_tier, seed_base = _integer("n_per_tier", n_per_tier), _integer("seed_base", seed_base)
     if n_per_tier < 0:
         raise ValueError("n_per_tier must be non-negative")
     # Both policies first, so a bad epsilon fails before any episode runs.
@@ -445,8 +448,7 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
                 or not 0.0 <= frac <= 1.0):
             raise ValueError(f"drop fraction for {tier} must lie in [0, 1]")
         fracs[tier] = float(frac)
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _integer("seed", seed, "a non-negative integer", low=0)
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}
     warnings = list(manifest.warnings)
@@ -465,7 +467,7 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     meta = copy.deepcopy(manifest.meta)
     if any(fracs.values()):
         meta["ablation"] = {"drop_expert": fracs["expert"], "drop_medium": fracs["medium"],
-                            "seed": int(seed), "parent_counts": manifest.counts()}
+                            "seed": seed, "parent_counts": manifest.counts()}
     return DatasetManifest(tiers=tiers, config_hash=manifest.config_hash,
                            meta=meta, warnings=warnings)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .config import FadingModel, NetworkConfig
+from .config import FadingModel, NetworkConfig, _integer
 from .data import map_seeds, rollout
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
@@ -48,6 +48,7 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
 
 def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -> list:
     """``evaluate`` of each config on the same seeds, in one ``map_seeds`` call."""
+    n_episodes, seed_base = _integer("n_episodes", n_episodes), _integer("seed_base", seed_base)
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
     rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FadingModel, UtilityParams
+from .config import FadingModel, UtilityParams, _integer
 from .radio import _fading_chunks
 
 __all__ = [
@@ -289,6 +289,7 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     standard deviation run over all the rewards at once, so the report does
     not depend on the chunk size.
     """
+    n_samples = _integer("n_samples", n_samples)
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
     snr = np.asarray(snr, dtype=float)
@@ -358,6 +359,7 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
     x, y or their mix as the rate-term SNR.  ``n_trials`` and ``n_ues`` must
     be at least 1 and ``tau`` one threshold in [0, 1] per station.
     """
+    n_trials, n_ues = _integer("n_trials", n_trials), _integer("n_ues", n_ues)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     if n_ues < 1:

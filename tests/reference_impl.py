@@ -14,6 +14,10 @@ Motion: one ``UeMotionState`` per user, stepped by ``step_motion`` with
 that user's own RNG stream.  This is the per-user loop the array kernel in
 ``cellsim.mobility`` replaced; it must stay bit-equal to it, draws included.
 
+SNR: ``reference_snr_matrix`` broadcasts every station against every user
+in one expression, with a second full-size array for the y-differences,
+the formula ``cellsim.radio.snr_matrix`` computes station by station.
+
 Monte Carlo: ``reference_verify_jensen`` scores every fading draw in one
 ``mac.reward_terms`` call over the whole (n_samples, n_bs, n_ues) array, so
 the chunked loop of ``cellsim.mac.verify_jensen`` has a whole-array
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cellsim.mac import JensenReport, reward_terms
-from cellsim.radio import sample_fading
+from cellsim.radio import normalize_snr, sample_fading
 
 
 def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
@@ -86,6 +90,15 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
         utilities.append((g - clip_low) / (clip_high - clip_low))
 
     return sum(utilities) / n_ue, utilities
+
+
+def reference_snr_matrix(bs_positions, ue_positions, params):
+    """Normalized SNR of every station-user pair, (..., n_bs, n_ues), from
+    all distances at once: ``np.hypot`` of the full x- and y-difference
+    arrays, then the path loss law and the normalization on copies."""
+    bs, ue = bs_positions, ue_positions
+    distance = np.hypot(bs[:, None, 0] - ue[..., None, :, 0], bs[:, None, 1] - ue[..., None, :, 1])
+    return normalize_snr(params.raw_snr_at_distance(distance), params)
 
 
 def reference_verify_jensen(snr, tau, fading, params, n_samples, fixed_allocation, rng):

@@ -1,11 +1,13 @@
 """The Python contract: the README quickstart runs as written, the package
 exports exactly its documented surface, every module's ``__all__`` names
-only what exists, and every callable the benchmark traces stays at its
-module path."""
+only what exists, every callable the benchmark traces stays at its
+module path, and every count or seed argument is an integer."""
 
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cellsim as cs
@@ -94,3 +96,50 @@ def test_benchmark_trace_targets_exist():
         assert callable(vars(getattr(cs, cls)).get(attr)), f"{cls}.{attr}"
     for module in TRACED_MODULES:
         assert getattr(cs, module).__name__ == f"cellsim.{module}"
+
+
+_CFG = cs.default_config(horizon=2)
+
+# Each API entry point that takes counts or seeds, with a valid value for each.
+COUNTED = {
+    "collect": (lambda **kw: cs.collect(_CFG, cs.RandomPolicy(), **kw),
+                {"n_traj": 1, "seed_base": 3, "workers": 1}),
+    "collect_medium_expert": (lambda **kw: cs.collect_medium_expert(_CFG, **kw),
+                              {"n_per_tier": 1, "seed_base": 3, "workers": 1}),
+    "evaluate": (lambda **kw: cs.evaluate(_CFG, cs.RandomPolicy(), **kw),
+                 {"n_episodes": 1, "seed_base": 3, "workers": 1}),
+    "fading_sweep": (lambda **kw: cs.fading_sweep(_CFG, cs.RandomPolicy(),
+                                                  [cs.parse_fading("none")], **kw),
+                     {"n_episodes": 1, "seed_base": 3, "workers": 1}),
+    "verify_jensen": (lambda **kw: cs.verify_jensen(np.full((3, 5), 0.5), [0.2] * 3,
+                                                    cs.parse_fading("rayleigh"),
+                                                    _CFG.utility, rng=0, **kw),
+                      {"n_samples": 10_000}),
+    "concavity_probe": (lambda **kw: cs.concavity_probe(_CFG.utility, [0.2] * 3, rng=0, **kw),
+                        {"n_trials": 2, "n_ues": 2}),
+}
+COUNT_ARGUMENTS = [(fn, arg) for fn in COUNTED for arg in COUNTED[fn][1]]
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 2.5, "2", None],
+                         ids=["True", "False", "np.True_", "2.0", "2.5", "str", "None"])
+@pytest.mark.parametrize("fn, arg", COUNT_ARGUMENTS,
+                         ids=[f"{fn}-{arg}" for fn, arg in COUNT_ARGUMENTS])
+def test_count_argument_must_be_an_integer(fn, arg, value):
+    call, valid = COUNTED[fn]
+    with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got {re.escape(repr(value))}$"):
+        call(**{**valid, arg: value})
+
+
+def _comparable(result):
+    # A manifest's meta goes into the sidecar as JSON, so it must hold plain ints.
+    if isinstance(result, cs.DatasetManifest):
+        return json.dumps(result.meta), [t.to_record() for t in result.all_trajectories()]
+    return result
+
+
+@pytest.mark.parametrize("fn", sorted(COUNTED))
+def test_count_arguments_accept_numpy_integers(fn):
+    call, valid = COUNTED[fn]
+    got = call(**{arg: np.int64(v) for arg, v in valid.items()})
+    assert _comparable(got) == _comparable(call(**valid))

@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from cellsim.config import FadingModel, RadioParams, default_config, parse_fading
 from cellsim import radio
+from reference_impl import reference_snr_matrix
 
 
 class TestPathLoss:
@@ -80,7 +82,43 @@ class TestNormalization:
         assert np.allclose(got, [0.0, 0.0, 0.5, 1.0, 1.0], atol=1e-12)
 
 
+@st.composite
+def snr_positions(draw):
+    """(n_bs, 2) station and (..., n_ues, 2) user positions: 0-2 leading
+    episode axes, 1-4 stations, 1-6 users.  A user sits anywhere on or off
+    a 200 x 200 map (so often beyond the lower reference distance of every
+    station), exactly on a station, or within the unit reference distance
+    of one."""
+    n_bs, n_ues = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    coord = st.floats(0.0, 200.0)
+    bs = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n_bs, max_size=n_bs)))
+    station = st.integers(0, n_bs - 1)
+    anywhere = st.tuples(st.floats(-200.0, 400.0), st.floats(-200.0, 400.0))
+    on = station.map(lambda i: tuple(bs[i]))
+    near = st.tuples(station, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)).map(
+        lambda s: (bs[s[0], 0] + s[1], bs[s[0], 1] + s[2]))
+    size = math.prod(lead) * n_ues
+    ue = draw(st.lists(anywhere | on | near, min_size=size, max_size=size))
+    return bs, np.array(ue).reshape(*lead, n_ues, 2)
+
+
 class TestSnrMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(positions=snr_positions())
+    # Distance 0, inside the reference distance, and past the lower reference.
+    @example(positions=(np.array([[50.0, 100.0], [150.0, 100.0]]),
+                        np.array([[[50.0, 100.0], [50.5, 100.0], [199.0, 199.0]]])))
+    def test_equals_broadcast_reference(self, positions):
+        bs, ue = positions
+        before = bs.copy(), ue.copy()
+        params = RadioParams()
+        got = radio.snr_matrix(bs, ue, params)
+        want = reference_snr_matrix(bs, ue, params)
+        assert got.shape == ue.shape[:-2] + (len(bs), ue.shape[-2])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(bs, before[0]) and np.array_equal(ue, before[1])
+
     def test_arguments_left_as_they_are(self):
         # The kernels compute in place, but only in arrays of their own.
         cfg = default_config()
