@@ -107,6 +107,16 @@ def _integer(name: str, value, kind: str = "an integer", low=None) -> int:
     return int(value)
 
 
+def _fraction(what: str, value) -> float:
+    """The fraction ``what`` as a Python float.  A bool, a non-number and a
+    number outside [0, 1] raise ``ValueError("<what> must lie in [0, 1]")``;
+    numpy numbers pass."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 <= value <= 1.0):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return float(value)
+
+
 def _check_numbers(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
     number and every int field an integer; a bool is neither.  A float field
@@ -321,6 +331,11 @@ class NetworkConfig:
     threshold_step: float = DEFAULT_THRESHOLD_STEP
 
     def __post_init__(self):
+        for name, cls in _SECTIONS.items():
+            section = getattr(self, name)
+            if not isinstance(section, cls):
+                raise ValueError(f"NetworkConfig.{name} must be a {cls.__name__}, "
+                                 f"got {section!r}")
         _check_numbers(self)
         m = self.mobility
         positions = _points(self.bs_positions, "station", m.map_width, m.map_height)

@@ -13,13 +13,13 @@ files first and then moved into place, so a failed write leaves no partial
 file behind.  Loading checks each record's returns-to-go and the sidecar's
 digest against the bytes read.  Collection is deterministic: trajectory
 k of a tier uses seed ``seed_base + k``.  Seeds run in contiguous blocks,
-each block's episodes stepped together in lockstep (``EpisodeBatch``), and
-the blocks are spread over the calling process and forked workers;
-results are assembled in seed order, so the output is independent of the
-worker count and block size.  The two tiers of ``collect_medium_expert``
-run as one seed range, so one block may hold episodes of both: they share
-each step's preview, and each keeps its own tier's decision rule and its
-own streams.
+each block's episodes stepped together in lockstep (``EpisodeBatch``).  One
+generator runs the blocks, spread over the calling process and any forked
+workers, and yields their results block by block in seed order, so the
+output is independent of the worker count and block size.  The two tiers
+of ``collect_medium_expert`` run as one seed range, so one block may hold
+episodes of both: they share each step's preview, and each keeps its own
+tier's decision rule and its own streams.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _integer
+from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _fraction, _integer
 from .env import EpisodeBatch
 from .policies import make_policy
 
@@ -196,7 +196,7 @@ def _collect_two_tier_block(cfg: NetworkConfig, tiers, seeds) -> list:
 
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
     """Run one full episode and package it with exact returns-to-go."""
-    return _collect_block(cfg, policy, (seed,))[0]
+    return _collect_block(cfg, policy, (_integer("seed", seed),))[0]
 
 
 @dataclass
@@ -266,20 +266,23 @@ def map_seeds(fn, jobs, workers: int) -> list:
     large and as even as ``CAP`` and the worker count allow: up to ``workers
     * CAP`` seeds that is ``ceil(n / workers)`` per block, and beyond it no
     share ends in a short remainder block.  ``fn(cfg, policy, block)``
-    returns one result per seed of its block.  With ``w = min(workers, blocks, usable CPUs) > 1``, the
-    blocks of every job are dealt round-robin to ``w`` shares: share k runs
-    blocks k, k + w, k + 2w, ...  The calling process runs share 0 itself,
-    and ``w - 1`` processes forked once per call run the others, each
-    pickling a block's results back through a pipe as it ends.  Forking
-    copies the caller, so ``fn`` and the jobs need not pickle; the results
-    must.  An exception a worker's block raises is raised again in the
-    caller, with the worker's traceback as its cause, and one raised in the
-    caller's own block propagates as it is; a worker that dies without
-    sending its results raises ``RuntimeError`` naming the worker and its
-    exit status.  Either way no worker process and no pipe outlives the
-    call.  Where ``os.fork`` does not exist, or ``w`` is 1, the blocks run
-    in this process.  Results do not depend on the worker count, the CPU
-    count or the block size.
+    returns one result per seed of its block.  Every block runs through
+    one generator, ``_block_results``, which yields each block's results in
+    block order.  With ``w = min(workers, blocks, usable CPUs)``, or ``w =
+    1`` where ``os.fork`` does not exist, the blocks of every job are dealt
+    round-robin to ``w`` shares: share k runs blocks k, k + w, k + 2w, ...
+    The calling process runs share 0 itself, and ``w - 1`` processes forked
+    once per call run the others, each pickling a block's results back
+    through a pipe as it ends; at ``w = 1`` the calling process runs every
+    block and nothing is forked.  Forking copies the caller, so ``fn`` and
+    the jobs need not pickle; the results must.  An exception a worker's
+    block raises is raised again in the caller, with the worker's traceback
+    as its cause, and one raised in the caller's own block propagates as it
+    is (but a ``StopIteration``, from either, becomes the ``RuntimeError``
+    any generator raises for it); a worker that dies without sending its
+    results raises ``RuntimeError`` naming the worker and its exit status.
+    Either way no worker process and no pipe outlives the call.  Results do
+    not depend on the worker count, the CPU count or the block size.
     """
     workers = _integer("workers", workers)
     if workers < 1:
@@ -291,15 +294,9 @@ def map_seeds(fn, jobs, workers: int) -> list:
         end = seed_base + n
         blocks += [(cfg, policy, range(s, min(s + size, end)))
                    for s in range(seed_base, end, size)]
-    w = min(workers, len(blocks), _usable_cpus())
-    if w > 1 and hasattr(os, "fork"):
-        # Every block resets episodes, which needs numpy.random: loaded here
-        # once, the workers inherit it instead of each importing it anew.
-        from . import _streams  # noqa: F401
-        results = _run_forked(fn, blocks, w)
-    else:
-        results = [fn(*block) for block in blocks]
-    return [r for block in results for r in block]
+    w = min(workers, len(blocks), _usable_cpus()) if hasattr(os, "fork") else 1
+    with contextlib.closing(_block_results(fn, blocks, w)) as results:
+        return [r for block in results for r in block]
 
 
 def _usable_cpus() -> int:
@@ -313,12 +310,20 @@ class _WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a worker process."""
 
 
-def _run_forked(fn, blocks, w: int) -> list:
-    """``[fn(*block) for block in blocks]``, share k = ``blocks[k::w]`` run by
-    the caller for k = 0 and in forked child k for k = 1..w-1; see
-    ``map_seeds``."""
+def _block_results(fn, blocks, w: int):
+    """Yield ``fn(*block)`` for each block, in block order: share k =
+    ``blocks[k::w]`` is run by the consumer's own process for k = 0, as the
+    generator reaches each of its blocks, and by forked child k for k =
+    1..w-1; see ``map_seeds``.  At ``w`` = 1 every block runs in the
+    consumer's process and nothing is forked.  Every child is killed and
+    reaped when the generator ends, raises or is closed, so a consumer that
+    may stop early holds it in ``contextlib.closing``."""
     readers, pids = {}, {}  # worker -> pipe read end; worker -> pid not yet reaped
     try:
+        if w > 1:
+            # Every block resets episodes, which needs numpy.random: loaded
+            # here once, the workers inherit it instead of each importing it.
+            from . import _streams  # noqa: F401
         for k in range(1, w):
             r, wr = os.pipe()
             readers[k] = open(r, "rb")
@@ -333,11 +338,10 @@ def _run_forked(fn, blocks, w: int) -> list:
         # Block i is the caller's own when i % w == 0, else the next message
         # on pipe i % w, so each worker waits only for the caller to take its
         # previous block.
-        results = []
         for i, block in enumerate(blocks):
             k = i % w
             if k == 0:
-                results.append(fn(*block))
+                yield fn(*block)
                 continue
             try:
                 ok, value = pickle.load(readers[k])
@@ -347,12 +351,11 @@ def _run_forked(fn, blocks, w: int) -> list:
             if not ok:
                 exc, tb = value
                 raise exc from _WorkerTraceback(tb)
-            results.append(value)
+            yield value
         for k in range(1, w):
             code = _reap(pids, k)
             if code != 0:
                 raise RuntimeError(f"worker {k} exited with status {code}")
-        return results
     finally:
         for reader in readers.values():
             reader.close()
@@ -429,7 +432,7 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     seed_ranges = {expert.policy_id: [seed_base, mid], medium.policy_id: [mid, mid + n]}
     return DatasetManifest(tiers={expert.policy_id: trajs[:n], medium.policy_id: trajs[n:]},
                            config_hash=cfg.canonical_hash(),
-                           meta={"seed_ranges": seed_ranges, "epsilon": epsilon})
+                           meta={"seed_ranges": seed_ranges, "epsilon": medium.epsilon})
 
 
 def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
@@ -442,12 +445,8 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     an identical manifest.  Each fraction must be a number in [0, 1] and
     ``seed`` a non-negative integer; a bool is neither.
     """
-    fracs = {"expert": drop_expert, "medium": drop_medium}
-    for tier, frac in fracs.items():
-        if (isinstance(frac, bool) or not isinstance(frac, (int, float, np.integer, np.floating))
-                or not 0.0 <= frac <= 1.0):
-            raise ValueError(f"drop fraction for {tier} must lie in [0, 1]")
-        fracs[tier] = float(frac)
+    fracs = {tier: _fraction(f"drop fraction for {tier}", frac)
+             for tier, frac in (("expert", drop_expert), ("medium", drop_medium))}
     seed = _integer("seed", seed, "a non-negative integer", low=0)
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}
@@ -473,7 +472,9 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
 
 
 def return_stats(manifest: DatasetManifest, bins: int = 30) -> dict:
-    """Per-tier return statistics with histograms over the pooled range."""
+    """Per-tier return statistics with histograms over the pooled range;
+    ``bins`` is a positive integer."""
+    bins = _integer("bins", bins)
     if bins < 1:
         raise ValueError("bins must be positive")
     summary = manifest.summary_stats()

@@ -61,7 +61,7 @@ import operator
 import numpy as np
 
 from . import mac, mobility, radio
-from .config import NetworkConfig
+from .config import NetworkConfig, _integer
 
 __all__ = ["CellularNetworkEnv", "decode_action"]
 
@@ -119,9 +119,9 @@ class EpisodeBatch:
         if low < 0:
             raise ValueError(f"seed must be a non-negative integer, got {low}")
         # Imported here: loading numpy.random costs ~2 MB of RSS, which a
-        # process that never resets an episode need not pay (``map_seeds``
-        # loads it just before it forks the workers that run the shares it
-        # does not run itself).
+        # process that never resets an episode need not pay
+        # (``data._block_results`` loads it just before it forks the workers
+        # that run the shares the calling process does not run itself).
         from ._streams import generator, stream_words
         words = stream_words(seeds, cfg.n_ues)
         rows = cfg.horizon + 1
@@ -219,8 +219,9 @@ class CellularNetworkEnv:
     # -- lifecycle -----------------------------------------------------
 
     def reset(self, seed: int) -> np.ndarray:
-        """Start a fresh episode; returns the initial observation."""
-        self._batch.reset((seed,))
+        """Start a fresh episode from the non-negative integer ``seed``;
+        returns the initial observation."""
+        self._batch.reset((_integer("seed", seed),))
         self._batch.score()
         return self._batch.observations(0, 1)[0, 0]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON
+from .config import DEFAULT_MEDIUM_EPSILON, _fraction
 
 __all__ = ["RandomPolicy", "GreedyExpertPolicy", "MediumPolicy", "make_policy"]
 
@@ -70,9 +70,7 @@ class MediumPolicy:
     policy_id = "medium"
 
     def __init__(self, epsilon: float = DEFAULT_MEDIUM_EPSILON):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        self.epsilon = epsilon
+        self.epsilon = _fraction("epsilon", epsilon)
 
     def act(self, batch) -> np.ndarray:
         return self._coins(batch, batch.preview_step_rewards().argmax(axis=-1), 0)
@@ -92,10 +90,9 @@ class MediumPolicy:
 
 
 def make_policy(name: str, epsilon: float = DEFAULT_MEDIUM_EPSILON):
-    """Build a policy from its tier name; ``epsilon`` must lie in [0, 1]
-    whatever the tier."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
+    """Build a policy from its tier name; ``epsilon`` must be a number in
+    [0, 1] whatever the tier."""
+    epsilon = _fraction("epsilon", epsilon)
     if name == "expert":
         return GreedyExpertPolicy()
     if name == "medium":

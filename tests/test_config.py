@@ -127,6 +127,17 @@ class TestFromDictBoundary:
         with pytest.raises(ValueError, match=r"NetworkConfig\.horizon must be an integer"):
             NetworkConfig(horizon=2.0)
 
+    @pytest.mark.parametrize("section, value, cls", [
+        ("fading", "rayleigh", "FadingModel"),
+        ("mobility", None, "MobilityConfig"),
+        ("radio", {}, "RadioParams"),
+        ("utility", FadingModel(), "UtilityParams"),
+    ])
+    def test_direct_construction_checks_section_types(self, section, value, cls):
+        message = f"NetworkConfig.{section} must be a {cls}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkConfig(**{section: value})
+
 
 class TestParseFading:
     @pytest.mark.parametrize("spec", ["rician:nan", "rician:inf", "rician:-inf"])

@@ -117,6 +117,13 @@ COUNTED = {
                       {"n_samples": 10_000}),
     "concavity_probe": (lambda **kw: cs.concavity_probe(_CFG.utility, [0.2] * 3, rng=0, **kw),
                         {"n_trials": 2, "n_ues": 2}),
+    "CellularNetworkEnv.reset": (lambda **kw: cs.CellularNetworkEnv(_CFG).reset(**kw).tolist(),
+                                 {"seed": 3}),
+    "collect_trajectory": (lambda **kw: cs.collect_trajectory(_CFG, cs.RandomPolicy(),
+                                                              **kw).to_record(),
+                           {"seed": 3}),
+    "return_stats": (lambda **kw: cs.return_stats(cs.collect(_CFG, cs.RandomPolicy(), 3), **kw),
+                     {"bins": 2}),
 }
 COUNT_ARGUMENTS = [(fn, arg) for fn in COUNTED for arg in COUNTED[fn][1]]
 

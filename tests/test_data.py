@@ -1,5 +1,6 @@
 """Trajectory collection, dataset files, ablation, and return statistics."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -19,6 +20,7 @@ from cellsim.data import (
     CAP,
     DatasetManifest,
     Trajectory,
+    _block_results,
     ablate,
     collect,
     collect_medium_expert,
@@ -285,7 +287,8 @@ class TestPoolSize:
         assert seeds == list(range(10, 10 + n))
 
     @pytest.mark.parametrize("n, workers, cpus, size",
-                             [(3, 64, 2, 2), (100_000, 100_000, 2, 2), (5, 3, 1, 0)])
+                             [(3, 64, 2, 2), (100_000, 100_000, 2, 2), (5, 3, 1, 0),
+                              (5, 1, 64, 1)])
     def test_pool_has_no_more_workers_than_cpus(self, n, workers, cpus, size, forks,
                                                 monkeypatch):
         _set_cpus(monkeypatch, cpus)
@@ -495,6 +498,34 @@ class TestForkedWorkers:
         assert time.monotonic() - start < 30
         _assert_nothing_left(fds)
 
+    # The blocks of JOB at workers=5 and 2 CPUs, as map_seeds cuts them.
+    BLOCKS = [(None, None, range(s, s + 2)) for s in range(0, 10, 2)]
+
+    def test_consumer_that_stops_early_leaves_nothing(self, forks):
+        # The caller's block 0 is taken while the worker sleeps in block 1.
+        fds = _open_fds()
+        start = time.monotonic()
+        with contextlib.closing(_block_results(_sleep_at_3, self.BLOCKS, 2)) as results:
+            assert next(results) == [0, 1]
+        assert len(forks) == 1
+        assert time.monotonic() - start < 30
+        _assert_nothing_left(fds)
+
+    def test_consumer_that_raises_mid_stream_leaves_nothing(self, forks):
+        fds = _open_fds()
+        start = time.monotonic()
+        taken = []
+        with pytest.raises(ValueError, match="^consumer$") as info:
+            with contextlib.closing(_block_results(_sleep_at_3, self.BLOCKS, 2)) as results:
+                for block in results:
+                    taken.append(block)
+                    raise ValueError("consumer")
+        assert info.value.__cause__ is None
+        assert taken == [[0, 1]]
+        assert len(forks) == 1
+        assert time.monotonic() - start < 30
+        _assert_nothing_left(fds)
+
 
 class TestCollectMediumExpert:
     def test_tiers_and_disjoint_seed_ranges(self, short_cfg):
@@ -521,6 +552,15 @@ class TestCollectMediumExpert:
         with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
             collect_medium_expert(short_cfg, 3, epsilon=7)
         assert blocks == []
+
+    def test_numpy_epsilon_is_written_as_a_float(self, short_cfg, tmp_path):
+        man = collect_medium_expert(short_cfg, 1, epsilon=np.float32(0.25))
+        assert type(man.meta["epsilon"]) is float
+        write_dataset(man, tmp_path / "d.jsonl")
+        assert load_dataset(tmp_path / "d.jsonl").meta["epsilon"] == 0.25
+        same = collect_medium_expert(short_cfg, 1, epsilon=0.25)
+        assert ([t.to_record() for t in man.all_trajectories()]
+                == [t.to_record() for t in same.all_trajectories()])
 
     def test_both_tiers_share_one_process_pool(self, short_cfg, forks):
         pooled = collect_medium_expert(short_cfg, 4, seed_base=20, workers=2)

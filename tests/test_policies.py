@@ -80,6 +80,16 @@ class TestMedium:
         with pytest.raises(ValueError):
             MediumPolicy(epsilon=-0.1)
 
+    @pytest.mark.parametrize("build", [MediumPolicy,
+                                       lambda eps: make_policy("medium", epsilon=eps),
+                                       lambda eps: make_policy("random", epsilon=eps)],
+                             ids=["MediumPolicy", "make_policy-medium", "make_policy-random"])
+    @pytest.mark.parametrize("epsilon", [True, np.True_, "0.3", None, float("nan")],
+                             ids=["True", "np.True_", "str", "None", "nan"])
+    def test_epsilon_must_be_a_number(self, build, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+            build(epsilon)
+
 
 class TestRandom:
     def test_uniform_over_codes(self):
