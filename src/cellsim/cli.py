@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import harness, mac
-from .config import DEFAULT_MEDIUM_EPSILON, default_config, load_config, parse_fading
+from .config import DEFAULT_MEDIUM_EPSILON, _integer, default_config, load_config, parse_fading
 from .policies import make_policy
 
 _POLICY_CHOICES = ("expert", "medium", "random")
@@ -40,12 +40,13 @@ def _add_config_flags(sub, mobility=True, fading=True):
 
 def _baselines(args):
     """(expert mean, random mean), None when neither flag is given; one flag
-    alone is a usage error."""
+    alone is a usage error, and a pair that is not finite and distinct a
+    domain error, both before any episode runs."""
     pair = (args.baseline_expert, args.baseline_random)
     if pair.count(None) == 1:
         given, missing = ("expert", "random") if pair[1] is None else ("random", "expert")
         args.baseline_parser.error(f"--baseline-{given} requires --baseline-{missing}")
-    return None if None in pair else pair
+    return None if None in pair else harness._baseline_pair(*pair)
 
 
 def _resolve_config(args, horizon=None):
@@ -213,8 +214,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     model = parse_fading(args.fading)
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    _integer("seed", args.seed, "a non-negative integer", low=0)
     rng = np.random.default_rng(args.seed)
     snr = rng.random((cfg.n_bs, cfg.n_ues))
     tau = rng.random(cfg.n_bs)

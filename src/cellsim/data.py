@@ -140,9 +140,9 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
 
     Returns (observations, actions, rewards, returns-to-go), episode-major:
     (B, T, obs_dim) (None unless ``observe``), then three (B, T) arrays.
-    The steps only move thresholds; after the last one, every row that no
-    preview scored, reset's row 0 included, is scored by ``score``, 16 rows
-    per ``mac.reward`` call, and the observations are built in one pass.
+    The steps only move thresholds; after the last one, ``score`` scores
+    every row in step order, reset's row 0 included, 16 rows per
+    ``mac.reward`` call, and the observations are built in one pass.
     """
     batch = EpisodeBatch(cfg)
     batch.reset(seeds)
@@ -404,11 +404,13 @@ def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
     n_traj, seed_base = _integer("n_traj", n_traj), _integer("seed_base", seed_base)
     if n_traj < 0:
         raise ValueError("n_traj must be non-negative")
-    trajs = map_seeds(_collect_block, [(cfg, policy, seed_base, n_traj)], workers)
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
+    # Checked before any episode runs: a policy's epsilon may have been set
+    # after it was built, past ``MediumPolicy``'s own check.
     eps = getattr(policy, "epsilon", None)
     if eps is not None:
-        meta["epsilon"] = eps
+        meta["epsilon"] = _fraction("epsilon", eps)
+    trajs = map_seeds(_collect_block, [(cfg, policy, seed_base, n_traj)], workers)
     return DatasetManifest(tiers={policy.policy_id: trajs},
                            config_hash=cfg.canonical_hash(), meta=meta)
 

@@ -25,13 +25,11 @@ view, and ``policy(env)`` is ``act`` on the batch behind it.
 The batch keeps one row per state of the episode, time-major: row 0 is the
 reset state and row t + 1 the state after step t.  A row holds every
 episode's thresholds, SNR matrix and, when faded, |H|^2 blocks, and once
-scored its rewards and per-user utilities.  A row's reward depends only on
-that row, so rows need not be scored in step order: a step the preview saw
-takes its row from the preview when fading is off, and ``score`` scores
-every other row reached so far, in one ``mac.reward`` call per 16 rows.
-``rollout`` scores once per block, after the last step; the B=1 view
-scores its row at reset and after each step, so its observation can carry
-the utilities.
+scored its rewards and per-user utilities.  ``score`` is the only code
+that scores rows, faded or not: it scores every row reached since its last
+call, in step order, in one ``mac.reward`` call per 16 rows.  ``rollout``
+scores once per block, after the last step; the B=1 view scores its row at
+reset and after each step, so its observation can carry the utilities.
 
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
@@ -51,7 +49,8 @@ per-step draws would take them, into the block's one |H|^2 array.  Step and prev
 draws nothing.  So an episode is a pure function of (config, seed,
 actions), whatever batch it runs in, which is what makes collected
 trajectories reproducible byte for byte.  ``preview_step_rewards`` keeps
-every action's fading-free reward for the next ``step``.
+every action's fading-free reward only until the next ``step``; it serves
+the policy's choice and scores no row.
 """
 
 from __future__ import annotations
@@ -66,16 +65,25 @@ from .config import NetworkConfig, _integer
 __all__ = ["CellularNetworkEnv", "decode_action"]
 
 
+def _action_code(action, n_actions: int) -> int:
+    """``action`` as an int in [0, n_actions).  A bool or any other
+    non-integer raises ``TypeError`` (``operator.index`` alone takes
+    ``True`` for 1), a code out of range ``ValueError``."""
+    if isinstance(action, bool):
+        raise TypeError(f"action must be an integer, got {action!r}")
+    a = operator.index(action)
+    if not 0 <= a < n_actions:
+        raise ValueError(f"action {action} outside [0, {n_actions})")
+    return a
+
+
 def decode_action(action: int, n_bs: int) -> tuple:
     """Map an action code to one threshold delta in {-1, 0, +1} per station.
 
     Codes are base-3 with the most significant digit on station 0:
     0 decodes to all -1, the middle code to all 0, the top code to all +1.
     """
-    a = operator.index(action)
-    n_actions = 3 ** n_bs
-    if not 0 <= a < n_actions:
-        raise ValueError(f"action {action} outside [0, {n_actions})")
+    a = _action_code(action, 3 ** n_bs)
     return tuple((a // 3 ** (n_bs - 1 - i)) % 3 - 1 for i in range(n_bs))
 
 
@@ -96,9 +104,9 @@ class EpisodeBatch:
 
     Each state is a time-major row, 0 for reset and t + 1 after step t, of
     thresholds ``_taus`` (B, n_bs), SNRs ``_snrs``, |H|^2 ``_power`` when
-    faded, and, once ``_scored``, rewards ``_rewards`` (B,) and utilities
-    ``_utils`` (B, n_ues).  ``score`` fills every row not yet scored;
-    ``observations`` reads scored rows.
+    faded, and, in the rows below ``_n_scored``, rewards ``_rewards`` (B,)
+    and utilities ``_utils`` (B, n_ues).  Only ``score`` fills those, in
+    step order; ``observations`` reads scored rows.
     """
 
     def __init__(self, cfg: NetworkConfig):
@@ -145,52 +153,45 @@ class EpisodeBatch:
                 self._power[:, b] = radio.episode_fading_power(
                     cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
         self._preview = None
-        self._episodes = np.arange(len(words))
-        # Thresholds, rewards and per-user utilities of every row; a row's
-        # rewards and utilities are set once ``_scored``.
+        # Thresholds, rewards and per-user utilities of every row; the rows
+        # below ``_n_scored`` hold their rewards and utilities.
         self._taus = np.full((rows, len(words), cfg.n_bs), 0.5)
         self._rewards = np.empty((rows, len(words)))
         self._utils = np.empty((rows, len(words), cfg.n_ues))
-        self._scored = np.zeros(rows, dtype=bool)
+        self._n_scored = 0
         self._t = 0
         self._done = False
 
     def step(self, actions) -> None:
-        """Apply one action code per episode.  With fading off, a step the
-        preview saw takes its rewards from the preview; any other step
-        leaves its row for ``score``."""
+        """Apply one action code per episode: move the thresholds into the
+        next row, which ``score`` scores, and drop the preview."""
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
         t = self._t + 1
         self._taus[t] = _unit(self._taus[t - 1] + self._moves[actions])
-        previewed, self._preview = self._preview, None
-        if previewed is not None and self._power is None:
-            # The preview already holds each action's fading-free reward.
-            pick = self._episodes, actions
-            self._rewards[t], self._utils[t] = previewed[0][pick], previewed[1][pick]
-            self._scored[t] = True
+        self._preview = None
         self._t = t
         self._done = t >= self.cfg.horizon
 
     def score(self) -> None:
-        """Score every row up to the current one that is not scored yet,
-        in one ``mac.reward`` call per ``_SCORE_CHUNK`` of them."""
-        todo = np.flatnonzero(~self._scored[:self._t + 1])
-        for start in range(0, todo.size, _SCORE_CHUNK):
-            rows = todo[start:start + _SCORE_CHUNK]
-            if rows[-1] - rows[0] + 1 == rows.size:  # one run of rows: views, not copies
-                rows = slice(rows[0], rows[-1] + 1)
+        """Score the rows from the first unscored one up to the current
+        one, in step order, in one ``mac.reward`` call per ``_SCORE_CHUNK``
+        of them."""
+        stop = self._t + 1
+        for start in range(self._n_scored, stop, _SCORE_CHUNK):
+            rows = slice(start, min(start + _SCORE_CHUNK, stop))
             power = None if self._power is None else self._power[rows]
             self._rewards[rows], self._utils[rows] = mac.reward(
                 self._snrs[rows], self._taus[rows], self.cfg.utility, power)
-        self._scored[todo] = True
+        self._n_scored = stop
 
     def preview_step_rewards(self) -> np.ndarray:
         """Fading-free one-step reward of every action in every episode,
         (B, n_actions), without advancing.
 
-        Every action sees the same upcoming positions; the result is kept
-        for ``step``.
+        Every action sees the same upcoming positions.  The result is kept
+        until the next ``step`` drops it, so a policy may ask again within a
+        step; it scores no row, which is ``score``'s work.
         """
         if self._done:
             raise RuntimeError("environment must be mid-episode to preview")
@@ -203,7 +204,7 @@ class EpisodeBatch:
         """Observations of scored rows start..stop-1, episode-major:
         (B, stop - start, obs_dim)."""
         rows = slice(start, stop)
-        snrs = self._snrs[rows].reshape(stop - start, len(self._episodes), -1)
+        snrs = self._snrs[rows].reshape(stop - start, self._taus.shape[1], -1)
         return np.concatenate([self._taus[rows].transpose(1, 0, 2), snrs.transpose(1, 0, 2),
                                self._utils[rows].transpose(1, 0, 2)], axis=-1)
 
@@ -227,11 +228,8 @@ class CellularNetworkEnv:
 
     def step(self, action: int):
         """Apply one action; returns (obs, reward, done, info)."""
-        code = operator.index(action)
-        if not 0 <= code < self.cfg.n_actions:
-            raise ValueError(f"action {action} outside [0, {self.cfg.n_actions})")
         batch = self._batch
-        batch.step(np.array([code]))
+        batch.step(np.array([_action_code(action, self.cfg.n_actions)]))
         batch.score()
         t = batch._t
         info = {"utilities": batch._utils[t, 0].copy(), "thresholds": batch._taus[t, 0].copy()}

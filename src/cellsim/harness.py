@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .config import FadingModel, NetworkConfig, _integer
+from .config import FadingModel, NetworkConfig, _finite_real, _integer
 from .data import map_seeds, rollout
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
@@ -63,13 +63,23 @@ def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -
     return results
 
 
+def _baseline_pair(expert_mean, random_mean) -> tuple:
+    """The (expert, random) baseline means as floats.  A pair that is not
+    two finite, distinct numbers raises ``ValueError``."""
+    if not (_finite_real(expert_mean) and _finite_real(random_mean)):
+        raise ValueError(f"baselines must be finite numbers, got expert {expert_mean!r} "
+                         f"and random {random_mean!r}")
+    if expert_mean == random_mean:
+        raise ValueError("degenerate baselines: expert and random means coincide")
+    return float(expert_mean), float(random_mean)
+
+
 def rescale(mean: float, expert_mean: float, random_mean: float) -> float:
     """Map a raw mean return onto the 0-100 scale spanned by the random and
-    expert baselines.  Unclipped, so scores may leave [0, 100]."""
-    span = expert_mean - random_mean
-    if span == 0:
-        raise ValueError("degenerate baselines: expert and random means coincide")
-    return 100.0 * (mean - random_mean) / span
+    expert baselines, which must be finite and distinct.  Unclipped, so
+    scores may leave [0, 100]."""
+    expert_mean, random_mean = _baseline_pair(expert_mean, random_mean)
+    return 100.0 * (mean - random_mean) / (expert_mean - random_mean)
 
 
 def _stochasticity_rank(model: FadingModel) -> float:
@@ -121,7 +131,8 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     every model's seed blocks through one set of worker processes.
 
     ``baselines``, when given as (expert_mean, random_mean), adds a 0-100
-    score column.  The ordering check sorts models from least to most
+    score column; a pair that ``rescale`` would refuse fails before any
+    episode runs.  The ordering check sorts models from least to most
     stochastic (none, then descending Rician K, then Rayleigh) and flags any
     adjacent pair whose mean gap drops below -2 paired SEMs.  ``models``
     must name at least one fading model.
@@ -129,6 +140,8 @@ def fading_sweep(cfg: NetworkConfig, policy, models, n_episodes: int = 100,
     models = list(models)
     if not models:
         raise ValueError("models must name at least one fading model")
+    if baselines is not None:
+        baselines = _baseline_pair(*baselines)
     results = _evaluate_all([dc_replace(cfg, fading=model) for model in models], policy,
                             n_episodes, seed_base, workers)
     rows = []

@@ -160,11 +160,14 @@ class TestEvaluate:
         assert "score=" in out
 
     def test_equal_baselines_fail(self, capsys):
-        code, _, err = run(capsys, "evaluate", "--policy", "random",
-                           "--episodes", "2", "--horizon", "10",
-                           "--baseline-expert", "5", "--baseline-random", "5")
-        assert code == 1
-        assert "error:" in err
+        # Equal or non-finite baselines fail before any episode prints.
+        for expert, random in (("5", "5"), ("nan", "0"), ("inf", "0")):
+            code, out, err = run(capsys, "evaluate", "--policy", "random",
+                                 "--episodes", "2", "--horizon", "10",
+                                 "--baseline-expert", expert, "--baseline-random", random)
+            assert code == 1
+            assert "error:" in err
+            assert out == ""
 
     def test_lone_baseline_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -117,6 +117,22 @@ class TestCollect:
         man = collect(short_cfg, make_policy("medium", epsilon=0.2), 1)
         assert man.meta["epsilon"] == 0.2
 
+    def test_epsilon_set_after_construction_is_checked(self, short_cfg, tmp_path,
+                                                       monkeypatch):
+        policy = make_policy("medium")
+        policy.epsilon = np.float32(0.25)
+        man = collect(short_cfg, policy, 1)
+        assert type(man.meta["epsilon"]) is float
+        write_dataset(man, tmp_path / "d.jsonl")
+        assert load_dataset(tmp_path / "d.jsonl").meta["epsilon"] == 0.25
+        blocks = []
+        monkeypatch.setattr(cs.data, "map_seeds", lambda *args: blocks.append(args))
+        for eps in (1.5, True, "0.2"):
+            policy.epsilon = eps
+            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+                collect(short_cfg, policy, 2)
+        assert blocks == []
+
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, short_cfg, workers):
         with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -235,10 +251,9 @@ class TestBlockScoring:
                              ids=["random", "expert-then-random"])
     @pytest.mark.parametrize("fading", ["none", "rayleigh", "rician:3"])
     def test_rows_scored_in_chunks_match_one_call(self, fading, policy, monkeypatch):
-        # 41 rows: all of them unscored under fading or the random tier, and
-        # with the expert's previewed rows left out, runs of rows apart.
+        # 41 rows, every one of them scored by ``score``, previewed or not.
         cfg = cs.default_config(fading=fading, horizon=40)
-        unscored = 41 if fading != "none" or policy.policy_id == "random" else 41 - 6
+        unscored = 41
         calls = []
         reward = cs.mac.reward
 

@@ -38,7 +38,7 @@ class TestActionCodes:
             decode_action(-1, 3)
         with pytest.raises(ValueError):
             decode_action(27, 3)
-        for code in (26.5, "5", np.float64(2.0)):
+        for code in (26.5, "5", np.float64(2.0), True):
             with pytest.raises(TypeError):
                 decode_action(code, 3)
         assert decode_action(np.int64(26), 3) == (1, 1, 1)
@@ -111,7 +111,7 @@ class TestStep:
     def test_episode_ends_exactly_at_horizon(self, short_cfg):
         env = CellularNetworkEnv(short_cfg)
         env.reset(seed=1)
-        for code in (2.9, "5"):
+        for code in (2.9, "5", True):
             with pytest.raises(TypeError):
                 env.step(code)
         for t in range(10):

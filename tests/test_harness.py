@@ -96,6 +96,7 @@ class TestRescale:
         assert rescale(70.0, 80.0, 60.0) == 50.0
         assert rescale(80.0, 80.0, 60.0) == 100.0
         assert rescale(60.0, 80.0, 60.0) == 0.0
+        assert type(rescale(70.0, np.float64(80.0), np.float64(60.0))) is float
 
     def test_unclipped_outside_baselines(self):
         assert rescale(90.0, 80.0, 60.0) == 150.0
@@ -106,9 +107,16 @@ class TestRescale:
         shifted = rescale(2 * 70.0 + 1, 2 * 80.0 + 1, 2 * 60.0 + 1)
         assert shifted == pytest.approx(raw)
 
-    def test_degenerate_baselines(self):
-        with pytest.raises(ValueError):
-            rescale(70.0, 60.0, 60.0)
+    def test_degenerate_baselines(self, short_cfg, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(cs.harness, "map_seeds", lambda *args: blocks.append(args))
+        for pair in ((60.0, 60.0), (np.nan, 0.0), (0.0, np.inf)):
+            with pytest.raises(ValueError):
+                rescale(70.0, *pair)
+            with pytest.raises(ValueError):
+                fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
+                             n_episodes=2, baselines=pair)
+        assert blocks == []
 
 
 class TestFadingSweep:
