@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _fraction, _integer
-from .env import EpisodeBatch
+from .env import EpisodeBatch, _action_code
 from .policies import make_policy
 
 __all__ = [
@@ -135,6 +135,13 @@ def _returns_to_go(rewards: np.ndarray) -> np.ndarray:
     return np.cumsum(rewards[..., ::-1], axis=-1)[..., ::-1].copy()
 
 
+def _check_codes(codes, n_actions: int) -> None:
+    """Raise as ``env._action_code`` does for the first entry of ``codes``,
+    in row-major order, that is not an integer in [0, n_actions)."""
+    for a in codes.ravel().tolist():
+        _action_code(a, n_actions)
+
+
 def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     """Run one episode per seed in lockstep under ``policy``.
 
@@ -143,13 +150,25 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     The steps only move thresholds; after the last one, ``score`` scores
     every row in step order, reset's row 0 included, 16 rows per
     ``mac.reward`` call, and the observations are built in one pass.
+    Action codes that are not integers (floats, bools) raise ``TypeError``
+    at their step, before they are cast; codes outside [0, n_actions)
+    raise ``ValueError`` after the last step, before any row is scored.
+    Until then ``EpisodeBatch.step`` clips them: such a code moves the
+    thresholds as the nearest valid code, never as a wrapped one.
     """
     batch = EpisodeBatch(cfg)
     batch.reset(seeds)
     actions = np.empty((len(seeds), cfg.horizon), dtype=np.int64)
     for t in range(cfg.horizon):
-        actions[:, t] = policy.act(batch)
+        codes = np.asarray(policy.act(batch))
+        if codes.dtype.kind not in "iu":
+            _check_codes(codes, cfg.n_actions)
+        actions[:, t] = codes
         batch.step(actions[:, t])
+    # One range test per block, in step order: as unsigned, a negative code
+    # is huge.
+    if np.maximum.reduce(actions.view(np.uint64), axis=None) >= cfg.n_actions:
+        _check_codes(actions.T, cfg.n_actions)
     batch.score()
     observations = batch.observations(0, cfg.horizon) if observe else None
     rewards = np.ascontiguousarray(batch._rewards[1:].T)

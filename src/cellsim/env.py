@@ -9,7 +9,8 @@ Actions: one delta in {-1, 0, +1} per station, encoded as a single base-3
 integer in [0, 3**n_bs).  A step applies the deltas (thresholds move by
 ``threshold_step`` and clip to [0, 1]), moves on to the next user positions
 and SNR matrix, and emits the mean-utility reward.  Fading, when enabled,
-perturbs only the reward path; the state SNR matrix stays clean.
+perturbs only the reward path: it scales the SNR entering the rate terms,
+while the state SNR matrix stays clean.
 
 ``EpisodeBatch`` is the one implementation of reset, step, preview, scoring
 and observation.  It holds B episodes of one config and steps them in
@@ -24,8 +25,8 @@ view, and ``policy(env)`` is ``act`` on the batch behind it.
 
 The batch keeps one row per state of the episode, time-major: row 0 is the
 reset state and row t + 1 the state after step t.  A row holds every
-episode's thresholds, SNR matrix and, when faded, |H|^2 blocks, and once
-scored its rewards and per-user utilities.  ``score`` is the only code
+episode's thresholds, SNR matrix and, when faded, faded SNR matrix, and
+once scored its rewards and per-user utilities.  ``score`` is the only code
 that scores rows, faded or not: it scores every row reached since its last
 call, in step order, in one ``mac.reward`` call per 16 rows.  ``rollout``
 scores once per block, after the last step; the B=1 view scores its row at
@@ -45,8 +46,10 @@ one ``mobility.step_motion`` call walks every user of the block
 keeps those and the SNR matrices of every step; a faded episode also
 draws all its (n_bs, n_ues) |H|^2 blocks from its own fading stream, one
 for the reset's reward and one per step, step-major, in the order
-per-step draws would take them, into the block's one |H|^2 array.  Step and preview only index these rows, and the preview
-draws nothing.  So an episode is a pure function of (config, seed,
+per-step draws would take them, into the block's one array, which reset
+then multiplies by the SNR rows once, in place, so the block keeps faded
+SNRs and no |H|^2.  Step and preview only index these rows, and the
+preview draws nothing.  So an episode is a pure function of (config, seed,
 actions), whatever batch it runs in, which is what makes collected
 trajectories reproducible byte for byte.  ``preview_step_rewards`` keeps
 every action's fading-free reward only until the next ``step``; it serves
@@ -103,10 +106,11 @@ class EpisodeBatch:
     """B episodes of one config, stepped in lockstep.
 
     Each state is a time-major row, 0 for reset and t + 1 after step t, of
-    thresholds ``_taus`` (B, n_bs), SNRs ``_snrs``, |H|^2 ``_power`` when
-    faded, and, in the rows below ``_n_scored``, rewards ``_rewards`` (B,)
-    and utilities ``_utils`` (B, n_ues).  Only ``score`` fills those, in
-    step order; ``observations`` reads scored rows.
+    thresholds ``_taus`` (B, n_bs), SNRs ``_snrs``, faded SNRs ``_faded``
+    (the rate-term SNRs) when faded, and, in the rows below ``_n_scored``,
+    rewards ``_rewards`` (B,) and utilities ``_utils`` (B, n_ues).  Only
+    ``score`` fills those, in step order; ``observations`` reads scored
+    rows.
     """
 
     def __init__(self, cfg: NetworkConfig):
@@ -142,16 +146,17 @@ class EpisodeBatch:
         # n_ues) SNR matrices: row 0 for reset, t + 1 for step t.
         self._positions = mobility.step_motion(start, route, cfg.mobility)
         self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
-        # (horizon + 1, B, n_bs, n_ues) |H|^2, rows as above.  Drawn last, so
-        # these rows do not add to the peak of the route draw, whose
-        # temporaries are freed by now (a faded block of 40 peaks at 1921 KiB
-        # under tracemalloc instead of 1966).
-        self._power = None
+        # (horizon + 1, B, n_bs, n_ues) faded SNRs, rows as above: each
+        # episode's |H|^2 rows, then multiplied by the SNR rows in place.
+        # Drawn last, so these rows do not add to the peak of the route draw,
+        # whose temporaries are freed by now.
+        self._faded = None
         if cfg.fading.kind != "none":
-            self._power = np.empty((rows, len(words), cfg.n_bs, cfg.n_ues))
+            self._faded = np.empty((rows, len(words), cfg.n_bs, cfg.n_ues))
             for b, w in enumerate(words[:, 0]):
-                self._power[:, b] = radio.episode_fading_power(
+                self._faded[:, b] = radio.episode_fading_power(
                     cfg.fading, generator(w), rows, (cfg.n_bs, cfg.n_ues))
+            np.multiply(self._faded, self._snrs, out=self._faded)
         self._preview = None
         # Thresholds, rewards and per-user utilities of every row; the rows
         # below ``_n_scored`` hold their rewards and utilities.
@@ -164,11 +169,13 @@ class EpisodeBatch:
 
     def step(self, actions) -> None:
         """Apply one action code per episode: move the thresholds into the
-        next row, which ``score`` scores, and drop the preview."""
+        next row, which ``score`` scores, and drop the preview.  A code
+        below 0 or above the last moves as the nearest end code (it never
+        wraps); the callers refuse such codes."""
         if self._done:
             raise RuntimeError("episode is done; call reset() first")
         t = self._t + 1
-        self._taus[t] = _unit(self._taus[t - 1] + self._moves[actions])
+        self._taus[t] = _unit(self._taus[t - 1] + self._moves.take(actions, axis=0, mode="clip"))
         self._preview = None
         self._t = t
         self._done = t >= self.cfg.horizon
@@ -180,9 +187,9 @@ class EpisodeBatch:
         stop = self._t + 1
         for start in range(self._n_scored, stop, _SCORE_CHUNK):
             rows = slice(start, min(start + _SCORE_CHUNK, stop))
-            power = None if self._power is None else self._power[rows]
+            faded = None if self._faded is None else self._faded[rows]
             self._rewards[rows], self._utils[rows] = mac.reward(
-                self._snrs[rows], self._taus[rows], self.cfg.utility, power)
+                self._snrs[rows], self._taus[rows], self.cfg.utility, faded)
         self._n_scored = stop
 
     def preview_step_rewards(self) -> np.ndarray:

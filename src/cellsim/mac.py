@@ -62,16 +62,12 @@ __all__ = [
 
 def data_rate(gamma, bandwidth: float):
     """Achievable rate b log2(1 + gamma) of a non-negative SNR."""
-    return _rate(np.array(gamma, dtype=float), bandwidth)[()]
-
-
-def _rate(gamma: np.ndarray, bandwidth: float) -> np.ndarray:
-    """``data_rate`` computed in the float array ``gamma``, which it
-    overwrites and returns."""
-    gamma += 1.0
-    np.log2(gamma, out=gamma)
-    gamma *= bandwidth
-    return gamma
+    # 1 + gamma, added in float64 into a fresh array: one pass, where a
+    # float copy and an in-place add would take two.
+    rate = np.add(gamma, 1.0, out=np.empty(np.shape(gamma)), dtype=float)
+    np.log2(rate, out=rate)
+    rate *= bandwidth
+    return rate[()]
 
 
 def connections(snr, tau) -> np.ndarray:
@@ -129,23 +125,22 @@ def _utility(rate: np.ndarray, params: UtilityParams) -> np.ndarray:
     return rate
 
 
-def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None, power=None):
+def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
     """Per station-user pair: (delivered rate ``a_ij d_ij``, 0 where
     unconnected; connections).  Connections and allocations come from
     ``snr_state``; the rate terms are the state rates, or those of
-    ``reward_snr`` or of ``snr_state * power`` when given.  Those are worked
-    out only after the allocations, so fewer full-size arrays live at once."""
+    ``reward_snr`` when given.  Those are worked out only after the
+    allocations, so fewer full-size arrays live at once."""
     conn = connections(snr_state, tau)
     safe = np.where(conn, data_rate(snr_state, params.bandwidth), 1.0)
     delivered = _fractions(safe, conn)
-    if reward_snr is None and power is None:
+    if reward_snr is None:
         # Where unconnected the fraction is 0.0 and safe 1.0, so the product
         # is the 0.0 a mask would give.
         delivered *= safe
         return delivered, conn
     del safe
-    rates = (data_rate(reward_snr, params.bandwidth) if power is None else
-             _rate(np.multiply(snr_state, power), params.bandwidth))
+    rates = data_rate(reward_snr, params.bandwidth)
     # A faded rate may be inf, and 0 * inf is NaN: mask instead.  Either
     # operand may broadcast over the other; the product goes into the one
     # of full shape.
@@ -175,12 +170,7 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    return _reward_core(snr_state, tau, params, reward_snr)
-
-
-def _reward_core(snr_state, tau, params: UtilityParams, reward_snr=None, power=None):
-    """``reward_terms``, with ``_station_stage``'s choice of rate terms."""
-    delivered, conn = _station_stage(snr_state, tau, params, reward_snr, power)
+    delivered, conn = _station_stage(snr_state, tau, params, reward_snr)
     # Stations in order, as action_rewards adds them; connections count as
     # 0.0 or 1.0.  On large batches in-order adds beat numpy's short-axis
     # reduction.
@@ -210,15 +200,15 @@ def action_rewards(snr_state, taus, params: UtilityParams):
     return _user_stage(*sums, params)
 
 
-def reward(snr_state, tau, params: UtilityParams, power=None):
+def reward(snr_state, tau, params: UtilityParams, reward_snr=None):
     """Step rewards of B episodes: (rewards (B,), per-user utilities (B, n_ues)).
 
-    ``snr_state`` is (B, n_bs, n_ues) and ``tau`` (B, n_bs).  ``power`` is
-    this step's (B, n_bs, n_ues) fading gain |H|^2 of every station-user
-    pair, a slice of the blocks each episode drew at reset, or None when
-    fading is off; the rate terms then use ``snr_state * power``.
+    ``snr_state`` is (B, n_bs, n_ues) and ``tau`` (B, n_bs).  ``reward_snr``
+    is the (B, n_bs, n_ues) faded SNR of every station-user pair, a slice of
+    the faded rows ``EpisodeBatch.reset`` keeps, or None when fading is off.
+    This is ``reward_terms`` on those arguments.
     """
-    return _reward_core(snr_state, tau, params, power=power)
+    return reward_terms(snr_state, tau, params, reward_snr)
 
 
 @dataclass(frozen=True)
@@ -312,11 +302,11 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     samples = np.empty(n_samples)
     for start, amplitude in zip(range(0, n_samples, _JENSEN_CHUNK), chunks):
         chunk = slice(start, start + _JENSEN_CHUNK)
-        power = np.square(amplitude, out=amplitude)
+        faded = np.multiply(np.square(amplitude, out=amplitude), snr, out=amplitude)
         if fixed_allocation:
-            samples[chunk] = _reward_core(snr, tau, params, power=power)[0]
+            samples[chunk] = reward_terms(snr, tau, params, reward_snr=faded)[0]
         else:
-            samples[chunk] = reward_terms(np.multiply(power, snr, out=power), tau, params)[0]
+            samples[chunk] = reward_terms(faded, tau, params)[0]
     mean_r = float(samples.mean())
     std_r = float(samples.std())
     holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)

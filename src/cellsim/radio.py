@@ -95,10 +95,10 @@ def sample_fading(model: FadingModel, rng: np.random.Generator, size):
 def _fading_chunks(model: FadingModel, rng: np.random.Generator, n: int, shape, chunk: int):
     """The amplitudes of ``sample_fading(model, rng, (n, *shape))``, bit for
     bit, yielded ``chunk`` rows at a time, leaving ``rng`` in the same
-    state.  Rayleigh (and ``none``) takes one ``sample_fading`` call per
-    chunk; Rician draws the whole real block first, as the one call does,
-    then each chunk's imaginary rows, so only the real block grows with
-    ``n``.  A yielded chunk is the caller's to overwrite."""
+    state.  Rayleigh takes one ``sample_fading`` call per chunk; Rician
+    draws the whole real block first, as the one call does, then each
+    chunk's imaginary rows, so only the real block grows with ``n``.  A
+    yielded chunk is the caller's to overwrite."""
     starts = range(0, n, chunk)
     if model.kind != "rician":
         for start in starts:

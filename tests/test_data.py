@@ -31,7 +31,7 @@ from cellsim.data import (
     rollout,
     write_dataset,
 )
-from cellsim.env import CellularNetworkEnv
+from cellsim.env import CellularNetworkEnv, _action_code, _unit
 from cellsim.harness import evaluate
 from cellsim.policies import make_policy
 from reference_impl import histogram_overlap
@@ -270,6 +270,70 @@ class TestBlockScoring:
         assert calls == [unscored]
         for got, want in zip(chunked, whole):
             assert got.tobytes() == want.tobytes()
+
+
+class _CodeAt:
+    """Acts code 13 in every episode, except at step ``at``, where the codes
+    are an array of ``code``'s numpy type whose last entry is ``code``; keeps
+    the batch it last acted on."""
+
+    policy_id = "code-at"
+
+    def __init__(self, code, at: int):
+        self.code, self.at = code, at
+
+    def act(self, batch):
+        self.batch = batch
+        codes = np.full(len(batch.policy_rngs), 13)
+        if batch._t == self.at:
+            codes = codes.astype(np.asarray(self.code).dtype)
+            codes[-1] = self.code
+        return codes
+
+
+class TestPolicyActionCodes:
+    """A policy's action codes are refused at the block boundary with the
+    rules and messages of ``env._action_code``, before any row is scored:
+    a non-integer at its step, before it is cast, and an integer out of
+    range after the last step, which clipped it and never wrapped it."""
+
+    BAD = [-1, -28, 27, 2 ** 40, np.int32(-1), 1.0, 2.5, True]
+
+    @pytest.mark.parametrize("code", BAD, ids=repr)
+    def test_bad_codes_refused_and_never_applied(self, short_cfg, code, tmp_path):
+        n = short_cfg.n_actions
+        with pytest.raises((TypeError, ValueError)) as want:
+            _action_code(np.asarray(code).item(), n)
+        refused = pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$")
+        policy = _CodeAt(code, 3)
+        with refused:
+            rollout(short_cfg, policy, range(4))
+        batch = policy.batch
+        assert batch._n_scored == 0
+        if isinstance(code, (bool, float)):
+            assert batch._t == 3
+        else:
+            assert batch._t == short_cfg.horizon
+            clipped = batch._moves[min(max(int(code), 0), n - 1)]
+            assert np.array_equal(batch._taus[4, -1], _unit(batch._taus[3, -1] + clipped))
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.jsonl"
+            with refused:
+                write_dataset(collect(short_cfg, _CodeAt(code, 3), 4, workers=workers), path)
+            with refused:
+                evaluate(short_cfg, _CodeAt(code, 3), n_episodes=4, workers=workers)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, object])
+    def test_integer_codes_of_any_width_are_taken(self, short_cfg, dtype):
+        class Cast:
+            def act(self, batch):
+                return random.act(batch).astype(dtype)
+
+        random = make_policy("random")
+        want = rollout(short_cfg, random, range(4))
+        got = rollout(short_cfg, Cast(), range(4))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _set_cpus(monkeypatch, n):

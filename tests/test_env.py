@@ -254,6 +254,26 @@ class TestResetDrawsTheEpisode:
         if motion.speed > 0:
             assert not np.array_equal(positions[0], positions[-1])
 
+    @pytest.mark.parametrize("fading", ["rayleigh", "rician:3"])
+    def test_faded_rows_are_snr_rows_times_each_episodes_power(self, fading):
+        """Reset keeps each episode's ``snr_matrix`` rows times the |H|^2
+        rows of one ``episode_fading_power`` draw from its fading stream,
+        bit for bit, in whichever block the episode runs."""
+        cfg = cs.default_config(fading=fading, horizon=12)
+        seeds = (3, 0, 11, 7, 2)
+        whole = EpisodeBatch(cfg)
+        whole.reset(seeds)
+        for b, seed in enumerate(seeds):
+            stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+            power = radio.episode_fading_power(cfg.fading, stream, cfg.horizon + 1,
+                                               (cfg.n_bs, cfg.n_ues))
+            assert whole._faded[:, b].tobytes() == (whole._snrs[:, b] * power).tobytes()
+        for part in (seeds[:2], seeds[2:]):
+            split = EpisodeBatch(cfg)
+            split.reset(part)
+            cols = [seeds.index(s) for s in part]
+            assert split._faded.tobytes() == whole._faded[:, cols].tobytes()
+
     def test_positions_do_not_depend_on_the_policy(self, short_cfg):
         def positions(policy):
             env = CellularNetworkEnv(short_cfg)

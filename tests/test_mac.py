@@ -129,7 +129,7 @@ class TestArgumentsUntouched:
         mac.ratefair_fractions(rates, conn)
         mac.utility(rates, UtilityParams())
         mac.reward_terms(snr, tau, UtilityParams(), reward_snr=faded)
-        mac.reward(snr, tau, UtilityParams(), faded)
+        mac.reward(snr, tau, UtilityParams(), reward_snr=faded)
         assert all(np.array_equal(a, b) for a, b in zip(before, (snr, tau, faded, conn, rates)))
 
 
@@ -206,7 +206,7 @@ class TestRewardTerms:
         # Episode b's first block from stream b: what a reset draws as row 0.
         power = np.array([radio.episode_fading_power(fading, np.random.default_rng(b), 1,
                                                      (3, 5))[0] for b in range(3)])
-        rews, utils = mac.reward(snr, tau, params, power)
+        rews, utils = mac.reward(snr, tau, params, snr * power)
         want = mac.reward_terms(snr, tau, params, reward_snr=snr * power)
         assert np.array_equal(rews, want[0]) and np.array_equal(utils, want[1])
         for b in range(3):
@@ -313,11 +313,11 @@ class TestRewardTermsMatchesReference:
         ``reward_terms`` on the faded matrix; its inputs stay as they were."""
         snr, tau, power, aggregate = case
         params = UtilityParams(aggregate=aggregate)
-        inputs = [a.copy() for a in (snr, tau, power) if a is not None]
-        rews, utils = mac.reward(snr, tau, params, power)
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(inputs, [a for a in (snr, tau, power) if a is not None]))
         faded = None if power is None else snr * power
+        inputs = [a.copy() for a in (snr, tau, faded) if a is not None]
+        rews, utils = mac.reward(snr, tau, params, faded)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(inputs, [a for a in (snr, tau, faded) if a is not None]))
         want = mac.reward_terms(snr, tau, params, reward_snr=faded)
         assert np.array_equal(rews, want[0]) and np.array_equal(utils, want[1])
         for idx in np.ndindex(rews.shape):
