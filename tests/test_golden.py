@@ -8,7 +8,9 @@ anchors are drawn per episode, the speed-0 scenario, and the plain
 format is pinned too, because every dataset line embeds the config hash:
 the canonical JSON of three configs, a ``save_config`` file, and the
 stdout of one ``simulate`` run.  The ``verify`` stdout of three fading
-models pins the Monte Carlo bound and the concavity probe.  A digest that
+models pins the Monte Carlo bound and the concavity probe.  Scenarios
+with 8 to 17 users pin the pairwise sum over users: a dataset, an
+``evaluate`` run, ``verify`` stdout and ``action_rewards`` outputs.  A digest that
 changes means the simulator's output changed: update it only together with
 a deliberate change of behaviour.
 """
@@ -17,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import cellsim as cs
@@ -183,3 +186,83 @@ def test_verify_stdout_digest(args, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[args]
+
+
+# Scenarios with 8 or more users.  numpy sums 8 or more contiguous entries
+# pairwise, and fewer in order, so only these digests see the pairwise sum
+# over users; every digest above has 5 users.
+def _many_users_config(n_ues, fading="none", variant="full", aggregate="mean"):
+    return NetworkConfig(n_ues=n_ues, mobility=MobilityConfig(variant=variant),
+                         utility=dataclasses.replace(cs.UtilityParams(), aggregate=aggregate),
+                         fading=cs.parse_fading(fading), horizon=HORIZON)
+
+
+MANY_USERS_DATASET_DIGESTS = {
+    "9/mean/none":
+        "eb5ac7b5d1a0c8cf2e8e27c4281cd661c75f4e43e8478b50d4ff2774d7845c99",
+    "12/sum/rayleigh":
+        "0f42d59b5eecca4fe48cb6ebd4cb86c1a70aed4a3df1e95e4ffffec5d8dfb95c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_USERS_DATASET_DIGESTS))
+def test_many_users_dataset_digest(name, tmp_path):
+    n_ues, aggregate, fading = name.split("/")
+    cfg = _many_users_config(int(n_ues), fading, aggregate=aggregate)
+    manifest = cs.collect_medium_expert(cfg, n_per_tier=2, seed_base=5)
+    path = tmp_path / "golden.jsonl"
+    cs.write_dataset(manifest, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MANY_USERS_DATASET_DIGESTS[name]
+
+
+MANY_USERS_EVALUATE_DIGEST = "dc06e3ed3593b1e1ad0545627326bfee7faf57b4ec97c3a586f2ca47710bda98"
+
+
+def test_many_users_evaluate_random_digest():
+    cfg = _many_users_config(9, "rayleigh", variant="limited")
+    res = cs.evaluate(cfg, cs.RandomPolicy(), n_episodes=6, seed_base=11)
+    blob = json.dumps([float(r) for r in res.returns]).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == MANY_USERS_EVALUATE_DIGEST
+
+
+MANY_USERS_VERIFY_DIGESTS = {
+    "--fading rayleigh":
+        "1d949aa9684e3b506dc9ecf23192e8e89672c963cab88dab5b39652010750726",
+    "--fading rayleigh --fixed-allocation":
+        "ddbeabfabd4903cf3c7d2ebd51d22c43a135da9af1f00d111bac97006580a8b4",
+    "--fading rician:3":
+        "19e1f19c4ec0c156ac7e493c48a55e60f63538902ce196a87e1f40d37c1b973d",
+    "--fading rician:3 --fixed-allocation":
+        "282b196ff8ba759f27fa521686936c4c5bdc787a955f9a17e6e8d38739ecd679",
+}
+
+
+@pytest.mark.parametrize("args", sorted(MANY_USERS_VERIFY_DIGESTS))
+def test_many_users_verify_stdout_digest(args, tmp_path, capsys):
+    path = tmp_path / "nine.json"
+    cs.save_config(_many_users_config(9), path)
+    argv = ["verify", "--config", str(path), *args.split(), "--samples", "20000",
+            "--trials", "3000"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MANY_USERS_VERIFY_DIGESTS[args]
+
+
+ACTION_REWARDS_DIGESTS = {
+    8: "a1106d2539c82ad902ecbe2f5dcb5743cb49da94642704897f25f2a32014ebb9",
+    12: "62e79598f0ed1c1a4539f44f2c66fd6172daad414da385bb56a5684e8ebb05fa",
+    17: "fbcbe12b4ea4f879c40e24731ecfc082b89c341f010103388b900c4a31f2553c",
+}
+
+
+@pytest.mark.parametrize("n_ues", sorted(ACTION_REWARDS_DIGESTS))
+def test_action_rewards_digest(n_ues):
+    """Both outputs of ``mac.action_rewards`` on 40 drawn SNR matrices and
+    threshold triples, as C-order bytes."""
+    rng = np.random.default_rng(n_ues)
+    snr = rng.random((40, 3, n_ues)) ** 3
+    taus = rng.random((40, 3, 3))
+    rewards, utils = cs.mac.action_rewards(snr, taus, cs.UtilityParams())
+    assert rewards.shape == (40, 27) and utils.shape == (40, 27, n_ues)
+    blob = rewards.tobytes() + utils.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == ACTION_REWARDS_DIGESTS[n_ues]
