@@ -218,13 +218,15 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     snr = rng.random((cfg.n_bs, cfg.n_ues))
     tau = rng.random(cfg.n_bs)
+    # The probe runs first, so a bad --trials fails before the Monte Carlo
+    # (--samples is checked as that starts); each has its own generator.
+    probe = mac.concavity_probe(cfg.utility, tau, n_trials=args.trials,
+                                rng=np.random.default_rng(args.seed + 2),
+                                n_ues=cfg.n_ues)
     report = mac.verify_jensen(snr, tau, model, cfg.utility,
                                n_samples=args.samples,
                                fixed_allocation=args.fixed_allocation,
                                rng=np.random.default_rng(args.seed + 1))
-    probe = mac.concavity_probe(cfg.utility, tau, n_trials=args.trials,
-                                rng=np.random.default_rng(args.seed + 2),
-                                n_ues=cfg.n_ues)
     print(report.to_csv() if args.format == "csv" else report.to_text())
     print(probe.to_text())
     return 0

@@ -29,6 +29,23 @@ threshold, then keeps a running sum over the stations of every partial
 action code, so each user's rate adds the same numbers in the same station
 order as ``reward_terms`` on that action's thresholds, and the bits agree.
 
+Both stages run in one kernel layout: C-contiguous arrays of shape
+(n_bs, n_ues, *batch), stations first, then users, then every batch axis,
+so each numpy pass is one contiguous loop over the batch instead of many
+loops over 5 users.  The public functions keep their (..., n_bs, n_ues)
+shapes: they move the input axes as views, the first ufunc on each input
+writes into the kernel layout, and results come back as transposed views.
+Two rules keep every result bit for bit what numpy gives with users
+innermost:
+
+- Sums over users (a station's load and the mean over users) add in the
+  order numpy's ``sum(axis=-1)`` uses on a contiguous axis, which is
+  pairwise from 8 entries (``_user_sum``); a plain reduction over an outer
+  axis would add in order.  Sums over stations are explicit in-order adds
+  and do not depend on the layout.
+- ``log`` and ``log2`` run only on C-contiguous arrays: on a strided array
+  numpy may take another libm path and round the last bit differently.
+
 The kernels take float arrays as they are and do not re-check them; the
 config validates every parameter and position.  Only ``verify_jensen`` and
 ``concavity_probe``, which take SNRs or thresholds from their caller,
@@ -78,7 +95,13 @@ def connections(snr, tau) -> np.ndarray:
     (..., n_bs); leading axes broadcast, so a single SNR matrix can be
     evaluated against a batch of threshold vectors at once.
     """
-    conn = snr >= tau[..., None]
+    return _connections(snr, tau[..., None])
+
+
+def _connections(snr, tau) -> np.ndarray:
+    """``connections`` with ``tau`` already broadcasting against ``snr``,
+    C-contiguous whatever the layout of either."""
+    conn = np.greater_equal(snr, tau, order="C")
     conn &= snr > 2.0 ** -53
     return conn
 
@@ -91,16 +114,57 @@ def ratefair_fractions(rates, conn) -> np.ndarray:
     ``a_ij d_ij`` is the same for every connected user j, namely
     ``1 / sum_k c_ik / d_ik``.
     """
-    return _fractions(np.where(conn, rates, 1.0), conn)
+    rates, conn = np.asarray(rates), np.asarray(conn)
+    nb = max(rates.ndim, conn.ndim) - 2
+    rates, conn = _inward(rates, 2, nb), _inward(conn, 2, nb)
+    return _outward(_fractions(np.where(conn, rates, 1.0), conn), 2)
+
+
+def _inward(x, k, nb):
+    """A view of ``x`` (..., c_1, ..., c_k) in kernel layout: the k core axes
+    first, then ``nb`` batch axes, size-1 axes padding the front of them."""
+    lead = x.ndim - k
+    if lead < nb:
+        x = x.reshape((1,) * (nb - lead) + x.shape)
+    return x.transpose((*range(nb, nb + k), *range(nb)))
+
+
+def _outward(x, k):
+    """A view of the kernel-layout ``x`` with its k core axes moved last, in
+    order."""
+    return x.transpose((*range(k, x.ndim), *range(k)))
+
+
+def _user_sum(x):
+    """``x`` summed over its axis 0 (users) in the order numpy's
+    ``sum(axis=-1)`` adds a contiguous axis, so the bits agree on
+    non-negative entries whatever the layout: in order below 8 entries (as
+    a reduction over axis 0 adds), 8 accumulators combined pairwise and the
+    rest in order up to 128, halves above."""
+    n = len(x)
+    if n < 8:
+        return np.add.reduce(x, 0)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _user_sum(x[:half]) + _user_sum(x[half:])
+    acc = x[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        acc += x[i:i + 8]
+    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+    for row in x[n - n % 8:]:
+        total += row
+    return total
 
 
 def _fractions(safe, conn) -> np.ndarray:
-    """``ratefair_fractions`` from ``safe``, the state rates where connected
-    and 1.0 elsewhere, which it leaves as they are."""
+    """``ratefair_fractions`` in kernel layout (n_bs, n_ues, ...) from
+    ``safe``, the state rates where connected and 1.0 elsewhere, which it
+    leaves as they are."""
     # 1 / 1.0 where unconnected, so the product is np.where(conn, 1 / safe, 0.0).
     terms = np.divide(1.0, safe)
     terms *= conn
-    load = terms.sum(axis=-1, keepdims=True)
+    load = _user_sum(terms.swapaxes(0, 1))[:, None]
     share = np.divide(1.0, load, out=np.zeros_like(load), where=load > 0)
     # Where unconnected share / 1.0 may be inf (a rate near the float
     # maximum), and 0 * inf is NaN: mask instead of multiplying.
@@ -126,12 +190,14 @@ def _utility(rate: np.ndarray, params: UtilityParams) -> np.ndarray:
 
 
 def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
-    """Per station-user pair: (delivered rate ``a_ij d_ij``, 0 where
-    unconnected; connections).  Connections and allocations come from
-    ``snr_state``; the rate terms are the state rates, or those of
-    ``reward_snr`` when given.  Those are worked out only after the
-    allocations, so fewer full-size arrays live at once."""
-    conn = connections(snr_state, tau)
+    """Per station-user pair, in kernel layout (n_bs, n_ues, ...):
+    (delivered rate ``a_ij d_ij``, 0 where unconnected; connections).
+    ``snr_state`` and ``reward_snr`` are kernel-layout views and ``tau`` is
+    (n_bs, 1, ...).  Connections and allocations come from ``snr_state``;
+    the rate terms are the state rates, or those of ``reward_snr`` when
+    given.  Those are worked out only after the allocations, so fewer
+    full-size arrays live at once."""
+    conn = _connections(snr_state, tau)
     safe = np.where(conn, data_rate(snr_state, params.bandwidth), 1.0)
     delivered = _fractions(safe, conn)
     if reward_snr is None:
@@ -144,22 +210,24 @@ def _station_stage(snr_state, tau, params: UtilityParams, reward_snr=None):
     # A faded rate may be inf, and 0 * inf is NaN: mask instead.  Either
     # operand may broadcast over the other; the product goes into the one
     # of full shape.
-    shape = np.broadcast_shapes(delivered.shape, rates.shape)
+    shape = np.broadcast(delivered, rates).shape
     out = delivered if delivered.shape == shape else rates if rates.shape == shape else None
     return np.where(conn, np.multiply(delivered, rates, out=out), 0.0), conn
 
 
 def _user_stage(rate, n, params: UtilityParams):
-    """(mean utility, per-user utilities) from each user's delivered rate
-    summed over stations and its number of serving stations, both float
-    arrays of the caller's, which it overwrites."""
+    """(mean utility, per-user utilities) in kernel layout (n_ues, ...) from
+    each user's delivered rate summed over stations and its number of
+    serving stations, both float arrays of the caller's, which it
+    overwrites."""
     if params.aggregate != "sum":
         # Mean over the serving stations; 0 when unserved: there every term
         # of the sum is the station stage's literal 0.0, so rate is +0.0
         # and dividing it by 1 keeps those bytes.
         rate /= np.maximum(n, 1.0, out=n)
     utils = _utility(rate, params)
-    return utils.mean(axis=-1), utils
+    # numpy's mean is its sum divided by the count.
+    return _user_sum(utils) / len(utils), utils
 
 
 def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
@@ -170,15 +238,20 @@ def reward_terms(snr_state, tau, params: UtilityParams, reward_snr=None):
     axes broadcast through, so ``tau`` may be a batch of threshold vectors
     or ``reward_snr`` a batch of faded matrices.
     """
-    delivered, conn = _station_stage(snr_state, tau, params, reward_snr)
+    nb = max(snr_state.ndim - 2, tau.ndim - 1,
+             -1 if reward_snr is None else reward_snr.ndim - 2)
+    if reward_snr is not None:
+        reward_snr = _inward(reward_snr, 2, nb)
+    delivered, conn = _station_stage(_inward(snr_state, 2, nb), _inward(tau, 1, nb)[:, None],
+                                     params, reward_snr)
     # Stations in order, as action_rewards adds them; connections count as
-    # 0.0 or 1.0.  On large batches in-order adds beat numpy's short-axis
-    # reduction.
-    rate, n = delivered[..., 0, :].copy(), conn[..., 0, :] * 1.0
-    for i in range(1, delivered.shape[-2]):
-        rate += delivered[..., i, :]
-        n += conn[..., i, :]
-    return _user_stage(rate, n, params)
+    # 0.0 or 1.0.
+    rate, n = delivered[0].copy(), conn[0] * 1.0
+    for i in range(1, len(delivered)):
+        rate += delivered[i]
+        n += conn[i]
+    mean, utils = _user_stage(rate, n, params)
+    return mean, _outward(utils, 1)
 
 
 def action_rewards(snr_state, taus, params: UtilityParams):
@@ -189,15 +262,21 @@ def action_rewards(snr_state, taus, params: UtilityParams):
     station's threshold under the deltas -1, 0 and +1.  Codes are base-3
     with station 0 most significant, as ``env.decode_action`` reads them.
     """
-    # (2, ..., 3, n_bs, n_ues): delivered rates, and connections as 0.0 or
+    nb = max(snr_state.ndim - 2, taus.ndim - 2)
+    # Kernel layout with the three digits as the first batch axis: state
+    # SNRs (n_bs, n_ues, 1, ...) and thresholds (n_bs, 1, 3, ...).
+    snr_state = _inward(snr_state, 2, nb)[:, :, None]
+    taus = _inward(taus, 2, nb).swapaxes(0, 1)[:, None]
+    # (2, n_bs, n_ues, 3, ...): delivered rates, and connections as 0.0 or
     # 1.0, whose sums count serving stations (bool + bool is logical or).
-    terms = np.array(_station_stage(snr_state[..., None, :, :], taus, params), dtype=float)
-    *lead, _, n_bs, n_ues = terms.shape
-    sums = terms[..., 0, :]
+    terms = np.array(_station_stage(snr_state, taus, params), dtype=float)
+    _, n_bs, n_ues, *lead = terms.shape
+    sums = terms[:, 0]
     for i in range(1, n_bs):
         # Every partial code times 3 plus station i's digit, in station order.
-        sums = (sums[..., :, None, :] + terms[..., None, :, i, :]).reshape(*lead, -1, n_ues)
-    return _user_stage(*sums, params)
+        sums = (sums[:, :, :, None] + terms[:, i, :, None, :]).reshape(2, n_ues, -1, *lead[1:])
+    mean, utils = _user_stage(*sums, params)
+    return _outward(mean, 1), utils.transpose((*range(2, utils.ndim), 1, 0))
 
 
 def reward(snr_state, tau, params: UtilityParams, reward_snr=None):
@@ -257,7 +336,10 @@ def _thresholds(tau) -> np.ndarray:
     return tau
 
 
-_JENSEN_CHUNK = 4096  # samples scored per reward_terms call: ~0.5 MB per (chunk, 3, 5) array
+# Samples scored per reward_terms call: ~0.5 MB per (3, 5, chunk) array.  A
+# 200000-sample pass of the four Jensen calls ran ~1% apart from 2048 to 8192
+# and ~8% slower at 1024 and 16384.
+_JENSEN_CHUNK = 4096
 
 
 def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
@@ -300,9 +382,18 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     chunks = _fading_chunks(fading, np.random.default_rng(rng), n_samples, snr.shape,
                             _JENSEN_CHUNK)
     samples = np.empty(n_samples)
-    for start, amplitude in zip(range(0, n_samples, _JENSEN_CHUNK), chunks):
+    for start in range(0, n_samples, _JENSEN_CHUNK):
         chunk = slice(start, start + _JENSEN_CHUNK)
-        faded = np.multiply(np.square(amplitude, out=amplitude), snr, out=amplitude)
+        # Built in kernel layout (n_bs, n_ues, chunk) and passed as a
+        # (chunk, n_bs, n_ues) view, so reward_terms reads it contiguously.
+        # A Rayleigh chunk's amplitudes are freed before scoring; a loop over
+        # zip would hold them until the next chunk.
+        amplitude = next(chunks)
+        faded = np.square(amplitude.transpose(1, 2, 0),
+                          out=np.empty(snr.shape + amplitude.shape[:1]))
+        del amplitude
+        faded *= snr[..., None]
+        faded = faded.transpose(2, 0, 1)
         if fixed_allocation:
             samples[chunk] = reward_terms(snr, tau, params, reward_snr=faded)[0]
         else:

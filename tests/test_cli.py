@@ -212,6 +212,15 @@ class TestVerify:
         assert code == 1
         assert err == "error: n_trials must be at least 1\n"
 
+    def test_trials_checked_before_the_monte_carlo(self, capsys, monkeypatch):
+        def monte_carlo(*args, **kwargs):
+            raise AssertionError("verify_jensen ran before --trials was checked")
+
+        monkeypatch.setattr(cs.mac, "verify_jensen", monte_carlo)
+        code, out, err = run(capsys, "verify", "--fading", "rician:3",
+                             "--samples", "400000", "--trials", "0")
+        assert (code, out, err) == (1, "", "error: n_trials must be at least 1\n")
+
 
 class TestSweepFading:
     def test_csv_and_ordering_flag(self, capsys):

@@ -351,7 +351,7 @@ def preview_states(draw):
     makes two of a station's three thresholds equal) and its next SNR matrix:
     entries that copy one of their station's thresholds (exact ties), free
     entries, zeros and all-zero station rows."""
-    n_bs, n_ues, b = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n_bs, n_ues, b = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
     step = cs.default_config().threshold_step
     thr = np.array(draw(st.lists(st.integers(0, 10), min_size=b * n_bs,
                                  max_size=b * n_bs))).reshape(b, n_bs) / 10.0

@@ -133,6 +133,23 @@ class TestArgumentsUntouched:
         assert all(np.array_equal(a, b) for a, b in zip(before, (snr, tau, faded, conn, rates)))
 
 
+class TestUserSum:
+    """The kernels sum over users along an outer axis; ``_user_sum`` keeps
+    the order numpy's ``sum(axis=-1)`` uses on a contiguous axis: in order
+    below 8 entries, pairwise from 8, split in halves above 128."""
+
+    @pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 300])
+    def test_equals_numpy_sum_and_mean_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.random((64, n)) ** 4 * 10.0 ** rng.integers(-8, 9, size=(64, n))
+        x[rng.random((64, n)) < 0.1] = 0.0
+        got = mac._user_sum(np.ascontiguousarray(x.T))
+        assert np.array_equal(got, x.sum(axis=-1))
+        assert np.array_equal(got / n, x.mean(axis=-1))
+        one = mac._user_sum(x[0])
+        assert one == x[0].sum() and one / n == x[0].mean()
+
+
 class TestUtility:
     def test_rate_nine_is_three_quarters(self):
         assert mac.utility(9.0, UtilityParams()) == pytest.approx(0.75, abs=1e-12)
@@ -219,7 +236,7 @@ class TestRewardTerms:
 def reward_cases(draw):
     """An SNR matrix with some all-zero station rows, a batch of threshold
     vectors with exact ties at ``gamma == tau``, and maybe a faded matrix."""
-    n_bs, n_ues = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n_bs, n_ues = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     # 2**-53 and 5e-324 have rate 0 although they are positive.
     entry = st.sampled_from([0.0, 2.0 ** -53, 5e-324, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0)
     snr = np.array(draw(st.lists(st.lists(entry, min_size=n_ues, max_size=n_ues),
@@ -245,7 +262,7 @@ def engine_cases(draw):
     one station that connects nobody (its SNRs are 0, or its threshold lies
     above them), thresholds in [0, 1] with ties, and |H|^2 blocks or None."""
     rows, b, n_bs, n_ues = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                            draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+                            draw(st.integers(1, 4)), draw(st.integers(1, 12)))
     shape = (rows, b, n_bs, n_ues)
     size = int(np.prod(shape))
     entry = st.sampled_from([0.0, 2.0 ** -53, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1.0)
@@ -348,7 +365,7 @@ def action_cases(draw, lead, n_bs):
     thresholds: a base on the 0.1 grid moved by -0.1, 0 and +0.1 and clipped
     onto [0, 1], so at 0 and 1 two of them are equal.  An SNR entry copies
     one of its station's thresholds (an exact tie), is free, or has rate 0."""
-    n_ues = draw(st.integers(1, 6))
+    n_ues = draw(st.integers(1, 12))
     size = int(np.prod(lead, dtype=int)) * n_bs
     base = np.reshape(draw(st.lists(st.integers(0, 10), min_size=size, max_size=size)),
                       lead + (1, n_bs)) / 10.0
@@ -549,11 +566,12 @@ class TestJensenChunks:
     # (200000, 3, 5) float block is 22.9 MiB.  A Rayleigh draw is made chunk
     # by chunk, so no block-sized array exists; a Rician draw holds its real
     # normals, one block, and draws each chunk's imaginary normals on its
-    # own.  The chunked draw and scoring measured at most 4.1 MiB on top
-    # (numpy 2.4: 3.4-3.7 MiB Rayleigh, 25.9-26.1 MiB Rician), and the bound
+    # own.  The chunked draw and scoring measured at most 3.7 MiB on top
+    # (numpy 2.4: 3.4-3.7 MiB Rayleigh, 26.3-26.5 MiB Rician), and the bound
     # allows them 8 MiB.  Drawing the whole amplitude array at once peaked
-    # at 26.3-27.0 MiB Rayleigh and 45.8 MiB Rician; scoring it at once as
-    # well peaked at 91.6 MiB (fixed allocation) and 126.5 MiB (recomputed).
+    # at 26.3-27.0 MiB Rayleigh and 45.8 MiB Rician; drawing and scoring it
+    # at once, as ``reference_verify_jensen`` does, peaks at 68.7 MiB (fixed
+    # allocation) and 103.6 MiB (recomputed).
     @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "recomputed"])
     @pytest.mark.parametrize("label, blocks", [("rayleigh", 0), ("rician:3", 1)])
     def test_peak_memory_bounded(self, label, blocks, fixed):
