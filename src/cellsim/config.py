@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -105,6 +106,15 @@ def _integer(name: str, value, kind: str = "an integer", low=None) -> int:
             or low is not None and value < low):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set, or
+    the machine's CPU count where the platform has no affinity."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _fraction(what: str, value) -> float:

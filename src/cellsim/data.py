@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _fraction, _integer
+from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _fraction, _integer, _usable_cpus
 from .env import EpisodeBatch, _action_code
 from .policies import make_policy
 
@@ -316,13 +316,6 @@ def map_seeds(fn, jobs, workers: int) -> list:
     w = min(workers, len(blocks), _usable_cpus()) if hasattr(os, "fork") else 1
     with contextlib.closing(_block_results(fn, blocks, w)) as results:
         return [r for block in results for r in block]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 class _WorkerTraceback(Exception):

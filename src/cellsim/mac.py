@@ -50,17 +50,27 @@ The kernels take float arrays as they are and do not re-check them; the
 config validates every parameter and position.  Only ``verify_jensen`` and
 ``concavity_probe``, which take SNRs or thresholds from their caller,
 convert and check them.
+
+``verify_jensen`` is the one function here that starts threads.  When two
+or more CPUs are usable, two threads it starts and joins within the call
+score its fading chunks while the calling thread draws them, so numpy's
+GIL-free loops overlap; with one the calling thread scores every chunk.
+It takes no parameter for this, and its report is bit for bit the same at
+any CPU count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FadingModel, UtilityParams, _integer
-from .radio import _fading_chunks
+from .config import FadingModel, UtilityParams, _integer, _usable_cpus
+from .radio import _fading_chunks, _rayleigh, _rician
 
 __all__ = [
     "data_rate",
@@ -338,8 +348,19 @@ def _thresholds(tau) -> np.ndarray:
 
 # Samples scored per reward_terms call: ~0.5 MB per (3, 5, chunk) array.  A
 # 200000-sample pass of the four Jensen calls ran ~1% apart from 2048 to 8192
-# and ~8% slower at 1024 and 16384.
+# and ~8% slower at 1024 and 16384 on one thread.  With two scoring threads
+# up to three drawn chunks are unscored at once, two in scoring: a
+# 200000-sample call peaks at 5.8-7.2 MiB of traced memory besides a Rician
+# real block, against 3.4-4.1 MiB on one thread.  There 8192 ran 12-16%
+# faster but peaked at 9.5-12.8 MiB, past test_peak_memory_bounded's 8, and
+# 2048 ran ~9% slower.
 _JENSEN_CHUNK = 4096
+
+
+def _check_type(name: str, value, cls) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
@@ -352,21 +373,32 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     check asserts ``mean_R <= r + 3 std_R / sqrt(n)``.  Without it the whole
     pipeline is recomputed from every faded draw and the report is
     informational only.  ``snr`` must be a finite, non-negative
-    (n_bs, n_ues) matrix and ``tau`` one threshold in [0, 1] per station.
+    (n_bs, n_ues) matrix with at least one user, ``tau`` one threshold in
+    [0, 1] per station, ``fading`` a ``FadingModel`` and ``params`` a
+    ``UtilityParams``.
 
     The ``n_samples`` fading blocks are the draw of one ``sample_fading``
-    call, drawn and scored in chunks of a few thousand samples, so each
+    call, drawn in chunks of a few thousand samples on the calling thread,
+    in that call's order (``radio._fading_chunks``), and scored chunk by
+    chunk: amplitude transform, |H|^2 times the SNR, ``reward_terms``.  Each
     chunk's arrays stay in cache; only the per-sample rewards (and, for
-    Rician, the real normals) grow with ``n_samples``.  The mean and
-    standard deviation run over all the rewards at once, so the report does
-    not depend on the chunk size.
+    Rician, the real normals) grow with ``n_samples``.  With two or more
+    usable CPUs two threads score the chunks while the calling thread draws
+    the next (``_score_chunks``); with one the calling thread scores each
+    chunk itself.  The mean and standard deviation run over all the rewards
+    at once, after the last chunk, so the report depends neither on the
+    chunk size nor on the thread count.
     """
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 10_000:
         raise ValueError("n_samples must be at least 10000")
+    _check_type("fading", fading, FadingModel)
+    _check_type("params", params, UtilityParams)
     snr = np.asarray(snr, dtype=float)
     if snr.ndim != 2:
         raise ValueError(f"SNR must be an (n_bs, n_ues) matrix, got shape {snr.shape}")
+    if snr.shape[1] == 0:
+        raise ValueError(f"SNR must have at least one user, got shape {snr.shape}")
     if not (np.isfinite(snr).all() and (snr >= 0.0).all()):
         raise ValueError("SNR must be finite and non-negative")
     tau = _thresholds(tau)
@@ -379,31 +411,99 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
         return JensenReport(model=fading.label(), n_samples=n_samples,
                             fixed_allocation=fixed_allocation,
                             r=r, mean_R=r, std_R=0.0, holds=True)
-    chunks = _fading_chunks(fading, np.random.default_rng(rng), n_samples, snr.shape,
-                            _JENSEN_CHUNK)
     samples = np.empty(n_samples)
-    for start in range(0, n_samples, _JENSEN_CHUNK):
-        chunk = slice(start, start + _JENSEN_CHUNK)
+    transform = _rician if fading.kind == "rician" else _rayleigh
+
+    def score(start, draws):
         # Built in kernel layout (n_bs, n_ues, chunk) and passed as a
         # (chunk, n_bs, n_ues) view, so reward_terms reads it contiguously.
-        # A Rayleigh chunk's amplitudes are freed before scoring; a loop over
-        # zip would hold them until the next chunk.
-        amplitude = next(chunks)
+        amplitude = transform(fading, *draws)
         faded = np.square(amplitude.transpose(1, 2, 0),
                           out=np.empty(snr.shape + amplitude.shape[:1]))
-        del amplitude
         faded *= snr[..., None]
         faded = faded.transpose(2, 0, 1)
+        chunk = slice(start, start + len(faded))
         if fixed_allocation:
             samples[chunk] = reward_terms(snr, tau, params, reward_snr=faded)[0]
         else:
             samples[chunk] = reward_terms(faded, tau, params)[0]
+
+    draws = _fading_chunks(fading, np.random.default_rng(rng), n_samples, snr.shape,
+                           _JENSEN_CHUNK)
+    _score_chunks(score, zip(range(0, n_samples, _JENSEN_CHUNK), draws),
+                  min(2, _usable_cpus()))
     mean_r = float(samples.mean())
     std_r = float(samples.std())
     holds = mean_r <= r + 3.0 * std_r / math.sqrt(n_samples)
     return JensenReport(model=fading.label(), n_samples=n_samples,
                         fixed_allocation=fixed_allocation,
                         r=r, mean_R=mean_r, std_R=std_r, holds=bool(holds))
+
+
+def _score_chunks(score, chunks, threads: int) -> None:
+    """Call ``score(*chunk)`` for every chunk of the iterator ``chunks``.
+
+    The calling thread takes the chunks from ``chunks`` in order and hands
+    each over for scoring once fewer than two handed over are unscored, so
+    it takes the next chunk while two wait for or are in scoring.  At
+    ``threads`` >= 2 that many threads, started here, score them, each chunk
+    on whichever thread is free, under the caller's numpy errstate; at 1
+    the calling thread scores each chunk as it takes it and starts no
+    thread.  After a chunk's scoring raises, no further chunk is handed over
+    or scored.  Every thread started is joined before this returns or raises,
+    and the first exception a scoring raised is raised again here, the same
+    object.
+    """
+    todo = collections.deque()       # chunks handed over, then one None per thread
+    queued = threading.Semaphore(0)  # entries in todo
+    free = threading.Semaphore(2)    # chunks that may be handed over and not yet scored
+    errors = []
+
+    def score_first() -> bool:
+        """Score the first entry of ``todo`` unless a chunk has failed;
+        False when the entry is the None that ends a thread."""
+        chunk = todo.popleft()
+        if chunk is None:
+            return False
+        try:
+            if not errors:
+                score(*chunk)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+        finally:
+            free.release()
+        return True
+
+    def work():
+        while queued.acquire() and score_first():
+            pass
+
+    workers = []
+    try:
+        for _ in range(threads if threads > 1 else 0):
+            # Each thread runs in a copy of the caller's context, so numpy's
+            # errstate, a context variable, holds there as it does here.
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            worker.start()
+            workers.append(worker)
+        for chunk in chunks:
+            free.acquire()
+            if errors:
+                break
+            todo.append(chunk)
+            del chunk  # so that a chunk is freed once it is scored
+            if workers:
+                queued.release()
+            else:
+                score_first()
+    finally:
+        for worker in workers:
+            todo.append(None)
+            queued.release()
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -437,9 +537,11 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
         G(lambda x + (1 - lambda) y) >= lambda G(x) + (1 - lambda) G(y) - tol
 
     for every user, where G is the per-user utility of ``reward_terms`` with
-    x, y or their mix as the rate-term SNR.  ``n_trials`` and ``n_ues`` must
-    be at least 1 and ``tau`` one threshold in [0, 1] per station.
+    x, y or their mix as the rate-term SNR.  ``params`` must be a
+    ``UtilityParams``, ``n_trials`` and ``n_ues`` at least 1 and ``tau`` one
+    threshold in [0, 1] per station.
     """
+    _check_type("params", params, UtilityParams)
     n_trials, n_ues = _integer("n_trials", n_trials), _integer("n_ues", n_ues)
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

@@ -75,6 +75,16 @@ def _rician(model: FadingModel, re, im):
     return np.hypot(re, im, out=re)
 
 
+def _rayleigh(model: FadingModel, u):
+    """Rayleigh amplitudes from uniform draws on [0, 1) by the inverse CDF
+    of the amplitude law, sqrt(-omega log(1 - U)), computed in ``u``, which
+    it overwrites, as in ``_rician``; 1 - U keeps the log finite."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u *= -model.omega
+    return np.sqrt(u, out=u)
+
+
 def sample_fading(model: FadingModel, rng: np.random.Generator, size):
     """Draw an array of fading amplitudes H of shape ``size`` from ``rng``
     with E[H^2] = omega; ``none`` yields exactly 1 everywhere.  A Rician
@@ -82,32 +92,28 @@ def sample_fading(model: FadingModel, rng: np.random.Generator, size):
     if model.kind == "none":
         return np.ones(size)
     if model.kind == "rayleigh":
-        # Inverse CDF of the Rayleigh amplitude law, sqrt(-omega log(1 - U)),
-        # in place as in _rician; 1 - U keeps the log finite.
-        h = rng.random(size)
-        np.subtract(1.0, h, out=h)
-        np.log(h, out=h)
-        h *= -model.omega
-        return np.sqrt(h, out=h)
+        return _rayleigh(model, rng.random(size))
     return _rician(model, rng.standard_normal(size), rng.standard_normal(size))
 
 
 def _fading_chunks(model: FadingModel, rng: np.random.Generator, n: int, shape, chunk: int):
-    """The amplitudes of ``sample_fading(model, rng, (n, *shape))``, bit for
-    bit, yielded ``chunk`` rows at a time, leaving ``rng`` in the same
-    state.  Rayleigh takes one ``sample_fading`` call per chunk; Rician
-    draws the whole real block first, as the one call does, then each
-    chunk's imaginary rows, so only the real block grows with ``n``.  A
-    yielded chunk is the caller's to overwrite."""
+    """The draws behind ``sample_fading(model, rng, (n, *shape))``, bit for
+    bit, yielded ``chunk`` rows at a time as the arguments after ``model``
+    of its transform: ``(u,)`` for ``_rayleigh``, ``(re, im)`` for
+    ``_rician``.  The transforms of the chunks, in order, are that call's
+    amplitudes, and ``rng`` ends in the same state.  Rayleigh draws each
+    chunk's uniforms; Rician draws the whole real block first, as the one
+    call does, then each chunk's imaginary rows, so only the real block
+    grows with ``n``.  A yielded chunk is the caller's to overwrite."""
     starts = range(0, n, chunk)
     if model.kind != "rician":
         for start in starts:
-            yield sample_fading(model, rng, (min(chunk, n - start), *shape))
+            yield (rng.random((min(chunk, n - start), *shape)),)
         return
     re = rng.standard_normal((n, *shape))
     for start in starts:
         part = re[start:start + chunk]
-        yield _rician(model, part, rng.standard_normal(part.shape))
+        yield part, rng.standard_normal(part.shape)
 
 
 def episode_fading_power(model: FadingModel, rng: np.random.Generator, steps: int,

@@ -43,6 +43,12 @@ def peak_traced_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+def set_usable_cpus(monkeypatch, n):
+    """Make this process see ``n`` usable CPUs, as ``map_seeds`` and
+    ``verify_jensen`` count them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 # More forks than any test here needs: a call past it fails before forking, so
 # a broken process cap cannot start thousands of processes.
 MAX_FORKS = 8
@@ -63,7 +69,7 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    set_usable_cpus(monkeypatch, 2)
     return calls
 
 

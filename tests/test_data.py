@@ -34,6 +34,7 @@ from cellsim.data import (
 from cellsim.env import CellularNetworkEnv, _action_code, _unit
 from cellsim.harness import evaluate
 from cellsim.policies import make_policy
+from conftest import set_usable_cpus
 from reference_impl import histogram_overlap
 
 
@@ -336,10 +337,6 @@ class TestPolicyActionCodes:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def _seeds(cfg, policy, block):
     return list(block)
 
@@ -360,7 +357,7 @@ class TestPoolSize:
     @pytest.mark.parametrize("n, workers, size", [(2, 8, 2), (5, 3, 3), (3, 64, 3)])
     def test_pool_has_no_more_workers_than_blocks(self, n, workers, size, forks,
                                                   monkeypatch):
-        _set_cpus(monkeypatch, 64)
+        set_usable_cpus(monkeypatch, 64)
         seeds = map_seeds(_seeds, [(None, None, 10, n)], workers)
         assert len(forks) == size - 1
         assert seeds == list(range(10, 10 + n))
@@ -370,7 +367,7 @@ class TestPoolSize:
                               (5, 1, 64, 1)])
     def test_pool_has_no_more_workers_than_cpus(self, n, workers, cpus, size, forks,
                                                 monkeypatch):
-        _set_cpus(monkeypatch, cpus)
+        set_usable_cpus(monkeypatch, cpus)
         assert map_seeds(_seeds, [(None, None, 10, n)], workers) == list(range(10, 10 + n))
         assert len(forks) == max(size - 1, 0)
 
@@ -406,7 +403,7 @@ class TestPoolSize:
 
     def test_blocks_run_in_process_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
-        _set_cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         pids = map_seeds(lambda cfg, policy, block: [os.getpid()] * len(block),
                          [(None, None, 0, 6)], 3)
         assert pids == [os.getpid()] * 6
@@ -464,7 +461,7 @@ class TestBlockCut:
         (1000, 1, [125] * 8), (5, 3, [2, 2, 1]), (256, 2, [128] * 2), (0, 2, []),
     ])
     def test_blocks(self, n, workers, sizes, monkeypatch):
-        _set_cpus(monkeypatch, 1)  # every block runs in this process
+        set_usable_cpus(monkeypatch, 1)  # every block runs in this process
         blocks = []
 
         def recording(cfg, policy, block):
@@ -525,7 +522,7 @@ class TestForkedWorkers:
 
     def test_failure_stops_the_other_workers(self, forks, monkeypatch):
         # At 3 CPUs: worker 1 raises in block 1 while worker 2 sleeps in block 2.
-        _set_cpus(monkeypatch, 3)
+        set_usable_cpus(monkeypatch, 3)
         fds = _open_fds()
         start = time.monotonic()
         with pytest.raises(ValueError, match="^boom$") as info:
@@ -568,7 +565,7 @@ class TestForkedWorkers:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fails)
-        _set_cpus(monkeypatch, 3)  # two workers to fork besides the caller
+        set_usable_cpus(monkeypatch, 3)  # two workers to fork besides the caller
         fds = _open_fds()
         start = time.monotonic()
         with pytest.raises(BlockingIOError):
@@ -657,7 +654,7 @@ class TestCollectMediumExpert:
     @pytest.mark.parametrize("n, workers", [(n, w) for n in (0, 1, 3, 65) for w in (1, 2, 3)]
                              + [(129, 1)])
     def test_equals_one_collect_per_tier(self, scenario, n, workers, forks, monkeypatch):
-        _set_cpus(monkeypatch, 3)
+        set_usable_cpus(monkeypatch, 3)
         variant, fading = scenario.split("/")
         cfg = cs.default_config(mobility_variant=variant, fading=fading, horizon=4)
         both = collect_medium_expert(cfg, n, seed_base=50, workers=workers)

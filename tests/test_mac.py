@@ -5,7 +5,12 @@ delivered rate of 9 maps to utility 0.75 under the default shape because
 10*log10(10) = 10 sits three quarters of the way through [-20, 20].
 """
 
+import itertools
 import math
+import re
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -14,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from cellsim.config import FadingModel, UtilityParams, parse_fading
 from cellsim import mac, radio
+from cellsim.data import map_seeds
 from cellsim.env import decode_action
 
-from conftest import peak_traced_bytes
+from conftest import peak_traced_bytes, set_usable_cpus
 from reference_impl import reference_reward, reference_verify_jensen
 
 
@@ -448,6 +454,29 @@ class TestJensenBound:
             mac.verify_jensen(snr, np.full(3, 0.2), FadingModel("rayleigh"),
                               UtilityParams(), n_samples=10_000, rng=0)
 
+    @pytest.mark.parametrize("label", ["none", "rayleigh", "rician:3"])
+    def test_snr_without_users_rejected(self, label):
+        # No user gives a mean over nothing: NaN with warnings, and with no
+        # fading a report that read holds=True.  Refused before any draw.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"SNR must have at least one user, got shape \(3, 0\)"):
+            mac.verify_jensen(np.zeros((3, 0)), np.full(3, 0.2), parse_fading(label),
+                              UtilityParams(), n_samples=10_000, rng=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("arg, value, match", [
+        ("fading", "rayleigh", "fading must be a FadingModel, got 'rayleigh'"),
+        ("fading", None, "fading must be a FadingModel, got None"),
+        ("params", None, "params must be a UtilityParams, got None"),
+        ("params", FadingModel("rayleigh"), "params must be a UtilityParams, got FadingModel"),
+    ], ids=["fading-str", "fading-None", "params-None", "params-FadingModel"])
+    def test_argument_of_wrong_type_rejected(self, arg, value, match):
+        snr, tau = self._instance()
+        args = {"fading": FadingModel("rayleigh"), "params": UtilityParams(), arg: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}"):
+            mac.verify_jensen(snr, tau, args["fading"], args["params"], n_samples=10_000, rng=0)
+
     def test_no_fading_is_exact(self):
         snr, tau = self._instance()
         rep = mac.verify_jensen(snr, tau, FadingModel("none"), UtilityParams())
@@ -554,27 +583,34 @@ class TestJensenChunks:
     @given(case=jensen_cases(), fixed=st.booleans(),
            aggregate=st.sampled_from(["mean", "sum"]), seed=st.integers(0, 2 ** 32 - 1))
     def test_report_equals_whole_array_reference(self, case, fixed, aggregate, seed):
+        # At 1 usable CPU the calling thread scores every chunk; at 2, two
+        # scoring threads do.
         snr, tau, fading, chunk, n_samples = case
         params = UtilityParams(aggregate=aggregate)
-        with mock.patch.object(mac, "_JENSEN_CHUNK", chunk):
-            got = mac.verify_jensen(snr, tau, fading, params, n_samples=n_samples,
-                                    fixed_allocation=fixed, rng=seed)
-        assert got == reference_verify_jensen(snr, tau, fading, params, n_samples,
-                                              fixed, seed)
+        want = reference_verify_jensen(snr, tau, fading, params, n_samples, fixed, seed)
+        for cpus in (1, 2):
+            with mock.patch.object(mac, "_JENSEN_CHUNK", chunk), \
+                    pytest.MonkeyPatch.context() as patch:
+                set_usable_cpus(patch, cpus)
+                got = mac.verify_jensen(snr, tau, fading, params, n_samples=n_samples,
+                                        fixed_allocation=fixed, rng=seed)
+            assert got == want, f"{cpus} usable CPUs"
 
-    # Peak traced memory of a 200000-sample call on a 3x5 matrix.  One
-    # (200000, 3, 5) float block is 22.9 MiB.  A Rayleigh draw is made chunk
-    # by chunk, so no block-sized array exists; a Rician draw holds its real
-    # normals, one block, and draws each chunk's imaginary normals on its
-    # own.  The chunked draw and scoring measured at most 3.7 MiB on top
-    # (numpy 2.4: 3.4-3.7 MiB Rayleigh, 26.3-26.5 MiB Rician), and the bound
-    # allows them 8 MiB.  Drawing the whole amplitude array at once peaked
-    # at 26.3-27.0 MiB Rayleigh and 45.8 MiB Rician; drawing and scoring it
-    # at once, as ``reference_verify_jensen`` does, peaks at 68.7 MiB (fixed
-    # allocation) and 103.6 MiB (recomputed).
+    # Peak traced memory of a 200000-sample call on a 3x5 matrix, at 2 usable
+    # CPUs, where two threads score a chunk each while the caller draws a
+    # third.  One (200000, 3, 5) float block is 22.9 MiB.  A Rayleigh draw is
+    # made chunk by chunk, so no block-sized array exists; a Rician draw holds
+    # its real normals, one block, and draws each chunk's imaginary normals on
+    # its own.  The chunked draw and scoring measured at most 7.2 MiB on top
+    # (numpy 2.4: 5.8-7.2 MiB Rayleigh, 28.4-30.1 MiB Rician; 3.4-4.1 and
+    # 26.3-27.0 MiB at 1 CPU), and the bound allows them 8 MiB.  Drawing the whole amplitude array at once
+    # peaked at 26.3-27.0 MiB Rayleigh and 45.8 MiB Rician; drawing and
+    # scoring it at once, as ``reference_verify_jensen`` does, peaks at 68.7
+    # MiB (fixed allocation) and 103.6 MiB (recomputed).
     @pytest.mark.parametrize("fixed", [True, False], ids=["fixed", "recomputed"])
     @pytest.mark.parametrize("label, blocks", [("rayleigh", 0), ("rician:3", 1)])
-    def test_peak_memory_bounded(self, label, blocks, fixed):
+    def test_peak_memory_bounded(self, label, blocks, fixed, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
         snr = np.random.default_rng(3).random((3, 5))
         n_samples = 200_000
         block_mib = n_samples * snr.size * 8 / 2 ** 20
@@ -582,6 +618,115 @@ class TestJensenChunks:
             mac.verify_jensen, snr, np.full(3, 0.2), parse_fading(label), UtilityParams(),
             n_samples=n_samples, fixed_allocation=fixed, rng=0) / 2 ** 20
         assert peak_mib < blocks * block_mib + 8.0, f"peak {peak_mib:.1f} MiB"
+
+
+def _jensen_reports(cfg, policy, block):
+    """A ``map_seeds`` block function: one Rician report per seed."""
+    snr = np.random.default_rng(3).random((3, 5))
+    return [mac.verify_jensen(snr, np.full(3, 0.2), parse_fading("rician:3"), UtilityParams(),
+                              n_samples=10_000, rng=seed) for seed in block]
+
+
+class TestJensenThreads:
+    """verify_jensen draws on the calling thread and scores its chunks on two
+    threads it starts and joins, or on the calling thread at one usable CPU."""
+
+    _SNR = np.random.default_rng(3).random((3, 5))
+
+    def _run(self, label="rayleigh", **kw):
+        return mac.verify_jensen(self._SNR, np.full(3, 0.2), parse_fading(label),
+                                 UtilityParams(), n_samples=40_000, rng=1, **kw)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_scoring_threads(self, cpus, monkeypatch):
+        set_usable_cpus(monkeypatch, cpus)
+        seen, reward_terms = [], mac.reward_terms
+
+        def recording(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return reward_terms(*args, **kwargs)
+
+        monkeypatch.setattr(mac, "reward_terms", recording)
+        before = threading.enumerate()
+        self._run()
+        assert threading.enumerate() == before
+        # The no-fading reward r, then one call per 4096-sample chunk.
+        assert len(seen) == 1 + 10 and seen[0] is threading.current_thread()
+        scorers = set(seen[1:])
+        if cpus == 1:
+            assert scorers == {threading.current_thread()}
+        else:
+            assert 1 <= len(scorers) <= 2
+            assert threading.current_thread() not in scorers
+
+    @pytest.mark.parametrize("label", ["rayleigh", "rician:3"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scoring_error_propagates_unchanged(self, cpus, label, monkeypatch):
+        # The third reward_terms call is the second chunk's.
+        set_usable_cpus(monkeypatch, cpus)
+        boom, calls, reward_terms = RuntimeError("third call"), itertools.count(1), mac.reward_terms
+
+        def failing(*args, **kwargs):
+            if next(calls) == 3:
+                raise boom
+            return reward_terms(*args, **kwargs)
+
+        monkeypatch.setattr(mac, "reward_terms", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as info:
+            self._run(label, fixed_allocation=False)
+        assert info.value is boom
+        assert threading.enumerate() == before
+
+    def test_caller_errstate_holds_on_scoring_threads(self, monkeypatch):
+        # omega = 1e308 overflows |H|^2 (see test_extreme_inputs_report_as_recorded).
+        set_usable_cpus(monkeypatch, 2)
+        snr, tau = np.full((3, 5), 0.5), np.full(3, 0.2)
+        huge = FadingModel("rayleigh", omega=1e308)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            mac.verify_jensen(snr, tau, huge, UtilityParams(), n_samples=10_000, rng=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = mac.verify_jensen(snr, tau, huge, UtilityParams(), n_samples=10_000, rng=0)
+        assert rep.mean_R == 1.0
+
+    def test_stress_every_chunk_scored_once_three_in_flight(self):
+        # More scoring threads than cores and a short switch interval, so the
+        # threads interleave often.  A lost or doubled chunk, or a fourth
+        # chunk taken while three are unscored (two handed over and the one
+        # the caller holds), breaks an assertion.
+        n, lock, taken, scored, in_flight = 3000, threading.Lock(), [], [], []
+
+        def chunks():
+            for i in range(n):
+                with lock:
+                    taken.append(i)
+                    in_flight.append(len(taken) - len(scored))
+                yield (i,)
+
+        def score(i):
+            time.sleep(1e-5)  # slower than a take, so the takes run ahead
+            with lock:
+                scored.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            call = threading.Thread(target=mac._score_chunks, args=(score, chunks(), 4))
+            before = threading.enumerate()
+            call.start()
+            call.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not call.is_alive()
+        assert threading.enumerate() == before
+        assert sorted(scored) == list(range(n))
+        assert max(in_flight) == 3
+
+    def test_same_reports_in_forked_map_seeds_worker(self, forks):
+        # forks sets 2 usable CPUs, so both processes start scoring threads.
+        got = map_seeds(_jensen_reports, [(None, None, 0, 4)], 2)
+        assert len(forks) == 1
+        assert got == _jensen_reports(None, None, range(4))
 
 
 class TestConcavityProbe:
@@ -614,6 +759,11 @@ class TestConcavityProbe:
     def test_bad_tau_rejected(self, tau, match):
         with pytest.raises(ValueError, match=match):
             mac.concavity_probe(UtilityParams(), tau, n_trials=10, rng=0)
+
+    @pytest.mark.parametrize("params", [None, FadingModel("rayleigh")], ids=["None", "FadingModel"])
+    def test_params_of_wrong_type_rejected(self, params):
+        with pytest.raises(ValueError, match="^params must be a UtilityParams, got "):
+            mac.concavity_probe(params, np.full(3, 0.4), n_trials=10, rng=0)
 
     @pytest.mark.parametrize("n_ues", [0, -2])
     def test_user_count_floor_enforced(self, n_ues):

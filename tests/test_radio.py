@@ -222,18 +222,25 @@ class TestEpisodeFadingPower:
 
 
 class TestFadingChunks:
+    """``_fading_chunks`` yields each chunk's draws; its transform, chunk by
+    chunk, is one ``sample_fading`` call in pieces."""
+
     @pytest.mark.parametrize("label", ["rayleigh", "rician:0", "rician:3"])
     @pytest.mark.parametrize("n, chunk", [(12, 4), (13, 4), (5, 8), (7, 1)],
                              ids=["divides", "remainder", "one-short-chunk", "rows"])
     def test_chunks_are_one_draw_in_pieces(self, label, n, chunk):
         model = parse_fading(label)
+        transform = radio._rician if model.kind == "rician" else radio._rayleigh
         pieces, whole = np.random.default_rng(22), np.random.default_rng(22)
-        chunks = list(radio._fading_chunks(model, pieces, n, (3, 5), chunk))
+        # Every chunk is drawn before any is transformed, as the scoring
+        # threads of verify_jensen may lag the draws.
+        draws = list(radio._fading_chunks(model, pieces, n, (3, 5), chunk))
         want = radio.sample_fading(model, whole, (n, 3, 5))
-        assert [len(c) for c in chunks] == [min(chunk, n - s) for s in range(0, n, chunk)]
-        assert np.concatenate(chunks).tobytes() == want.tobytes()
         # Both leave the stream at the same place.
         assert pieces.bit_generator.state == whole.bit_generator.state
+        chunks = [transform(model, *d) for d in draws]
+        assert [len(c) for c in chunks] == [min(chunk, n - s) for s in range(0, n, chunk)]
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
 
 
 class TestFadedSnr:
