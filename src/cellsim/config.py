@@ -127,6 +127,12 @@ def _fraction(what: str, value) -> float:
     return float(value)
 
 
+def _check_type(name: str, value, cls) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _check_numbers(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
     number and every int field an integer; a bool is neither.  A float field
@@ -342,10 +348,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name, cls in _SECTIONS.items():
-            section = getattr(self, name)
-            if not isinstance(section, cls):
-                raise ValueError(f"NetworkConfig.{name} must be a {cls.__name__}, "
-                                 f"got {section!r}")
+            _check_type(f"NetworkConfig.{name}", getattr(self, name), cls)
         _check_numbers(self)
         m = self.mobility
         positions = _points(self.bs_positions, "station", m.map_width, m.map_height)

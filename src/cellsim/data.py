@@ -410,6 +410,14 @@ def _serve(fn, share, wr: int):
         os._exit(code)
 
 
+def _policy_epsilon(policy):
+    """``policy``'s ``epsilon`` as a checked Python float, or None when it has
+    none.  Callers check it before any episode runs: it may have been set
+    after the policy was built, past ``MediumPolicy``'s own check."""
+    eps = getattr(policy, "epsilon", None)
+    return None if eps is None else _fraction("epsilon", eps)
+
+
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
             workers: int = 1) -> DatasetManifest:
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
@@ -417,11 +425,9 @@ def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
     if n_traj < 0:
         raise ValueError("n_traj must be non-negative")
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
-    # Checked before any episode runs: a policy's epsilon may have been set
-    # after it was built, past ``MediumPolicy``'s own check.
-    eps = getattr(policy, "epsilon", None)
+    eps = _policy_epsilon(policy)
     if eps is not None:
-        meta["epsilon"] = _fraction("epsilon", eps)
+        meta["epsilon"] = eps
     trajs = map_seeds(_collect_block, [(cfg, policy, seed_base, n_traj)], workers)
     return DatasetManifest(tiers={policy.policy_id: trajs},
                            config_hash=cfg.canonical_hash(), meta=meta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .config import FadingModel, NetworkConfig, _finite_real, _integer
-from .data import map_seeds, rollout
+from .data import _policy_epsilon, map_seeds, rollout
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
 
@@ -51,6 +51,7 @@ def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -
     n_episodes, seed_base = _integer("n_episodes", n_episodes), _integer("seed_base", seed_base)
     if n_episodes < 1:
         raise ValueError("n_episodes must be positive")
+    _policy_epsilon(policy)
     rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],
                      workers)
     results = []

@@ -52,24 +52,22 @@ config validates every parameter and position.  Only ``verify_jensen`` and
 convert and check them.
 
 ``verify_jensen`` is the one function here that starts threads.  When two
-or more CPUs are usable, two threads it starts and joins within the call
-score its fading chunks while the calling thread draws them, so numpy's
-GIL-free loops overlap; with one the calling thread scores every chunk.
-It takes no parameter for this, and its report is bit for bit the same at
-any CPU count.
+or more CPUs are usable, a standard-library thread pool of two, opened and
+shut down within the call, scores its fading chunks while the calling
+thread draws them, so numpy's GIL-free loops overlap; with one the calling
+thread scores every chunk.  It takes no parameter for this, and its report
+is bit for bit the same at any CPU count.
 """
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FadingModel, UtilityParams, _integer, _usable_cpus
+from .config import FadingModel, UtilityParams, _check_type, _integer, _usable_cpus
 from .radio import _fading_chunks, _rayleigh, _rician
 
 __all__ = [
@@ -357,12 +355,6 @@ def _thresholds(tau) -> np.ndarray:
 _JENSEN_CHUNK = 4096
 
 
-def _check_type(name: str, value, cls) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a ``cls``."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
-
-
 def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
                   n_samples: int = 100_000, fixed_allocation: bool = True,
                   rng=None) -> JensenReport:
@@ -383,11 +375,11 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     chunk: amplitude transform, |H|^2 times the SNR, ``reward_terms``.  Each
     chunk's arrays stay in cache; only the per-sample rewards (and, for
     Rician, the real normals) grow with ``n_samples``.  With two or more
-    usable CPUs two threads score the chunks while the calling thread draws
-    the next (``_score_chunks``); with one the calling thread scores each
-    chunk itself.  The mean and standard deviation run over all the rewards
-    at once, after the last chunk, so the report depends neither on the
-    chunk size nor on the thread count.
+    usable CPUs a pool of two threads scores the chunks while the calling
+    thread draws the next (``_score_chunks``); with one the calling thread
+    scores each chunk itself.  The mean and standard deviation run over all
+    the rewards at once, after the last chunk, so the report depends
+    neither on the chunk size nor on the thread count.
     """
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 10_000:
@@ -443,67 +435,35 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
 def _score_chunks(score, chunks, threads: int) -> None:
     """Call ``score(*chunk)`` for every chunk of the iterator ``chunks``.
 
-    The calling thread takes the chunks from ``chunks`` in order and hands
-    each over for scoring once fewer than two handed over are unscored, so
-    it takes the next chunk while two wait for or are in scoring.  At
-    ``threads`` >= 2 that many threads, started here, score them, each chunk
-    on whichever thread is free, under the caller's numpy errstate; at 1
-    the calling thread scores each chunk as it takes it and starts no
-    thread.  After a chunk's scoring raises, no further chunk is handed over
-    or scored.  Every thread started is joined before this returns or raises,
-    and the first exception a scoring raised is raised again here, the same
-    object.
+    At ``threads`` = 1 the calling thread scores each chunk as it takes it.
+    Otherwise a ``ThreadPoolExecutor`` of that many threads, opened and shut
+    down here, scores them, each in a copy of the caller's context so that
+    numpy's errstate, a context variable, holds there as it does here.  The
+    caller takes the chunks in order and hands one over once fewer than two
+    handed over are unscored, so it takes the next chunk while two are
+    scored.  A scoring exception stops the hand-overs at the caller's next
+    wait, and is raised again here, the same object.  Every thread is
+    joined before this returns or raises.
     """
-    todo = collections.deque()       # chunks handed over, then one None per thread
-    queued = threading.Semaphore(0)  # entries in todo
-    free = threading.Semaphore(2)    # chunks that may be handed over and not yet scored
-    errors = []
-
-    def score_first() -> bool:
-        """Score the first entry of ``todo`` unless a chunk has failed;
-        False when the entry is the None that ends a thread."""
-        chunk = todo.popleft()
-        if chunk is None:
-            return False
-        try:
-            if not errors:
-                score(*chunk)
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
-        finally:
-            free.release()
-        return True
-
-    def work():
-        while queued.acquire() and score_first():
-            pass
-
-    workers = []
-    try:
-        for _ in range(threads if threads > 1 else 0):
-            # Each thread runs in a copy of the caller's context, so numpy's
-            # errstate, a context variable, holds there as it does here.
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            worker.start()
-            workers.append(worker)
+    if threads == 1:
         for chunk in chunks:
-            free.acquire()
-            if errors:
-                break
-            todo.append(chunk)
+            score(*chunk)
+            del chunk  # so that a chunk is freed before the next is drawn
+        return
+    # Imported here: concurrent.futures loads logging, ~10 ms that neither
+    # `import cellsim` nor a one-CPU call should pay.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    with ThreadPoolExecutor(threads) as pool:
+        pending = set()
+        for chunk in chunks:
+            if len(pending) == 2:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+            pending.add(pool.submit(contextvars.copy_context().run, score, *chunk))
             del chunk  # so that a chunk is freed once it is scored
-            if workers:
-                queued.release()
-            else:
-                score_first()
-    finally:
-        for worker in workers:
-            todo.append(None)
-            queued.release()
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+        for future in pending:
+            future.result()
 
 
 @dataclass(frozen=True)
@@ -561,5 +521,5 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
     violations = int((gap > _PROBE_TOL).sum())
     return ConcavityReport(n_trials=n_trials, n_checks=int(gap.size),
                            violations=violations,
-                           max_violation=float(gap.max()) if gap.size else 0.0,
+                           max_violation=float(gap.max()),
                            passed=violations == 0)

@@ -64,6 +64,28 @@ class TestEvaluate:
         assert f"std={res.std!r}" in text
 
 
+class TestPolicyEpsilon:
+    """A policy's epsilon set after it was built is checked before any
+    episode runs, as ``collect`` checks it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("eps", [1.5, True, "0.2"], ids=["1.5", "True", "str"])
+    @pytest.mark.parametrize("run", [
+        lambda cfg, policy, workers: evaluate(cfg, policy, n_episodes=2, workers=workers),
+        lambda cfg, policy, workers: fading_sweep(cfg, policy, [parse_fading("rayleigh")],
+                                                  n_episodes=2, workers=workers),
+    ], ids=["evaluate", "fading_sweep"])
+    def test_bad_epsilon_fails_before_any_episode(self, short_cfg, run, eps, workers,
+                                                  monkeypatch):
+        blocks = []
+        monkeypatch.setattr(cs.harness, "map_seeds", lambda *args: blocks.append(args))
+        policy = make_policy("medium")
+        policy.epsilon = eps
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+            run(short_cfg, policy, workers)
+        assert blocks == []
+
+
 class TestBlockMemory:
     # One block of 40 faded random episodes, what the calling process and its
     # one forked worker each run in a 2-worker 80-episode evaluate.  Its peak

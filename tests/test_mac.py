@@ -7,8 +7,11 @@ delivered rate of 9 maps to utility 0.75 under the default shape because
 
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from unittest import mock
@@ -722,11 +725,51 @@ class TestJensenThreads:
         assert sorted(scored) == list(range(n))
         assert max(in_flight) == 3
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failing", [0, 5, 9], ids=["first", "middle", "last"])
+    def test_any_chunks_error_is_raised(self, threads, failing):
+        # The last two chunks are still being scored when the caller runs
+        # out of chunks; their errors must not be lost either.
+        boom = RuntimeError("chunk")
+
+        def score(i):
+            if i == failing:
+                raise boom
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError) as info:
+            mac._score_chunks(score, ((i,) for i in range(10)), threads)
+        assert info.value is boom
+        assert threading.enumerate() == before
+
     def test_same_reports_in_forked_map_seeds_worker(self, forks):
         # forks sets 2 usable CPUs, so both processes start scoring threads.
         got = map_seeds(_jensen_reports, [(None, None, 0, 4)], 2)
         assert len(forks) == 1
         assert got == _jensen_reports(None, None, range(4))
+
+
+def test_thread_pool_loaded_only_by_a_threaded_call():
+    # concurrent.futures loads logging, ~10 ms: neither `import cellsim` nor a
+    # verify_jensen call at one usable CPU should pay for it.
+    script = textwrap.dedent("""
+        import os, sys
+        import numpy as np
+        import cellsim as cs
+        loaded = ["concurrent.futures" in sys.modules]
+        args = (np.full((3, 5), 0.5), np.full(3, 0.2), cs.FadingModel("rayleigh"),
+                cs.UtilityParams())
+        for cpus in ({0}, {0, 1}):
+            os.sched_getaffinity = lambda pid: cpus
+            cs.verify_jensen(*args, n_samples=10_000, rng=0)
+            loaded.append("concurrent.futures" in sys.modules)
+        print(loaded)
+    """)
+    src = os.path.dirname(os.path.dirname(mac.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"
 
 
 class TestConcavityProbe:
