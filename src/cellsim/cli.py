@@ -7,7 +7,9 @@ over the file.  Every subcommand is reproducible from its flags alone.
 
 Exit codes: 0 success, 1 domain error (bad config, bad data file), 2 usage
 error.  Domain errors are the ``ValueError``, ``RuntimeError`` and ``OSError``
-raised at the boundaries; any other exception is a bug and propagates.
+raised at the boundaries, and the ``MemoryError`` of a count too large to
+allocate (``--samples``, ``--trials``, ``--bins``); any other exception is
+a bug and propagates.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

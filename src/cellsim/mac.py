@@ -52,17 +52,18 @@ config validates every parameter and position.  Only ``verify_jensen`` and
 convert and check them.
 
 ``verify_jensen`` is the one function here that starts threads.  When two
-or more CPUs are usable, a standard-library thread pool of two, opened and
-shut down within the call, scores its fading chunks while the calling
-thread draws them, so numpy's GIL-free loops overlap; with one the calling
-thread scores every chunk.  It takes no parameter for this, and its report
-is bit for bit the same at any CPU count.
+or more CPUs are usable, the calling thread and one helper thread, started
+and joined within the call, each take the next fading chunk and score it,
+so numpy's GIL-free loops overlap; with one the calling thread takes and
+scores every chunk.  It takes no parameter for this, and its report is bit
+for bit the same at any CPU count.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,11 +348,11 @@ def _thresholds(tau) -> np.ndarray:
 # Samples scored per reward_terms call: ~0.5 MB per (3, 5, chunk) array.  A
 # 200000-sample pass of the four Jensen calls ran ~1% apart from 2048 to 8192
 # and ~8% slower at 1024 and 16384 on one thread.  With two scoring threads
-# up to three drawn chunks are unscored at once, two in scoring: a
-# 200000-sample call peaks at 5.8-7.2 MiB of traced memory besides a Rician
-# real block, against 3.4-4.1 MiB on one thread.  There 8192 ran 12-16%
-# faster but peaked at 9.5-12.8 MiB, past test_peak_memory_bounded's 8, and
-# 2048 ran ~9% slower.
+# each holds one chunk at most: a 200000-sample call peaks at 5.0-6.7 MiB of
+# traced memory besides a Rician real block, against 3.4-4.1 MiB on one
+# thread.  When a third chunk could be drawn ahead, 8192 ran 12-16% faster
+# but peaked at 9.5-12.8 MiB, past test_peak_memory_bounded's 8, and 2048
+# ran ~9% slower.
 _JENSEN_CHUNK = 4096
 
 
@@ -370,16 +371,17 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     ``UtilityParams``.
 
     The ``n_samples`` fading blocks are the draw of one ``sample_fading``
-    call, drawn in chunks of a few thousand samples on the calling thread,
-    in that call's order (``radio._fading_chunks``), and scored chunk by
-    chunk: amplitude transform, |H|^2 times the SNR, ``reward_terms``.  Each
+    call, drawn in chunks of a few thousand samples in that call's order
+    (``radio._fading_chunks``; a Rician real block is drawn whole, on the
+    calling thread, before the first chunk), and scored chunk by chunk:
+    amplitude transform, |H|^2 times the SNR, ``reward_terms``.  Each
     chunk's arrays stay in cache; only the per-sample rewards (and, for
     Rician, the real normals) grow with ``n_samples``.  With two or more
-    usable CPUs a pool of two threads scores the chunks while the calling
-    thread draws the next (``_score_chunks``); with one the calling thread
-    scores each chunk itself.  The mean and standard deviation run over all
-    the rewards at once, after the last chunk, so the report depends
-    neither on the chunk size nor on the thread count.
+    usable CPUs the calling thread and one helper thread each take the next
+    chunk, in order, and score it (``_score_chunks``); with one the calling
+    thread takes and scores every chunk.  The mean and standard deviation
+    run over all the rewards at once, after the last chunk, so the report
+    depends neither on the chunk size nor on the thread count.
     """
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 10_000:
@@ -435,35 +437,39 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
 def _score_chunks(score, chunks, threads: int) -> None:
     """Call ``score(*chunk)`` for every chunk of the iterator ``chunks``.
 
-    At ``threads`` = 1 the calling thread scores each chunk as it takes it.
-    Otherwise a ``ThreadPoolExecutor`` of that many threads, opened and shut
-    down here, scores them, each in a copy of the caller's context so that
-    numpy's errstate, a context variable, holds there as it does here.  The
-    caller takes the chunks in order and hands one over once fewer than two
-    handed over are unscored, so it takes the next chunk while two are
-    scored.  A scoring exception stops the hand-overs at the caller's next
-    wait, and is raised again here, the same object.  Every thread is
-    joined before this returns or raises.
+    The calling thread and ``threads`` - 1 helper threads, started and
+    joined here, run one loop: take the next chunk under a lock, score it,
+    and stop when the iterator ends or a worker has recorded an error.  So
+    each worker holds one chunk at most, and at most ``threads`` chunks exist
+    at once.  Each helper runs in a copy of the caller's context, so that
+    numpy's errstate, a context variable, holds there as it does here.
+    Once an error is recorded each other worker takes at most one more
+    chunk; after the helpers are joined the first error is raised here, the
+    same object.
     """
-    if threads == 1:
-        for chunk in chunks:
-            score(*chunk)
-            del chunk  # so that a chunk is freed before the next is drawn
-        return
-    # Imported here: concurrent.futures loads logging, ~10 ms that neither
-    # `import cellsim` nor a one-CPU call should pay.
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-    with ThreadPoolExecutor(threads) as pool:
-        pending = set()
-        for chunk in chunks:
-            if len(pending) == 2:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    future.result()
-            pending.add(pool.submit(contextvars.copy_context().run, score, *chunk))
-            del chunk  # so that a chunk is freed once it is scored
-        for future in pending:
-            future.result()
+    lock, errors = threading.Lock(), []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                score(*chunk)
+                del chunk  # so that a chunk is freed before the next is taken
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,23 @@ class TestMalformedInputs:
         assert err.startswith("error:") and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, flag", [("verify", "--samples"), ("verify", "--trials"),
+                                               ("stats", "--bins")])
+    def test_count_too_large_to_allocate(self, capsys, tmp_path, command, flag):
+        # 2**55 float64 entries exceed any address space, so the allocation
+        # fails at once, with nothing touched.
+        argv = [command, flag, str(2 ** 55)]
+        if command == "stats":
+            path = tmp_path / "base.jsonl"
+            run(capsys, "collect", "--tier", "random", "--n", "2", "--horizon", "3",
+                "--out", str(path))
+            argv += ["--in", str(path)]
+        else:
+            argv += ["--fading", "rayleigh"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("line", [json.dumps(_EMPTY_STEPS), "[]"],
                              ids=["empty-steps", "not-an-object"])
     @pytest.mark.parametrize("command", ["stats", "ablate"])

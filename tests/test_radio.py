@@ -232,8 +232,8 @@ class TestFadingChunks:
         model = parse_fading(label)
         transform = radio._rician if model.kind == "rician" else radio._rayleigh
         pieces, whole = np.random.default_rng(22), np.random.default_rng(22)
-        # Every chunk is drawn before any is transformed, as the scoring
-        # threads of verify_jensen may lag the draws.
+        # Every chunk is drawn before any is transformed, as verify_jensen's
+        # other scoring thread may take chunks while one is transformed.
         draws = list(radio._fading_chunks(model, pieces, n, (3, 5), chunk))
         want = radio.sample_fading(model, whole, (n, 3, 5))
         # Both leave the stream at the same place.
@@ -241,6 +241,20 @@ class TestFadingChunks:
         chunks = [transform(model, *d) for d in draws]
         assert [len(c) for c in chunks] == [min(chunk, n - s) for s in range(0, n, chunk)]
         assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("label", ["rayleigh", "rician:0", "rician:3"])
+    def test_rician_real_block_drawn_on_the_call(self, label):
+        # The Rician real block is drawn by the call, on the calling thread,
+        # not by whichever thread takes the first chunk (see the comment in
+        # _fading_chunks); Rayleigh draws nothing until a chunk is taken.
+        model = parse_fading(label)
+        rng, want = np.random.default_rng(23), np.random.default_rng(23)
+        chunks = radio._fading_chunks(model, rng, 13, (3, 5), 4)
+        if model.kind == "rician":
+            want.standard_normal((13, 3, 5))
+        assert rng.bit_generator.state == want.bit_generator.state
+        next(chunks)
+        assert rng.bit_generator.state != want.bit_generator.state
 
 
 class TestFadedSnr:
