@@ -146,11 +146,9 @@ def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args, horizon=args.steps)
     policy = make_policy(args.policy, epsilon=args.epsilon)
     traj = data_mod.collect_trajectory(cfg, policy, args.seed)
-    total = 0.0
     for t, (action, rew) in enumerate(zip(traj.actions.tolist(), traj.rewards.tolist())):
         print(f"t={t} action={action} reward={rew!r}")
-        total += rew
-    print(f"total_return={total!r}")
+    print(f"total_return={traj.total_return!r}")
     return 0
 
 

@@ -29,6 +29,21 @@ class TestSimulate:
             assert "reward=" in line
         assert lines[-1].startswith("total_return=")
 
+    def test_total_is_the_trajectorys_return(self, capsys):
+        # The dataset's total_return is the first return-to-go, a reverse
+        # sum; a forward sum of the printed rewards may differ in the last
+        # bits, as it does on this episode.
+        code, out, _ = run(capsys, "simulate", "--steps", "20", "--policy", "medium",
+                           "--seed", "9", "--fading", "rayleigh")
+        traj = cs.collect_trajectory(default_config(fading="rayleigh", horizon=20),
+                                     cs.MediumPolicy(), 9)
+        forward = 0.0
+        for rew in traj.rewards.tolist():
+            forward += rew
+        assert code == 0
+        assert out.splitlines()[-1] == f"total_return={traj.total_return!r}"
+        assert repr(forward) != repr(traj.total_return)
+
     def test_rerun_is_byte_identical(self, capsys):
         argv = ("simulate", "--steps", "8", "--policy", "medium", "--seed", "5")
         _, first, _ = run(capsys, *argv)

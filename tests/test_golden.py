@@ -139,7 +139,7 @@ SAVED_CONFIG_DIGEST = "712c75c419e411c6da100bf2b2825f7f15d9f5cce8aee22174fdb61ca
 
 SIMULATE_ARGV = ["simulate", "--steps", "20", "--policy", "medium", "--seed", "9",
                  "--fading", "rayleigh"]
-SIMULATE_DIGEST = "db5258384df07d679278853ab409fe5e44a1827d3f8c94cefaacb1a658e20198"
+SIMULATE_DIGEST = "283e49548259d10322f1cc43720ebbb11e65b9d55b143f2dd0434b0b07c5dd62"
 
 
 def _full_config(name):
