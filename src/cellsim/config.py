@@ -192,12 +192,6 @@ class RadioParams:
         if not (self.snr_upper_ref > self.snr_lower_ref > 0):
             raise ValueError("need snr_upper_ref > snr_lower_ref > 0")
 
-    def raw_snr_at_distance(self, distance):
-        """Linear SNR at a given link distance (scalar or array)."""
-        return _snr_from_distance(np.array(distance, dtype=float), self.tx_power_dbm,
-                                  self.noise_dbm, self.reference_pathloss_db,
-                                  self.pathloss_exponent, self.reference_distance)[()]
-
 
 @dataclass(frozen=True)
 class UtilityParams:
@@ -293,16 +287,22 @@ class FadingModel:
 
 
 def parse_fading(spec: str) -> FadingModel:
-    """Parse a fading spec string: ``none``, ``rayleigh``, or ``rician:K``."""
-    spec = spec.strip().lower()
-    if spec in ("none", "rayleigh"):
-        return FadingModel(kind=spec)
-    if spec.startswith("rician"):
-        _, _, k = spec.partition(":")
-        if not k:
-            raise ValueError("rician fading needs a K factor, e.g. rician:3")
-        return FadingModel(kind="rician", k_factor=float(k))
-    raise ValueError(f"unknown fading spec {spec!r}")
+    """Parse a fading spec string: ``none``, ``rayleigh``, or ``rician:K``
+    with K a number, in any case and with blanks around it.  Anything else
+    raises ``ValueError`` naming the spec."""
+    if not isinstance(spec, str):
+        raise ValueError(f"fading spec must be a string, got {spec!r}")
+    text = spec.strip().lower()
+    if text in ("none", "rayleigh"):
+        return FadingModel(kind=text)
+    kind, _, k = text.partition(":")
+    if kind != "rician":
+        raise ValueError(f"unknown fading spec {spec!r}")
+    try:
+        k_factor = float(k)
+    except ValueError:
+        raise ValueError(f"fading spec {spec!r} needs a number K, as in rician:3") from None
+    return FadingModel(kind="rician", k_factor=k_factor)
 
 
 # The sections serialized from their own dataclass fields, by JSON name.

@@ -73,9 +73,6 @@ from .radio import _fading_chunks, _rayleigh, _rician
 
 __all__ = [
     "data_rate",
-    "connections",
-    "ratefair_fractions",
-    "utility",
     "reward_terms",
     "action_rewards",
     "reward",
@@ -96,37 +93,14 @@ def data_rate(gamma, bandwidth: float):
     return rate[()]
 
 
-def connections(snr, tau) -> np.ndarray:
-    """Boolean connection matrix: gamma_ij >= tau_i and d_ij > 0.
-
-    A rate is positive exactly when gamma_ij > 2**-53; at or below that,
-    1 + gamma rounds to 1.  ``snr`` has shape (..., n_bs, n_ues) and ``tau``
-    (..., n_bs); leading axes broadcast, so a single SNR matrix can be
-    evaluated against a batch of threshold vectors at once.
-    """
-    return _connections(snr, tau[..., None])
-
-
 def _connections(snr, tau) -> np.ndarray:
-    """``connections`` with ``tau`` already broadcasting against ``snr``,
-    C-contiguous whatever the layout of either."""
+    """Boolean connections, gamma_ij >= tau_i and d_ij > 0, C-contiguous
+    whatever the layout of ``snr`` or of ``tau``, which broadcasts against
+    it.  A rate is positive exactly when gamma_ij > 2**-53; at or below
+    that, 1 + gamma rounds to 1."""
     conn = np.greater_equal(snr, tau, order="C")
     conn &= snr > 2.0 ** -53
     return conn
-
-
-def ratefair_fractions(rates, conn) -> np.ndarray:
-    """Time fraction a_ij each station grants each connected user, from the
-    state rates ``d_ij = b log2(1 + gamma_ij)``.
-
-    Disconnected pairs get 0.  For station i the delivered rate
-    ``a_ij d_ij`` is the same for every connected user j, namely
-    ``1 / sum_k c_ik / d_ik``.
-    """
-    rates, conn = np.asarray(rates), np.asarray(conn)
-    nb = max(rates.ndim, conn.ndim) - 2
-    rates, conn = _inward(rates, 2, nb), _inward(conn, 2, nb)
-    return _outward(_fractions(np.where(conn, rates, 1.0), conn), 2)
 
 
 def _inward(x, k, nb):
@@ -167,9 +141,11 @@ def _user_sum(x):
 
 
 def _fractions(safe, conn) -> np.ndarray:
-    """``ratefair_fractions`` in kernel layout (n_bs, n_ues, ...) from
-    ``safe``, the state rates where connected and 1.0 elsewhere, which it
-    leaves as they are."""
+    """Rate-fair time fractions a_ij in kernel layout (n_bs, n_ues, ...),
+    0 where unconnected, from the connections ``conn`` and ``safe``, the
+    state rates d_ij where connected and 1.0 elsewhere, which it leaves as
+    they are.  Station i delivers ``a_ij d_ij = 1 / sum_k c_ik / d_ik`` to
+    every user j it serves."""
     # 1 / 1.0 where unconnected, so the product is np.where(conn, 1 / safe, 0.0).
     terms = np.divide(1.0, safe)
     terms *= conn
@@ -180,14 +156,9 @@ def _fractions(safe, conn) -> np.ndarray:
     return np.where(conn, np.divide(share, safe, out=terms), 0.0)
 
 
-def utility(rate, params: UtilityParams):
-    """Clipped log utility of a delivered rate, rescaled onto [0, 1]."""
-    return _utility(np.array(rate, dtype=float), params)[()]
-
-
 def _utility(rate: np.ndarray, params: UtilityParams) -> np.ndarray:
-    """``utility`` computed in the float array ``rate``, which it overwrites
-    and returns."""
+    """Clipped log utility of a delivered rate, rescaled onto [0, 1],
+    computed in the float array ``rate``, which it overwrites and returns."""
     rate += params.w2
     np.log(rate, out=rate)
     rate *= params.w1

@@ -28,17 +28,12 @@ import numpy as np
 
 from .config import FadingModel, RadioParams, _snr_from_distance
 
-__all__ = ["normalize_snr", "snr_matrix", "sample_fading", "episode_fading_power"]
-
-
-def normalize_snr(raw, params: RadioParams):
-    """Rescale a linear SNR onto [0, 1] between the configured references."""
-    return _normalize(np.array(raw, dtype=float), params)[()]
+__all__ = ["snr_matrix", "sample_fading", "episode_fading_power"]
 
 
 def _normalize(snr: np.ndarray, params: RadioParams) -> np.ndarray:
-    """``normalize_snr`` computed in the float array ``snr``, which it
-    overwrites and returns."""
+    """A linear SNR rescaled onto [0, 1] between the configured references,
+    computed in the float array ``snr``, which it overwrites and returns."""
     snr -= params.snr_lower_ref
     snr /= params.snr_upper_ref - params.snr_lower_ref
     return np.clip(snr, 0.0, 1.0, out=snr)

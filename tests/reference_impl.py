@@ -16,7 +16,9 @@ that user's own RNG stream.  This is the per-user loop the array kernel in
 
 SNR: ``reference_snr_matrix`` broadcasts every station against every user
 in one expression, with a second full-size array for the y-differences,
-the formula ``cellsim.radio.snr_matrix`` computes station by station.
+and then writes out the path loss law and the normalization itself, in
+fresh arrays: the formula ``cellsim.radio.snr_matrix`` computes station by
+station and in place.
 
 Monte Carlo: ``reference_verify_jensen`` scores every fading draw in one
 ``mac.reward_terms`` call over the whole (n_samples, n_bs, n_ues) array, so
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cellsim.mac import JensenReport, reward_terms
-from cellsim.radio import normalize_snr, sample_fading
+from cellsim.radio import sample_fading
 
 
 def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
@@ -95,10 +97,21 @@ def reference_reward(snr_state, tau, bandwidth, w1=10.0, w2=1.0, w3=10.0,
 def reference_snr_matrix(bs_positions, ue_positions, params):
     """Normalized SNR of every station-user pair, (..., n_bs, n_ues), from
     all distances at once: ``np.hypot`` of the full x- and y-difference
-    arrays, then the path loss law and the normalization on copies."""
+    arrays, then the path loss law
+
+        10 ** ((tx - noise - PL0 - 10 n log10(max(d, d0) / d0)) / 10)
+
+    and the rescale onto [0, 1] between the references, each step a new
+    array, with the same float operations in the same order as the
+    kernels, so the bits agree."""
     bs, ue = bs_positions, ue_positions
     distance = np.hypot(bs[:, None, 0] - ue[..., None, :, 0], bs[:, None, 1] - ue[..., None, :, 1])
-    return normalize_snr(params.raw_snr_at_distance(distance), params)
+    d0 = params.reference_distance
+    loss = np.log10(np.maximum(distance, d0) / d0) * (10.0 * params.pathloss_exponent)
+    snr_db = (params.tx_power_dbm - params.noise_dbm - params.reference_pathloss_db) - loss
+    raw = np.power(10.0, snr_db / 10.0)
+    lower, upper = params.snr_lower_ref, params.snr_upper_ref
+    return np.clip((raw - lower) / (upper - lower), 0.0, 1.0)
 
 
 def reference_verify_jensen(snr, tau, fading, params, n_samples, fixed_allocation, rng):

@@ -230,9 +230,14 @@ def test_fair_shares_and_reward_extremes():
 
     snr = rng.random((10_000, 3, 5))
     tau = rng.random((10_000, 3))
-    conn = mac.connections(snr, tau)
-    rates = mac.data_rate(snr, params.bandwidth)
-    delivered = np.where(conn, mac.ratefair_fractions(rates, conn) * rates, 0.0)
+    # The kernels take the kernel layout (stations, users, batch): transposed
+    # views in, and the results transposed back.
+    snr_k = snr.transpose(1, 2, 0)
+    conn = mac._connections(snr_k, tau.T[:, None])
+    rates = mac.data_rate(snr_k, params.bandwidth)
+    alloc = mac._fractions(np.where(conn, rates, 1.0), conn)
+    conn, rates, alloc = (x.transpose(2, 0, 1) for x in (conn, rates, alloc))
+    delivered = np.where(conn, alloc * rates, 0.0)
     hi = np.where(conn, delivered, -np.inf).max(axis=-1)
     lo = np.where(conn, delivered, np.inf).min(axis=-1)
     spread = np.where(conn.any(axis=-1), hi - lo, 0.0)

@@ -350,6 +350,18 @@ class TestMalformedInputs:
         assert err.startswith("error:") and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("spec", ["ricianx:3", "rician_k:2"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--samples", "10000", "--trials", "10", "--fading", "{}"],
+        ["simulate", "--steps", "2", "--fading", "{}"],
+        ["sweep-fading", "--policy", "random", "--episodes", "1", "--models", "none,{}"],
+    ], ids=["verify", "simulate", "sweep-fading"])
+    def test_undocumented_fading_spec(self, capsys, argv, spec):
+        code, out, err = run(capsys, *(arg.format(spec) for arg in argv))
+        assert code == 1
+        assert err.startswith("error:") and repr(spec) in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("command, flag", [("verify", "--samples"), ("verify", "--trials"),
                                                ("stats", "--bins")])
     def test_count_too_large_to_allocate(self, capsys, tmp_path, command, flag):

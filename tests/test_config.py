@@ -144,3 +144,29 @@ class TestParseFading:
     def test_non_finite_k_rejected(self, spec):
         with pytest.raises(ValueError, match="k_factor must be a finite number"):
             parse_fading(spec)
+
+    @pytest.mark.parametrize("spec, want", [
+        ("none", FadingModel()),
+        (" Rayleigh ", FadingModel(kind="rayleigh")),
+        ("RICIAN:3", FadingModel(kind="rician", k_factor=3.0)),
+        ("rician:0.5", FadingModel(kind="rician", k_factor=0.5)),
+    ])
+    def test_documented_forms(self, spec, want):
+        assert parse_fading(spec) == want
+
+    @pytest.mark.parametrize("spec", ["ricianx:3", "rician_k:2", "rician", "rician:",
+                                      "rician:abc", "rician:3:4", "weibull", "",
+                                      "none:1", "rayleigh:2"])
+    def test_other_strings_rejected_naming_the_spec(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_fading(spec)
+
+    @pytest.mark.parametrize("spec", [3, None, FadingModel()])
+    def test_non_string_rejected(self, spec):
+        message = f"fading spec must be a string, got {spec!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_fading(spec)
+
+    def test_default_config_refuses_a_non_string_spec(self):
+        with pytest.raises(ValueError, match=r"^fading spec must be a string, got 3$"):
+            default_config(fading=3)

@@ -1,8 +1,10 @@
 """The Python contract: the README quickstart runs as written, the package
 exports exactly its documented surface, every module's ``__all__`` names
-only what exists, every callable the benchmark traces stays at its
-module path, and every count or seed argument is an integer."""
+only what exists, every kernel a step module exports is used, every
+callable the benchmark traces stays at its module path, and every count or
+seed argument is an integer."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 import cellsim as cs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(cs.__file__).resolve().parent
 
 EXPORTS = [
     "CellularNetworkEnv", "ConcavityReport", "DEFAULT_MEDIUM_EPSILON", "DatasetManifest",
@@ -28,9 +31,8 @@ EXPORTS = [
 # Step kernels that live only in their modules, not in the package namespace.
 KERNELS = {
     "mobility": ["init_positions", "step_motion"],
-    "radio": ["snr_matrix", "normalize_snr", "sample_fading"],
-    "mac": ["connections", "data_rate", "ratefair_fractions", "utility", "reward",
-            "reward_terms"],
+    "radio": ["snr_matrix", "sample_fading"],
+    "mac": ["data_rate", "reward", "reward_terms"],
 }
 
 # What perfbench/run.py::trace_targets wraps.  Moving or renaming any of
@@ -86,6 +88,39 @@ def test_every_name_in_all_exists(module):
     mod = getattr(cs, module)
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.{name}"
+
+
+def _called_names() -> set:
+    """Every name called anywhere in the package's source, as ``name(...)``
+    or ``module.name(...)``, except a function's calls of itself."""
+    called = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None and name not in enclosing:
+                called.add(name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return called
+
+
+@pytest.mark.parametrize("module", ["mac", "mobility", "radio"])
+def test_every_exported_kernel_is_used(module):
+    # A public name of a step module that the package never calls, does not
+    # export and the benchmark does not trace is a second way into a kernel
+    # that only tests use: test the kernel instead.
+    called = _called_names()
+    unused = [name for name in getattr(cs, module).__all__
+              if name not in called and name not in cs.__all__
+              and f"{module}.{name}" not in TRACED_FUNCTIONS]
+    assert unused == [], f"{module}: {unused}"
 
 
 def test_benchmark_trace_targets_exist():

@@ -57,6 +57,19 @@ class TestTrajectory:
         assert traj.returns_to_go[-1] == traj.rewards[-1]
         assert traj.total_return == traj.returns_to_go[0]
 
+    def test_bad_epsilon_fails_before_the_episode(self, short_cfg, monkeypatch):
+        # A policy's epsilon set after it was built is checked as collect
+        # checks it: a number above 1 would run every step at random, a
+        # string would fail partway through the episode.
+        blocks = []
+        monkeypatch.setattr(cs.data, "_collect_block", lambda *args: blocks.append(args))
+        policy = make_policy("medium")
+        for eps in (7, 1.5, True, "x"):
+            policy.epsilon = eps
+            with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+                collect_trajectory(short_cfg, policy, 3)
+        assert blocks == []
+
     def test_record_round_trip(self, short_cfg):
         traj = collect_trajectory(short_cfg, make_policy("random"), seed=11)
         back = Trajectory.from_record(json.loads(json.dumps(traj.to_record())))

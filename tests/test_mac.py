@@ -40,16 +40,27 @@ class TestDataRate:
         assert mac.data_rate(0.0, 600.0) == 0.0
 
 
+def fractions(rates, conn):
+    """``mac._fractions`` of the rates ``rates`` and connections ``conn`` of
+    one (n_bs, n_ues) state, already in kernel layout: the kernel takes the
+    rates where connected and 1.0 elsewhere, in a float array of its
+    caller's."""
+    return mac._fractions(np.where(conn, rates, 1.0), conn)
+
+
 class TestConnections:
+    """``mac._connections`` takes thresholds that already broadcast against
+    the SNRs: one per station row, so ``tau[..., None]``."""
+
     def test_threshold_comparison(self):
         snr = np.array([[0.5, 0.2], [0.7, 0.7]])
-        conn = mac.connections(snr, np.array([0.5, 0.8]))
+        conn = mac._connections(snr, np.array([0.5, 0.8])[:, None])
         assert conn.tolist() == [[True, False], [False, False]]
 
     def test_zero_snr_never_connects(self):
         # A zero threshold admits every positive SNR but a dead link stays
         # dead.
-        conn = mac.connections(np.zeros((3, 5)), np.zeros(3))
+        conn = mac._connections(np.zeros((3, 5)), np.zeros((3, 1)))
         assert not conn.any()
 
     def test_zero_rate_link_never_connects(self):
@@ -57,7 +68,7 @@ class TestConnections:
         # and would make the harmonic share divide by zero.
         tiny = 2.0 ** -53
         snr = np.array([[tiny, np.nextafter(tiny, 1.0), 5e-324, 0.5]])
-        conn = mac.connections(snr, np.zeros(1))
+        conn = mac._connections(snr, np.zeros((1, 1)))
         assert conn.tolist() == [[False, True, False, True]]
         assert mac.data_rate(snr, 600.0)[0, 1] > 0.0
         rew, utils = mac.reward_terms(snr, np.zeros(1), UtilityParams())
@@ -66,7 +77,7 @@ class TestConnections:
     def test_threshold_batch_broadcasts(self):
         snr = np.array([[0.5, 0.2]])
         taus = np.array([[0.0], [0.3], [0.6]])
-        conn = mac.connections(snr, taus)
+        conn = mac._connections(snr, taus[..., None])
         assert conn.shape == (3, 1, 2)
         assert conn[:, 0].tolist() == [[True, True], [True, False], [False, False]]
 
@@ -74,8 +85,8 @@ class TestConnections:
 class TestRateFair:
     def test_equal_rates_split_in_half(self):
         snr = np.array([[1.0, 1.0]])
-        conn = mac.connections(snr, np.zeros(1))
-        alloc = mac.ratefair_fractions(mac.data_rate(snr, 600.0), conn)
+        conn = mac._connections(snr, np.zeros((1, 1)))
+        alloc = fractions(mac.data_rate(snr, 600.0), conn)
         assert np.allclose(alloc, 0.5, atol=1e-12)
 
     def test_unequal_rates_equalize_delivery(self):
@@ -84,7 +95,7 @@ class TestRateFair:
         snr = np.array([[1.0, 3.0]])
         conn = np.array([[True, True]])
         rates = mac.data_rate(snr, 3.0)
-        alloc = mac.ratefair_fractions(rates, conn)
+        alloc = fractions(rates, conn)
         delivered = alloc * rates
         assert np.allclose(delivered, 2.0, atol=1e-12)
         assert np.allclose(alloc, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
@@ -92,22 +103,22 @@ class TestRateFair:
     def test_solo_user_gets_everything(self):
         snr = np.array([[0.7, 0.2]])
         conn = np.array([[True, False]])
-        alloc = mac.ratefair_fractions(mac.data_rate(snr, 10.0), conn)
+        alloc = fractions(mac.data_rate(snr, 10.0), conn)
         assert alloc[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert alloc[0, 1] == 0.0
 
     def test_empty_station_all_zero(self):
         snr = np.array([[0.7, 0.2]])
         conn = np.zeros((1, 2), dtype=bool)
-        alloc = mac.ratefair_fractions(mac.data_rate(snr, 10.0), conn)
+        alloc = fractions(mac.data_rate(snr, 10.0), conn)
         assert np.all(alloc == 0.0)
 
     def test_fractions_sum_to_one_when_loaded(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             snr = rng.random((3, 5))
-            conn = mac.connections(snr, rng.random(3) * 0.5)
-            alloc = mac.ratefair_fractions(mac.data_rate(snr, 600.0), conn)
+            conn = mac._connections(snr, rng.random((3, 1)) * 0.5)
+            alloc = fractions(mac.data_rate(snr, 600.0), conn)
             loaded = conn.any(axis=1)
             sums = alloc.sum(axis=1)
             assert np.allclose(sums[loaded], 1.0, atol=1e-9)
@@ -117,9 +128,9 @@ class TestRateFair:
         rng = np.random.default_rng(3)
         for _ in range(200):
             snr = rng.random((3, 5))
-            conn = mac.connections(snr, rng.random(3) * 0.5)
+            conn = mac._connections(snr, rng.random((3, 1)) * 0.5)
             rates = mac.data_rate(snr, 600.0)
-            delivered = mac.ratefair_fractions(rates, conn) * rates
+            delivered = fractions(rates, conn) * rates
             for i in range(3):
                 row = delivered[i][conn[i]]
                 if row.size > 1:
@@ -131,15 +142,11 @@ class TestArgumentsUntouched:
         # The kernels compute in place, but only in arrays of their own.
         rng = np.random.default_rng(9)
         snr, tau, faded = rng.random((2, 3, 5)), rng.random((2, 3)), rng.random((2, 3, 5))
-        conn = mac.connections(snr, tau)
-        rates = mac.data_rate(snr, 10.0)
-        before = [a.copy() for a in (snr, tau, faded, conn, rates)]
+        before = [a.copy() for a in (snr, tau, faded)]
         mac.data_rate(snr, 10.0)
-        mac.ratefair_fractions(rates, conn)
-        mac.utility(rates, UtilityParams())
         mac.reward_terms(snr, tau, UtilityParams(), reward_snr=faded)
         mac.reward(snr, tau, UtilityParams(), reward_snr=faded)
-        assert all(np.array_equal(a, b) for a, b in zip(before, (snr, tau, faded, conn, rates)))
+        assert all(np.array_equal(a, b) for a, b in zip(before, (snr, tau, faded)))
 
 
 class TestUserSum:
@@ -160,23 +167,26 @@ class TestUserSum:
 
 
 class TestUtility:
+    """``mac._utility`` overwrites its float array, so each call gets a
+    fresh one."""
+
     def test_rate_nine_is_three_quarters(self):
-        assert mac.utility(9.0, UtilityParams()) == pytest.approx(0.75, abs=1e-12)
+        assert mac._utility(np.array(9.0), UtilityParams()) == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_rate_floor_is_half(self):
-        assert mac.utility(0.0, UtilityParams()) == pytest.approx(0.5, abs=1e-12)
+        assert mac._utility(np.array(0.0), UtilityParams()) == pytest.approx(0.5, abs=1e-12)
 
     def test_huge_rate_clips_to_one(self):
-        assert mac.utility(1e12, UtilityParams()) == 1.0
+        assert mac._utility(np.array(1e12), UtilityParams()) == 1.0
 
     def test_small_w2_reaches_zero(self):
         params = UtilityParams(w2=0.01)
-        assert mac.utility(0.0, params) == pytest.approx(0.0, abs=1e-12)
+        assert mac._utility(np.array(0.0), params) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_rate(self):
         params = UtilityParams()
         rates = np.linspace(0.0, 120.0, 200)
-        u = mac.utility(rates, params)
+        u = mac._utility(rates.copy(), params)
         assert np.all(np.diff(u) >= 0.0)
 
 

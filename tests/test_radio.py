@@ -12,38 +12,53 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-from cellsim.config import FadingModel, RadioParams, default_config, parse_fading
+from cellsim.config import (FadingModel, RadioParams, _snr_from_distance, default_config,
+                            parse_fading)
 from cellsim import radio
 from reference_impl import reference_snr_matrix
 
 
+def raw_snr(params, distance):
+    """Linear SNR of the path loss law at ``distance``, through the kernel
+    ``snr_matrix`` runs, on a float copy: the kernel overwrites its array."""
+    return _snr_from_distance(np.array(distance, dtype=float), params.tx_power_dbm,
+                              params.noise_dbm, params.reference_pathloss_db,
+                              params.pathloss_exponent, params.reference_distance)
+
+
+def normalize(raw, params):
+    """``radio._normalize`` of a float copy of ``raw``, which the kernel would
+    overwrite."""
+    return radio._normalize(np.array(raw, dtype=float), params)
+
+
 class TestPathLoss:
     def test_snr_at_100_units_is_100(self):
-        got = RadioParams().raw_snr_at_distance(100.0)
+        got = raw_snr(RadioParams(), 100.0)
         assert got == pytest.approx(100.0, rel=1e-12)
 
     def test_snr_at_reference_distance(self):
-        got = RadioParams().raw_snr_at_distance(1.0)
+        got = raw_snr(RadioParams(), 1.0)
         assert got == pytest.approx(1e8, rel=1e-12)
 
     def test_distances_below_reference_clamp(self):
         params = RadioParams()
-        at_ref = params.raw_snr_at_distance(1.0)
-        closer = params.raw_snr_at_distance(0.25)
+        at_ref = raw_snr(params, 1.0)
+        closer = raw_snr(params, 0.25)
         assert closer == at_ref
 
     def test_doubling_distance_exponent_two(self):
         # With exponent 2 the linear SNR scales as 1/d^2, so doubling the
         # distance divides it by exactly 4.
         params = RadioParams(pathloss_exponent=2.0)
-        near = params.raw_snr_at_distance(30.0)
-        far = params.raw_snr_at_distance(60.0)
+        near = raw_snr(params, 30.0)
+        far = raw_snr(params, 60.0)
         assert far / near == pytest.approx(0.25, rel=1e-12)
 
     def test_doubling_distance_exponent_three(self):
         params = RadioParams()
-        near = params.raw_snr_at_distance(30.0)
-        far = params.raw_snr_at_distance(60.0)
+        near = raw_snr(params, 30.0)
+        far = raw_snr(params, 60.0)
         assert far / near == pytest.approx(0.125, rel=1e-12)
 
     def test_default_reference_window(self):
@@ -57,28 +72,28 @@ class TestPathLoss:
 class TestNormalization:
     def test_window_endpoints(self):
         params = RadioParams()
-        assert radio.normalize_snr(params.snr_upper_ref, params) == 1.0
-        assert radio.normalize_snr(params.snr_lower_ref, params) == 0.0
+        assert normalize(params.snr_upper_ref, params) == 1.0
+        assert normalize(params.snr_lower_ref, params) == 0.0
 
     def test_clipping_outside_window(self):
         params = RadioParams()
-        assert radio.normalize_snr(params.snr_upper_ref * 10.0, params) == 1.0
-        assert radio.normalize_snr(params.snr_lower_ref * 0.5, params) == 0.0
-        assert radio.normalize_snr(0.0, params) == 0.0
+        assert normalize(params.snr_upper_ref * 10.0, params) == 1.0
+        assert normalize(params.snr_lower_ref * 0.5, params) == 0.0
+        assert normalize(0.0, params) == 0.0
 
     def test_linear_midpoint(self):
         params = RadioParams(snr_upper_ref=1.0, snr_lower_ref=0.25)
-        assert radio.normalize_snr(0.625, params) == pytest.approx(0.5, rel=1e-12)
+        assert normalize(0.625, params) == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_raw_snr(self):
         params = RadioParams()
         raws = np.linspace(params.snr_lower_ref, params.snr_upper_ref, 50)
-        normed = radio.normalize_snr(raws, params)
+        normed = normalize(raws, params)
         assert np.all(np.diff(normed) > 0)
 
     def test_array_input(self):
         params = RadioParams(snr_upper_ref=2.0, snr_lower_ref=1.0)
-        got = radio.normalize_snr(np.array([0.5, 1.0, 1.5, 2.0, 9.0]), params)
+        got = normalize(np.array([0.5, 1.0, 1.5, 2.0, 9.0]), params)
         assert np.allclose(got, [0.0, 0.0, 0.5, 1.0, 1.0], atol=1e-12)
 
 
@@ -123,12 +138,9 @@ class TestSnrMatrix:
         # The kernels compute in place, but only in arrays of their own.
         cfg = default_config()
         bs, ue = np.array(cfg.bs_positions), np.random.default_rng(0).random((4, 5, 2)) * 200
-        raw = np.array([0.5, 30.0, 1e5])
-        before = [bs.copy(), ue.copy(), raw.copy()]
+        before = [bs.copy(), ue.copy()]
         radio.snr_matrix(bs, ue, cfg.radio)
-        radio.normalize_snr(raw, cfg.radio)
-        cfg.radio.raw_snr_at_distance(raw)
-        assert all(np.array_equal(a, b) for a, b in zip(before, [bs, ue, raw]))
+        assert all(np.array_equal(a, b) for a, b in zip(before, [bs, ue]))
 
     def test_shape_and_entries(self):
         cfg = default_config()
@@ -139,8 +151,8 @@ class TestSnrMatrix:
         assert np.all((mat >= 0.0) & (mat <= 1.0))
         # Spot-check one entry against the law at its one distance.
         (bx, by), (ux, uy) = cfg.bs_positions[1], ue_positions[3]
-        raw = cfg.radio.raw_snr_at_distance(math.hypot(bx - ux, by - uy))
-        assert mat[1, 3] == pytest.approx(radio.normalize_snr(raw, cfg.radio), rel=1e-12)
+        raw = raw_snr(cfg.radio, math.hypot(bx - ux, by - uy))
+        assert mat[1, 3] == pytest.approx(normalize(raw, cfg.radio), rel=1e-12)
 
     def test_user_on_top_of_station_saturates(self):
         cfg = default_config()
