@@ -215,9 +215,8 @@ def _collect_two_tier_block(cfg: NetworkConfig, tiers, seeds) -> list:
 
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
     """Run one full episode and package it with exact returns-to-go."""
-    seed = _integer("seed", seed)
     _policy_epsilon(policy)
-    return _collect_block(cfg, policy, (seed,))[0]
+    return _collect_block(cfg, policy, (_integer("seed", seed),))[0]
 
 
 @dataclass
