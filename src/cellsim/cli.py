@@ -154,8 +154,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_collect(args) -> int:
     cfg = _resolve_config(args, horizon=args.horizon)
-    if args.n < 1:
-        raise ValueError("--n must be positive")
+    _integer("--n", args.n, low=1)
     if args.tier == "medium-expert":
         manifest = data_mod.collect_medium_expert(cfg, args.n, args.seed_base,
                                                   epsilon=args.epsilon,
@@ -214,7 +213,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     model = parse_fading(args.fading)
-    _integer("seed", args.seed, "a non-negative integer", low=0)
+    _integer("seed", args.seed, low=0)
     rng = np.random.default_rng(args.seed)
     snr = rng.random((cfg.n_bs, cfg.n_ues))
     tau = rng.random(cfg.n_bs)

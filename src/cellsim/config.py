@@ -97,14 +97,16 @@ def _finite_real(value) -> bool:
             and math.isfinite(value))
 
 
-def _integer(name: str, value, kind: str = "an integer", low=None) -> int:
-    """The count or seed argument ``name`` as a Python int.  A bool, a float
-    or any other non-integer, and a value below ``low`` when given, raise
-    ``ValueError("<name> must be <kind>, got <value>")``; numpy integers
-    pass."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or low is not None and value < low):
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
+def _integer(name: str, value, low=None) -> int:
+    """The count or seed argument ``name`` as a Python int; numpy integers
+    pass.  A bool, a float or any other non-integer raises
+    ``ValueError("<name> must be an integer, got <value>")``, and a value
+    below ``low``, when given, ``ValueError("<name> must be at least <low>,
+    got <value>")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
     return int(value)
 
 

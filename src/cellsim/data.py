@@ -150,8 +150,10 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     The steps only move thresholds; after the last one, ``score`` scores
     every row in step order, reset's row 0 included, 16 rows per
     ``mac.reward`` call, and the observations are built in one pass.
-    Action codes that are not integers (floats, bools) raise ``TypeError``
-    at their step, before they are cast; codes outside [0, n_actions)
+    A step's codes that are not one per episode, shape (B,), raise
+    ``ValueError`` at that step.  Action codes that are not integers
+    (floats, bools) raise ``TypeError`` at their step, before they are
+    cast; codes outside [0, n_actions)
     raise ``ValueError`` after the last step, before any row is scored.
     Until then ``EpisodeBatch.step`` clips them: such a code moves the
     thresholds as the nearest valid code, never as a wrapped one.
@@ -161,6 +163,9 @@ def rollout(cfg: NetworkConfig, policy, seeds, observe: bool = True):
     actions = np.empty((len(seeds), cfg.horizon), dtype=np.int64)
     for t in range(cfg.horizon):
         codes = np.asarray(policy.act(batch))
+        if codes.shape != actions.shape[:1]:
+            raise ValueError(f"policy returned action codes of shape {codes.shape} at step {t}"
+                             f" for a block of {len(seeds)} episodes; need one per episode")
         if codes.dtype.kind not in "iu":
             _check_codes(codes, cfg.n_actions)
         actions[:, t] = codes
@@ -216,7 +221,7 @@ def _collect_two_tier_block(cfg: NetworkConfig, tiers, seeds) -> list:
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
     """Run one full episode and package it with exact returns-to-go."""
     _policy_epsilon(policy)
-    return _collect_block(cfg, policy, (_integer("seed", seed),))[0]
+    return _collect_block(cfg, policy, (_integer("seed", seed, low=0),))[0]
 
 
 @dataclass
@@ -304,9 +309,7 @@ def map_seeds(fn, jobs, workers: int) -> list:
     Either way no worker process and no pipe outlives the call.  Results do
     not depend on the worker count, the CPU count or the block size.
     """
-    workers = _integer("workers", workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    workers = _integer("workers", workers, low=1)
     blocks = []  # (cfg, policy, block)
     for cfg, policy, seed_base, n in jobs:
         count = workers * -(-n // (workers * CAP))
@@ -422,9 +425,8 @@ def _policy_epsilon(policy):
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
             workers: int = 1) -> DatasetManifest:
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
-    n_traj, seed_base = _integer("n_traj", n_traj), _integer("seed_base", seed_base)
-    if n_traj < 0:
-        raise ValueError("n_traj must be non-negative")
+    n_traj = _integer("n_traj", n_traj, low=0)
+    seed_base = _integer("seed_base", seed_base, low=0)
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
     eps = _policy_epsilon(policy)
     if eps is not None:
@@ -442,9 +444,8 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     Both tiers run as one seed range, expert seeds first, so a block may
     hold episodes of both tiers; each episode is the same as in a block of
     its own tier alone."""
-    n_per_tier, seed_base = _integer("n_per_tier", n_per_tier), _integer("seed_base", seed_base)
-    if n_per_tier < 0:
-        raise ValueError("n_per_tier must be non-negative")
+    n_per_tier = _integer("n_per_tier", n_per_tier, low=0)
+    seed_base = _integer("seed_base", seed_base, low=0)
     # Both policies first, so a bad epsilon fails before any episode runs.
     expert, medium = make_policy("expert"), make_policy("medium", epsilon=epsilon)
     n, mid = n_per_tier, seed_base + n_per_tier
@@ -464,11 +465,11 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     their original order.  Dropping from a tier that is absent or empty is a
     no-op recorded in the manifest warnings; dropping nothing at all returns
     an identical manifest.  Each fraction must be a number in [0, 1] and
-    ``seed`` a non-negative integer; a bool is neither.
+    ``seed`` an integer of at least 0; a bool is neither.
     """
     fracs = {tier: _fraction(f"drop fraction for {tier}", frac)
              for tier, frac in (("expert", drop_expert), ("medium", drop_medium))}
-    seed = _integer("seed", seed, "a non-negative integer", low=0)
+    seed = _integer("seed", seed, low=0)
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}
     warnings = list(manifest.warnings)
@@ -494,10 +495,8 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
 
 def return_stats(manifest: DatasetManifest, bins: int = 30) -> dict:
     """Per-tier return statistics with histograms over the pooled range;
-    ``bins`` is a positive integer."""
-    bins = _integer("bins", bins)
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    ``bins`` is an integer of at least 1."""
+    bins = _integer("bins", bins, low=1)
     summary = manifest.summary_stats()
     if not summary:
         return {"bin_edges": [], "tiers": {}}

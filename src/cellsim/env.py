@@ -129,7 +129,7 @@ class EpisodeBatch:
         cfg = self.cfg
         low = min(seeds)
         if low < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {low}")
+            raise ValueError(f"seed must be at least 0, got {low}")
         # Imported here: loading numpy.random costs ~2 MB of RSS, which a
         # process that never resets an episode need not pay
         # (``data._block_results`` loads it just before it forks the workers
@@ -145,11 +145,13 @@ class EpisodeBatch:
         # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
         # n_ues) SNR matrices: row 0 for reset, t + 1 for step t.
         self._positions = mobility.step_motion(start, route, cfg.mobility)
+        # The route, and for ``full`` mobility the uniform pairs its views
+        # keep alive, are not needed past the walk.
+        del start, route
         self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
         # (horizon + 1, B, n_bs, n_ues) faded SNRs, rows as above: each
         # episode's |H|^2 rows, then multiplied by the SNR rows in place.
-        # Drawn last, so these rows do not add to the peak of the route draw,
-        # whose temporaries are freed by now.
+        # Drawn last, so these rows do not add to the peak of the route draw.
         self._faded = None
         if cfg.fading.kind != "none":
             self._faded = np.empty((rows, len(words), cfg.n_bs, cfg.n_ues))
@@ -229,7 +231,7 @@ class CellularNetworkEnv:
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh episode from the non-negative integer ``seed``;
         returns the initial observation."""
-        self._batch.reset((_integer("seed", seed),))
+        self._batch.reset((_integer("seed", seed, low=0),))
         self._batch.score()
         return self._batch.observations(0, 1)[0, 0]
 

@@ -48,9 +48,9 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
 
 def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -> list:
     """``evaluate`` of each config on the same seeds, in one ``map_seeds`` call."""
-    n_episodes, seed_base = _integer("n_episodes", n_episodes), _integer("seed_base", seed_base)
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be positive")
+    n_episodes = _integer("n_episodes", n_episodes, low=1)
+    seed_base = _integer("seed_base", seed_base, low=0)
+    policy_id = policy.policy_id
     _policy_epsilon(policy)
     rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],
                      workers)
@@ -58,7 +58,7 @@ def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -
     for start in range(0, len(rets), n_episodes):
         block = rets[start:start + n_episodes]
         arr = np.asarray(block, dtype=float)
-        results.append(EvalResult(policy_id=policy.policy_id, n_episodes=n_episodes,
+        results.append(EvalResult(policy_id=policy_id, n_episodes=n_episodes,
                                   seed_base=seed_base, mean=float(arr.mean()),
                                   std=float(arr.std()), returns=tuple(block)))
     return results

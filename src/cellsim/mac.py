@@ -354,9 +354,7 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     run over all the rewards at once, after the last chunk, so the report
     depends neither on the chunk size nor on the thread count.
     """
-    n_samples = _integer("n_samples", n_samples)
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be at least 10000")
+    n_samples = _integer("n_samples", n_samples, low=10_000)
     _check_type("fading", fading, FadingModel)
     _check_type("params", params, UtilityParams)
     snr = np.asarray(snr, dtype=float)
@@ -479,11 +477,7 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
     threshold in [0, 1] per station.
     """
     _check_type("params", params, UtilityParams)
-    n_trials, n_ues = _integer("n_trials", n_trials), _integer("n_ues", n_ues)
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if n_ues < 1:
-        raise ValueError("n_ues must be at least 1")
+    n_trials, n_ues = _integer("n_trials", n_trials, low=1), _integer("n_ues", n_ues, low=1)
     tau = _thresholds(tau)
     rng = np.random.default_rng(rng)
     shape = (n_trials, tau.shape[-1], n_ues)

@@ -2,12 +2,19 @@
 
 import json
 import os
+import sys
 import tracemalloc
 
 import pytest
 
-import cellsim as cs
-from cellsim.config import MobilityConfig, NetworkConfig
+# No bytecode cache under src/: a cache left by one run changes the memory
+# the benchmark reads on the next.  Set before cellsim is imported, and
+# inherited by the CLI subprocesses the tests start.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+import cellsim as cs  # noqa: E402
+from cellsim.config import MobilityConfig, NetworkConfig  # noqa: E402
 
 
 @pytest.fixture
@@ -70,6 +77,21 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     set_usable_cpus(monkeypatch, 2)
+    return calls
+
+
+@pytest.fixture
+def resets(monkeypatch):
+    """A list that grows by the seeds of each ``EpisodeBatch.reset`` in this
+    process."""
+    calls = []
+    reset = cs.env.EpisodeBatch.reset
+
+    def counting(self, seeds):
+        calls.append(seeds)
+        return reset(self, seeds)
+
+    monkeypatch.setattr(cs.env.EpisodeBatch, "reset", counting)
     return calls
 
 

@@ -104,7 +104,7 @@ class TestCollect:
         code, _, err = run(capsys, "collect", "--tier", "random", "--n", "0",
                            "--out", str(tmp_path / "x.jsonl"))
         assert code == 1
-        assert "error:" in err
+        assert err == "error: --n must be at least 1, got 0\n"
 
 
 class TestStatsAndAblate:
@@ -225,7 +225,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--fading", "rayleigh",
                            "--samples", "10000", "--trials", trials)
         assert code == 1
-        assert err == "error: n_trials must be at least 1\n"
+        assert err == f"error: n_trials must be at least 1, got {trials}\n"
 
     def test_trials_checked_before_the_monte_carlo(self, capsys, monkeypatch):
         def monte_carlo(*args, **kwargs):
@@ -234,7 +234,7 @@ class TestVerify:
         monkeypatch.setattr(cs.mac, "verify_jensen", monte_carlo)
         code, out, err = run(capsys, "verify", "--fading", "rician:3",
                              "--samples", "400000", "--trials", "0")
-        assert (code, out, err) == (1, "", "error: n_trials must be at least 1\n")
+        assert (code, out, err) == (1, "", "error: n_trials must be at least 1, got 0\n")
 
 
 class TestSweepFading:
@@ -407,7 +407,7 @@ class TestMalformedInputs:
             argv = argv + ["--out", str(out_path)]
         code, out, err = run(capsys, *argv, "--workers", workers)
         assert code == 1
-        assert err == "error: workers must be at least 1\n"
+        assert err == f"error: workers must be at least 1, got {workers}\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -425,21 +425,23 @@ class TestMalformedInputs:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--steps", "2", "--seed", "-1"],
-        ["collect", "--tier", "random", "--n", "2", "--horizon", "2", "--seed-base", "-1"],
-        ["evaluate", "--policy", "random", "--episodes", "2", "--horizon", "2",
-         "--seed-base", "-1"],
-        ["sweep-fading", "--policy", "random", "--episodes", "2", "--seed-base", "-1"],
-        ["verify", "--fading", "rayleigh", "--samples", "10", "--trials", "1",
-         "--seed", "-1"],
+    @pytest.mark.parametrize("argv, arg", [
+        (["simulate", "--steps", "2", "--seed", "-1"], "seed"),
+        (["collect", "--tier", "random", "--n", "2", "--horizon", "2", "--seed-base", "-1"],
+         "seed_base"),
+        (["evaluate", "--policy", "random", "--episodes", "2", "--horizon", "2",
+          "--seed-base", "-1"], "seed_base"),
+        (["sweep-fading", "--policy", "random", "--episodes", "2", "--seed-base", "-1"],
+         "seed_base"),
+        (["verify", "--fading", "rayleigh", "--samples", "10", "--trials", "1",
+          "--seed", "-1"], "seed"),
     ], ids=["simulate", "collect", "evaluate", "sweep-fading", "verify"])
-    def test_negative_seed_names_the_seed(self, capsys, tmp_path, argv):
+    def test_negative_seed_names_the_seed(self, capsys, tmp_path, argv, arg):
         if argv[0] == "collect":
             argv = argv + ["--out", str(tmp_path / "out.jsonl")]
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == f"error: {arg} must be at least 0, got -1\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

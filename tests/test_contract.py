@@ -2,7 +2,8 @@
 exports exactly its documented surface, every module's ``__all__`` names
 only what exists, every kernel a step module exports is used, every
 callable the benchmark traces stays at its module path, and every count or
-seed argument is an integer."""
+seed argument is an integer, checked against its lowest value before any
+episode runs or any worker is forked."""
 
 import ast
 import json
@@ -134,18 +135,21 @@ def test_benchmark_trace_targets_exist():
 
 
 _CFG = cs.default_config(horizon=2)
+_MANIFEST = cs.collect(_CFG, cs.RandomPolicy(), 3)
 
-# Each API entry point that takes counts or seeds, with a valid value for each.
+# Each API entry point that takes counts or seeds, with a valid value for
+# each.  Every count spans two seeds or more, so at two workers the call
+# would fork.
 COUNTED = {
     "collect": (lambda **kw: cs.collect(_CFG, cs.RandomPolicy(), **kw),
-                {"n_traj": 1, "seed_base": 3, "workers": 1}),
+                {"n_traj": 2, "seed_base": 3, "workers": 1}),
     "collect_medium_expert": (lambda **kw: cs.collect_medium_expert(_CFG, **kw),
                               {"n_per_tier": 1, "seed_base": 3, "workers": 1}),
     "evaluate": (lambda **kw: cs.evaluate(_CFG, cs.RandomPolicy(), **kw),
-                 {"n_episodes": 1, "seed_base": 3, "workers": 1}),
+                 {"n_episodes": 2, "seed_base": 3, "workers": 1}),
     "fading_sweep": (lambda **kw: cs.fading_sweep(_CFG, cs.RandomPolicy(),
                                                   [cs.parse_fading("none")], **kw),
-                     {"n_episodes": 1, "seed_base": 3, "workers": 1}),
+                     {"n_episodes": 2, "seed_base": 3, "workers": 1}),
     "verify_jensen": (lambda **kw: cs.verify_jensen(np.full((3, 5), 0.5), [0.2] * 3,
                                                     cs.parse_fading("rayleigh"),
                                                     _CFG.utility, rng=0, **kw),
@@ -157,10 +161,13 @@ COUNTED = {
     "collect_trajectory": (lambda **kw: cs.collect_trajectory(_CFG, cs.RandomPolicy(),
                                                               **kw).to_record(),
                            {"seed": 3}),
-    "return_stats": (lambda **kw: cs.return_stats(cs.collect(_CFG, cs.RandomPolicy(), 3), **kw),
-                     {"bins": 2}),
+    "return_stats": (lambda **kw: cs.return_stats(_MANIFEST, **kw), {"bins": 2}),
+    "ablate": (lambda **kw: cs.ablate(_MANIFEST, drop_medium=0.5, **kw), {"seed": 3}),
 }
 COUNT_ARGUMENTS = [(fn, arg) for fn in COUNTED for arg in COUNTED[fn][1]]
+# The lowest value of each count or seed argument, the same at every entry point.
+LOWEST = {"n_traj": 0, "n_per_tier": 0, "n_episodes": 1, "seed_base": 0, "workers": 1,
+          "n_samples": 10_000, "n_trials": 1, "n_ues": 1, "seed": 0, "bins": 1}
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 2.5, "2", None],
@@ -171,6 +178,17 @@ def test_count_argument_must_be_an_integer(fn, arg, value):
     call, valid = COUNTED[fn]
     with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got {re.escape(repr(value))}$"):
         call(**{**valid, arg: value})
+
+
+@pytest.mark.parametrize("fn, arg", COUNT_ARGUMENTS,
+                         ids=[f"{fn}-{arg}" for fn, arg in COUNT_ARGUMENTS])
+def test_count_argument_below_its_lowest_fails_before_any_episode(fn, arg, forks, resets):
+    call, valid = COUNTED[fn]
+    low = LOWEST[arg]
+    kwargs = {**valid, "workers": 2} if "workers" in valid else dict(valid)
+    with pytest.raises(ValueError, match=rf"^{arg} must be at least {low}, got {low - 1}$"):
+        call(**{**kwargs, arg: low - 1})
+    assert (forks, resets) == ([], [])
 
 
 def _comparable(result):

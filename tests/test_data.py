@@ -338,6 +338,27 @@ class TestPolicyActionCodes:
                 evaluate(short_cfg, _CodeAt(code, 3), n_episodes=4, workers=workers)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("codes", [4, np.array([4]), np.full((4, 1), 4)],
+                             ids=["scalar", "one", "column"])
+    def test_codes_not_one_per_episode_refused(self, short_cfg, codes, workers, forks):
+        # Broadcast, one code would act for every episode of the block.
+        class Fixed:
+            policy_id = "fixed"
+
+            def act(self, batch):
+                return codes
+
+        block = 4 // workers  # the caller's own block raises first
+        refused = pytest.raises(ValueError, match=re.escape(
+            f"policy returned action codes of shape {np.shape(codes)} at step 0"
+            f" for a block of {block} episodes; need one per episode"))
+        with refused:
+            collect(short_cfg, Fixed(), 4, workers=workers)
+        with refused:
+            evaluate(short_cfg, Fixed(), n_episodes=4, workers=workers)
+        assert len(forks) == 2 * (workers - 1)  # one pool per call
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, object])
     def test_integer_codes_of_any_width_are_taken(self, short_cfg, dtype):
         class Cast:
@@ -626,7 +647,7 @@ class TestCollectMediumExpert:
                                            "medium": [103, 106]}
 
     def test_negative_count_names_its_parameter(self, short_cfg):
-        with pytest.raises(ValueError, match="n_per_tier must be non-negative"):
+        with pytest.raises(ValueError, match="^n_per_tier must be at least 0, got -1$"):
             collect_medium_expert(short_cfg, -1)
 
     def test_bad_epsilon_fails_before_any_episode(self, short_cfg, monkeypatch):
@@ -782,13 +803,13 @@ class TestAblate:
 
     @pytest.mark.parametrize("drops", [{}, {"drop_expert": 0.5}], ids=["none", "expert"])
     def test_negative_seed_rejected(self, drops):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             ablate(self._manifest(), seed=-1, **drops)
 
     @pytest.mark.parametrize("seed", [True, False, np.True_, 2.0],
                              ids=["True", "False", "np.True_", "2.0"])
     def test_non_integer_seed_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
             ablate(self._manifest(), drop_expert=0.5, seed=seed)
 
     @pytest.mark.parametrize("tier", ["expert", "medium"])

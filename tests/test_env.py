@@ -1,6 +1,7 @@
 """Episode mechanics: action codes, observation layout, determinism."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,8 +74,23 @@ class TestReset:
         assert not np.array_equal(a, b)
 
     def test_negative_seed_rejected_with_its_value(self, default_cfg):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             CellularNetworkEnv(default_cfg).reset(seed=-1)
+
+    def test_faded_reset_peak_is_what_the_batch_holds(self):
+        # Reset drops the route after the walk, before the SNR and |H|^2
+        # rows, so its peak is the arrays the batch keeps (1585 KiB here,
+        # numpy 2.4).  Keeping the route to the end peaked 319 KiB above them.
+        cfg = cs.default_config(mobility_variant="limited", fading="rayleigh")
+        EpisodeBatch(cfg).reset(range(40))  # imports done before tracing
+        batch = EpisodeBatch(cfg)
+        tracemalloc.start()
+        try:
+            batch.reset(range(40, 80))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 64 * 1024
 
     def test_positions_before_first_reset_raise(self, default_cfg):
         env = CellularNetworkEnv(default_cfg)
@@ -219,6 +235,10 @@ class TestStreams:
     def test_non_integer_seed_rejected(self, short_cfg):
         with pytest.raises(TypeError):
             EpisodeBatch(short_cfg).reset([1.5])
+
+    def test_negative_seed_rejected_with_the_lowest(self, short_cfg):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -2$"):
+            EpisodeBatch(short_cfg).reset([3, -2, -1])
 
 
 class TestResetDrawsTheEpisode:

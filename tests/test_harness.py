@@ -86,6 +86,28 @@ class TestPolicyEpsilon:
         assert blocks == []
 
 
+class TestPolicyId:
+    """A policy without a ``policy_id`` fails before any episode runs, as
+    ``collect`` fails."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run", [
+        lambda cfg, policy, workers: evaluate(cfg, policy, n_episodes=5, workers=workers),
+        lambda cfg, policy, workers: fading_sweep(
+            cfg, policy, [parse_fading("none"), parse_fading("rayleigh")], n_episodes=5,
+            workers=workers),
+    ], ids=["evaluate", "fading_sweep"])
+    def test_missing_policy_id_fails_before_any_reset(self, short_cfg, run, workers, forks,
+                                                      resets):
+        class Anonymous:
+            def act(self, batch):
+                return np.full(len(batch.policy_rngs), 13)
+
+        with pytest.raises(AttributeError, match="policy_id"):
+            run(short_cfg, Anonymous(), workers)
+        assert (forks, resets) == ([], [])
+
+
 class TestBlockMemory:
     # One block of 40 faded random episodes, what the calling process and its
     # one forked worker each run in a 2-worker 80-episode evaluate.  Its peak
@@ -202,7 +224,7 @@ class TestFadingSweep:
         assert pooled == serial
 
     def test_episode_count_validation(self, short_cfg):
-        with pytest.raises(ValueError, match="n_episodes must be positive"):
+        with pytest.raises(ValueError, match="^n_episodes must be at least 1, got 0$"):
             fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
                          n_episodes=0)
 
