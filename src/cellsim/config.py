@@ -9,8 +9,13 @@ back to the exact scenario that produced it.
 The ``radio``, ``utility``, ``mobility`` and ``fading`` sections are
 serialized from their dataclass fields; ``network`` and ``episode`` regroup
 ``NetworkConfig``'s own fields.  Loading rejects unknown keys (a missing key
-takes its default), and every section rejects non-finite numbers, so a bad
-config raises a ``ValueError`` that names the offending field.
+takes its default).  Every section checks each of its fields once, in one
+walk: a number must be finite, an integer field must hold an integer, and a
+field that declares a range (``above``, ``low``, ``high``) or ``choices``
+beside its default must keep within it.  A few checks that relate two fields
+follow the walk.  So a bad config raises a ``ValueError`` that names the
+offending field and value, as in ``MobilityConfig.speed must be at least 0,
+got -1.0``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -135,11 +141,21 @@ def _check_type(name: str, value, cls) -> None:
         raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
-def _check_numbers(obj) -> None:
+# Each bound a field may declare in its metadata: the test its value must
+# pass, and the words of the refusal.
+_BOUNDS = {"above": (operator.gt, "greater than"), "low": (operator.ge, "at least"),
+           "high": (operator.le, "at most"),
+           "choices": (lambda value, choices: value in choices, "one of")}
+
+
+def _check_fields(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
     number and every int field an integer; a bool is neither.  A float field
     given an integer stores it as a float, so ``3`` and ``3.0`` describe, and
-    hash as, the same scenario."""
+    hash as, the same scenario.  Every field must also keep the bounds its
+    ``metadata`` declares: ``above`` (exclusive), ``low`` and ``high``
+    (inclusive), or a tuple of ``choices``; the message names the class, the
+    field, the bound and the stored value."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "float" and not _finite_real(value) or f.type == "int" and (
@@ -148,7 +164,14 @@ def _check_numbers(obj) -> None:
             raise ValueError(f"{type(obj).__name__}.{f.name} must be {kind}, "
                              f"got {value!r}")
         if f.type == "float" and not isinstance(value, float):
-            object.__setattr__(obj, f.name, float(value))
+            value = float(value)
+            object.__setattr__(obj, f.name, value)
+        for key, bound in f.metadata.items():
+            ok, words = _BOUNDS[key]
+            if not ok(value, bound):
+                shown = ", ".join(bound) if key == "choices" else bound
+                raise ValueError(f"{type(obj).__name__}.{f.name} must be {words} {shown}, "
+                                 f"got {value!r}")
 
 
 def _points(value, what: str, width: float, height: float) -> tuple:
@@ -179,20 +202,17 @@ class RadioParams:
 
     tx_power_dbm: float = _TX_POWER_DBM
     noise_dbm: float = _NOISE_DBM
-    pathloss_exponent: float = _PATHLOSS_EXPONENT
-    reference_distance: float = _REFERENCE_DISTANCE
+    pathloss_exponent: float = field(default=_PATHLOSS_EXPONENT, metadata={"above": 0})
+    reference_distance: float = field(default=_REFERENCE_DISTANCE, metadata={"above": 0})
     reference_pathloss_db: float = _REFERENCE_PATHLOSS_DB
     snr_upper_ref: float = _DEFAULT_UPPER_REF
-    snr_lower_ref: float = _DEFAULT_LOWER_REF
+    snr_lower_ref: float = field(default=_DEFAULT_LOWER_REF, metadata={"above": 0})
 
     def __post_init__(self):
-        _check_numbers(self)
-        if self.reference_distance <= 0:
-            raise ValueError("reference_distance must be positive")
-        if self.pathloss_exponent <= 0:
-            raise ValueError("pathloss_exponent must be positive")
-        if not (self.snr_upper_ref > self.snr_lower_ref > 0):
-            raise ValueError("need snr_upper_ref > snr_lower_ref > 0")
+        _check_fields(self)
+        if not self.snr_upper_ref > self.snr_lower_ref:
+            raise ValueError(f"RadioParams.snr_upper_ref must be greater than snr_lower_ref "
+                             f"= {self.snr_lower_ref!r}, got {self.snr_upper_ref!r}")
 
 
 @dataclass(frozen=True)
@@ -205,26 +225,19 @@ class UtilityParams:
     is averaged or summed before the mapping.
     """
 
-    bandwidth: float = DEFAULT_BANDWIDTH
+    bandwidth: float = field(default=DEFAULT_BANDWIDTH, metadata={"above": 0})
     w1: float = 10.0
-    w2: float = 1.0
-    w3: float = 10.0
+    w2: float = field(default=1.0, metadata={"above": 0})  # log(w2 + d) finite at d = 0
+    w3: float = field(default=10.0, metadata={"above": 1})
     clip_low: float = -20.0
     clip_high: float = 20.0
-    aggregate: str = "mean"
+    aggregate: str = field(default="mean", metadata={"choices": ("mean", "sum")})
 
     def __post_init__(self):
-        _check_numbers(self)
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.w2 <= 0:
-            raise ValueError("w2 must be positive to keep log(w2 + d) finite at d = 0")
-        if self.w3 <= 1:
-            raise ValueError("w3 must exceed 1")
+        _check_fields(self)
         if not self.clip_high > self.clip_low:
-            raise ValueError("need clip_high > clip_low")
-        if self.aggregate not in ("mean", "sum"):
-            raise ValueError(f"unknown aggregate {self.aggregate!r}")
+            raise ValueError(f"UtilityParams.clip_high must be greater than clip_low "
+                             f"= {self.clip_low!r}, got {self.clip_high!r}")
 
 
 @dataclass(frozen=True)
@@ -237,24 +250,16 @@ class MobilityConfig:
     unless pinned explicitly via ``anchors``.
     """
 
-    variant: str = "full"
-    speed: float = DEFAULT_SPEED
-    map_width: float = DEFAULT_MAP_SIZE
-    map_height: float = DEFAULT_MAP_SIZE
-    init_radius: float = 20.0
-    waypoint_radius: float = 10.0
+    variant: str = field(default="full", metadata={"choices": ("full", "limited")})
+    speed: float = field(default=DEFAULT_SPEED, metadata={"low": 0})
+    map_width: float = field(default=DEFAULT_MAP_SIZE, metadata={"above": 0})
+    map_height: float = field(default=DEFAULT_MAP_SIZE, metadata={"above": 0})
+    init_radius: float = field(default=20.0, metadata={"low": 0})
+    waypoint_radius: float = field(default=10.0, metadata={"low": 0})
     anchors: tuple | None = None
 
     def __post_init__(self):
-        _check_numbers(self)
-        if self.variant not in ("full", "limited"):
-            raise ValueError(f"unknown mobility variant {self.variant!r}")
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-        if self.map_width <= 0 or self.map_height <= 0:
-            raise ValueError("map dimensions must be positive")
-        if self.init_radius < 0 or self.waypoint_radius < 0:
-            raise ValueError("radii must be non-negative")
+        _check_fields(self)
         if self.anchors is not None:
             object.__setattr__(self, "anchors", _points(self.anchors, "anchor",
                                                         self.map_width, self.map_height))
@@ -269,18 +274,11 @@ class FadingModel:
     (k_factor = 0 reduces to Rayleigh).
     """
 
-    kind: str = "none"
-    omega: float = 1.0
-    k_factor: float = 0.0
+    kind: str = field(default="none", metadata={"choices": ("none", "rayleigh", "rician")})
+    omega: float = field(default=1.0, metadata={"above": 0})
+    k_factor: float = field(default=0.0, metadata={"low": 0})
 
-    def __post_init__(self):
-        _check_numbers(self)
-        if self.kind not in ("none", "rayleigh", "rician"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.k_factor < 0:
-            raise ValueError("k_factor must be non-negative")
+    __post_init__ = _check_fields
 
     def label(self) -> str:
         if self.kind == "rician":
@@ -338,33 +336,30 @@ def _default_bs_positions():
 class NetworkConfig:
     """Immutable description of one simulation scenario."""
 
-    n_bs: int = 3
-    n_ues: int = 5
+    n_bs: int = field(default=3, metadata={"low": 1})
+    n_ues: int = field(default=5, metadata={"low": 1})
     bs_positions: tuple = field(default_factory=_default_bs_positions)
     radio: RadioParams = field(default_factory=RadioParams)
     utility: UtilityParams = field(default_factory=UtilityParams)
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
     fading: FadingModel = field(default_factory=FadingModel)
-    horizon: int = DEFAULT_HORIZON
-    threshold_step: float = DEFAULT_THRESHOLD_STEP
+    horizon: int = field(default=DEFAULT_HORIZON, metadata={"low": 1})
+    threshold_step: float = field(default=DEFAULT_THRESHOLD_STEP,
+                                  metadata={"above": 0, "high": 1})
 
     def __post_init__(self):
         for name, cls in _SECTIONS.items():
             _check_type(f"NetworkConfig.{name}", getattr(self, name), cls)
-        _check_numbers(self)
+        _check_fields(self)
         m = self.mobility
         positions = _points(self.bs_positions, "station", m.map_width, m.map_height)
         object.__setattr__(self, "bs_positions", positions)
-        if self.n_bs < 1 or self.n_ues < 1:
-            raise ValueError("need at least one station and one user")
         if len(positions) != self.n_bs:
-            raise ValueError(f"expected {self.n_bs} station positions, got {len(positions)}")
+            raise ValueError(f"NetworkConfig.bs_positions must hold n_bs = {self.n_bs} "
+                             f"points, got {len(positions)}")
         if m.anchors is not None and len(m.anchors) != self.n_ues:
-            raise ValueError(f"expected {self.n_ues} anchors, got {len(m.anchors)}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if not (0 < self.threshold_step <= 1):
-            raise ValueError("threshold_step must lie in (0, 1]")
+            raise ValueError(f"NetworkConfig.mobility.anchors must hold n_ues = {self.n_ues} "
+                             f"points, got {len(m.anchors)}")
 
     @property
     def n_actions(self) -> int:

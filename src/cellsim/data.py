@@ -600,9 +600,6 @@ def load_dataset(path) -> DatasetManifest:
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             digest.update(line)
-            line = line.strip()
-            if not line:
-                continue
             try:
                 traj = Trajectory.from_record(json.loads(line, parse_constant=_non_finite))
                 if first is None:

@@ -330,17 +330,35 @@ class TestMalformedInputs:
         _config_with(fading={"kind": "rician", "omega": math.nan}),
         _config_with(network={"n_bs": 2.5}),
         _config_with(episode={"horizon": True}),
+        _config_with(mobility={"speed": -1}),
+        _config_with(utility={"aggregate": "max"}),
     ], ids=["unknown-key", "section-not-object", "document-not-object",
             "string-speed", "scalar-anchors", "nan-omega", "fractional-n-bs",
-            "bool-horizon"])
+            "bool-horizon", "negative-speed", "unknown-aggregate"])
     @pytest.mark.parametrize("command", ["simulate", "show-config"])
     def test_bad_config_file(self, capsys, tmp_path, doc, command):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, "--config", str(path))
         assert code == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert out == ""
+
+    # The config bounds a flag reaches without a config file.
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--fading", "rician:-1", "--samples", "10000"],
+         "FadingModel.k_factor must be at least 0, got -1.0"),
+        (["simulate", "--steps", "0"], "NetworkConfig.horizon must be at least 1, got 0"),
+        (["evaluate", "--policy", "random", "--episodes", "1", "--horizon", "0"],
+         "NetworkConfig.horizon must be at least 1, got 0"),
+        (["collect", "--tier", "random", "--n", "1", "--out", "{out}", "--horizon", "-1"],
+         "NetworkConfig.horizon must be at least 1, got -1"),
+    ], ids=["verify-rician-k", "simulate-steps", "evaluate-horizon", "collect-horizon"])
+    def test_flag_past_a_config_bound_names_the_field(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "set.jsonl"
+        result = run(capsys, *(arg.format(out=out) for arg in argv))
+        assert result == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spec", ["rician:nan", "rician:inf"])
     def test_non_finite_fading_flag(self, capsys, spec):

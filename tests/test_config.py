@@ -3,12 +3,14 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellsim.config import (FadingModel, MobilityConfig, NetworkConfig, UtilityParams,
-                            default_config, load_config, parse_fading, save_config)
+from cellsim.config import (FadingModel, MobilityConfig, NetworkConfig, RadioParams,
+                            UtilityParams, default_config, load_config, parse_fading,
+                            save_config)
 
 
 def _positive():
@@ -137,6 +139,138 @@ class TestFromDictBoundary:
         message = f"NetworkConfig.{section} must be a {cls}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             NetworkConfig(**{section: value})
+
+
+# Every number and choice field of every section, with the bound declared
+# beside its default; {} is a field that takes any finite value.
+BOUNDS = {
+    RadioParams: {"tx_power_dbm": {}, "noise_dbm": {}, "pathloss_exponent": {"above": 0},
+                  "reference_distance": {"above": 0}, "reference_pathloss_db": {},
+                  "snr_upper_ref": {}, "snr_lower_ref": {"above": 0}},
+    UtilityParams: {"bandwidth": {"above": 0}, "w1": {}, "w2": {"above": 0},
+                    "w3": {"above": 1}, "clip_low": {}, "clip_high": {},
+                    "aggregate": {"choices": ("mean", "sum")}},
+    MobilityConfig: {"variant": {"choices": ("full", "limited")}, "speed": {"low": 0},
+                     "map_width": {"above": 0}, "map_height": {"above": 0},
+                     "init_radius": {"low": 0}, "waypoint_radius": {"low": 0}},
+    FadingModel: {"kind": {"choices": ("none", "rayleigh", "rician")},
+                  "omega": {"above": 0}, "k_factor": {"low": 0}},
+    NetworkConfig: {"n_bs": {"low": 1}, "n_ues": {"low": 1}, "horizon": {"low": 1},
+                    "threshold_step": {"above": 0, "high": 1}},
+}
+
+# The class behind each section of the JSON document.
+SECTION_CLASSES = {"radio": RadioParams, "utility": UtilityParams,
+                   "mobility": MobilityConfig, "fading": FadingModel,
+                   "network": NetworkConfig, "episode": NetworkConfig}
+
+# One value past each bound, and the whole message it raises.
+PAST_BOUNDS = [
+    ("radio", "pathloss_exponent", 0,
+     "RadioParams.pathloss_exponent must be greater than 0, got 0.0"),
+    ("radio", "reference_distance", -1.5,
+     "RadioParams.reference_distance must be greater than 0, got -1.5"),
+    ("radio", "snr_lower_ref", 0.0, "RadioParams.snr_lower_ref must be greater than 0, got 0.0"),
+    ("utility", "bandwidth", 0, "UtilityParams.bandwidth must be greater than 0, got 0.0"),
+    ("utility", "w2", -1, "UtilityParams.w2 must be greater than 0, got -1.0"),
+    ("utility", "w3", 1, "UtilityParams.w3 must be greater than 1, got 1.0"),
+    ("utility", "aggregate", "max", "UtilityParams.aggregate must be one of mean, sum, got 'max'"),
+    ("mobility", "variant", "partial",
+     "MobilityConfig.variant must be one of full, limited, got 'partial'"),
+    ("mobility", "speed", -0.5, "MobilityConfig.speed must be at least 0, got -0.5"),
+    ("mobility", "map_width", 0, "MobilityConfig.map_width must be greater than 0, got 0.0"),
+    ("mobility", "map_height", -200,
+     "MobilityConfig.map_height must be greater than 0, got -200.0"),
+    ("mobility", "init_radius", -1, "MobilityConfig.init_radius must be at least 0, got -1.0"),
+    ("mobility", "waypoint_radius", -1e-9,
+     "MobilityConfig.waypoint_radius must be at least 0, got -1e-09"),
+    ("fading", "kind", "nakagami",
+     "FadingModel.kind must be one of none, rayleigh, rician, got 'nakagami'"),
+    ("fading", "kind", 3, "FadingModel.kind must be one of none, rayleigh, rician, got 3"),
+    ("fading", "omega", 0, "FadingModel.omega must be greater than 0, got 0.0"),
+    ("fading", "k_factor", -1, "FadingModel.k_factor must be at least 0, got -1.0"),
+    ("network", "n_bs", 0, "NetworkConfig.n_bs must be at least 1, got 0"),
+    ("network", "n_ues", -2, "NetworkConfig.n_ues must be at least 1, got -2"),
+    ("episode", "horizon", 0, "NetworkConfig.horizon must be at least 1, got 0"),
+    ("episode", "threshold_step", 0,
+     "NetworkConfig.threshold_step must be greater than 0, got 0.0"),
+    ("episode", "threshold_step", 1.5, "NetworkConfig.threshold_step must be at most 1, got 1.5"),
+]
+
+# A value on each inclusive bound; ``n_bs`` = 1 brings one station position.
+ON_BOUNDS = [
+    ("mobility", "speed", 0), ("mobility", "init_radius", 0),
+    ("mobility", "waypoint_radius", 0), ("fading", "k_factor", 0),
+    ("network", "n_bs", 1), ("network", "n_ues", 1), ("episode", "horizon", 1),
+    ("episode", "threshold_step", 1),
+]
+
+# The four checks that relate two fields, and the whole message of each.
+CROSS_FIELD = [
+    ({"radio": {"snr_upper_ref": 1.0, "snr_lower_ref": 2.0}},
+     "RadioParams.snr_upper_ref must be greater than snr_lower_ref = 2.0, got 1.0"),
+    ({"utility": {"clip_low": 5, "clip_high": 5}},
+     "UtilityParams.clip_high must be greater than clip_low = 5.0, got 5.0"),
+    ({"network": {"n_bs": 2}}, "NetworkConfig.bs_positions must hold n_bs = 2 points, got 3"),
+    ({"network": {"n_ues": 4}, "mobility": {"anchors": [[1.0, 1.0]] * 5}},
+     "NetworkConfig.mobility.anchors must hold n_ues = 4 points, got 5"),
+]
+
+
+def _construct(sections):
+    """``NetworkConfig`` built directly, from each section's own class."""
+    kwargs = {}
+    for name, values in sections.items():
+        if SECTION_CLASSES[name] is NetworkConfig:
+            kwargs.update(values)
+        else:
+            kwargs[name] = SECTION_CLASSES[name](**values)
+    return NetworkConfig(**kwargs)
+
+
+class TestBounds:
+    def test_every_bound_is_declared_beside_its_field(self):
+        # A dropped bound, or a new number field with no decided range, fails here.
+        for cls, want in BOUNDS.items():
+            got = {f.name: dict(f.metadata) for f in fields(cls)
+                   if f.type in ("int", "float", "str") or f.metadata}
+            assert got == want, cls.__name__
+
+    def test_every_bound_has_a_case_past_it(self):
+        bounded = {(cls, name, kind) for cls, table in BOUNDS.items()
+                   for name, bound in table.items() for kind in bound}
+        kinds = {"greater than": "above", "at least": "low", "at most": "high",
+                 "one of": "choices"}
+        covered = {(SECTION_CLASSES[section], key, kind)
+                   for section, key, _, message in PAST_BOUNDS
+                   for words, kind in kinds.items() if f" must be {words} " in message}
+        assert covered == bounded
+
+    @pytest.mark.parametrize("section, key, value, message", PAST_BOUNDS)
+    def test_value_past_its_bound_names_field_bound_and_value(self, section, key, value,
+                                                              message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SECTION_CLASSES[section](**{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkConfig.from_dict(_doc(**{section: {key: value}}))
+
+    @pytest.mark.parametrize("section, key, value", ON_BOUNDS)
+    def test_value_on_an_inclusive_bound_is_accepted(self, section, key, value):
+        sections = {section: {key: value}}
+        if key == "n_bs":
+            sections["network"]["bs_positions"] = [[100.0, 100.0]]
+        cfg = NetworkConfig.from_dict(_doc(**sections))
+        assert cfg == _construct(sections)
+        held = cfg if SECTION_CLASSES[section] is NetworkConfig else getattr(cfg, section)
+        assert getattr(held, key) == value
+
+    @pytest.mark.parametrize("sections, message", CROSS_FIELD,
+                             ids=["snr-refs", "clips", "stations", "anchors"])
+    def test_cross_field_check_names_both_fields_and_values(self, sections, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _construct(sections)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkConfig.from_dict(_doc(**sections))
 
 
 class TestParseFading:

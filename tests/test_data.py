@@ -974,6 +974,19 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
             load_dataset(path)
 
+    @pytest.mark.parametrize("blank", ["", "  \t"], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["bare", "sidecar"])
+    def test_blank_line_names_its_line_number(self, short_cfg, tmp_path, blank, sidecar):
+        # Skipped, a blank line would load and then write back other bytes.
+        path = tmp_path / "set.jsonl"
+        write_dataset(collect(short_cfg, make_policy("random"), 2), path)
+        if not sidecar:
+            (tmp_path / "set.jsonl.manifest.json").unlink()
+        first, second = path.read_text().splitlines()
+        path.write_text(f"{first}\n{blank}\n{second}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: Expecting value")):
+            load_dataset(path)
+
     def test_inexact_record_rejected(self, inexact_dataset):
         path, message = inexact_dataset
         with pytest.raises(ValueError, match=re.escape(f"{path} line 2: {message}")):

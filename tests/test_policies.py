@@ -157,14 +157,20 @@ class TestRandomPlan:
             assert np.array_equal(got_obs, obs) and got_reward == reward
 
     def test_acting_outside_an_episode_fails(self, short_cfg):
-        env = CellularNetworkEnv(short_cfg)
-        with pytest.raises(RuntimeError, match="mid-episode"):
-            RandomPolicy()(env)
-        env.reset(seed=2)
-        while not env.done:
-            env.step(RandomPolicy()(env))
-        with pytest.raises(RuntimeError, match="mid-episode"):
-            RandomPolicy()(env)
+        # The random tier refuses in its own act; the expert and medium tiers
+        # reach EpisodeBatch.preview_step_rewards' guard.
+        for policy, message in [
+                (RandomPolicy(), "environment must be mid-episode to act"),
+                (GreedyExpertPolicy(), "environment must be mid-episode to preview"),
+                (MediumPolicy(), "environment must be mid-episode to preview")]:
+            env = CellularNetworkEnv(short_cfg)
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                policy(env)
+            env.reset(seed=2)
+            while not env.done:
+                env.step(policy(env))
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                policy(env)
 
     def test_reset_draws_a_fresh_plan(self, short_cfg):
         batch = EpisodeBatch(short_cfg)
