@@ -146,16 +146,19 @@ def _check_type(name: str, value, cls) -> None:
 _BOUNDS = {"above": (operator.gt, "greater than"), "low": (operator.ge, "at least"),
            "high": (operator.le, "at most"),
            "choices": (lambda value, choices: value in choices, "one of")}
+# The Python type a float or int field stores, whatever number it was given.
+_STORED = {"float": float, "int": int}
 
 
 def _check_fields(obj) -> None:
     """Require every float field of a config dataclass to hold a finite real
     number and every int field an integer; a bool is neither.  A float field
     given an integer stores it as a float, so ``3`` and ``3.0`` describe, and
-    hash as, the same scenario.  Every field must also keep the bounds its
-    ``metadata`` declares: ``above`` (exclusive), ``low`` and ``high``
-    (inclusive), or a tuple of ``choices``; the message names the class, the
-    field, the bound and the stored value."""
+    hash as, the same scenario, and an int field given a numpy integer
+    stores it as a Python int, which JSON can write.  Every field must also
+    keep the bounds its ``metadata`` declares: ``above`` (exclusive), ``low``
+    and ``high`` (inclusive), or a tuple of ``choices``; the message names
+    the class, the field, the bound and the stored value."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "float" and not _finite_real(value) or f.type == "int" and (
@@ -163,8 +166,8 @@ def _check_fields(obj) -> None:
             kind = "an integer" if f.type == "int" else "a finite number"
             raise ValueError(f"{type(obj).__name__}.{f.name} must be {kind}, "
                              f"got {value!r}")
-        if f.type == "float" and not isinstance(value, float):
-            value = float(value)
+        if f.type in _STORED and not isinstance(value, _STORED[f.type]):
+            value = _STORED[f.type](value)
             object.__setattr__(obj, f.name, value)
         for key, bound in f.metadata.items():
             ok, words = _BOUNDS[key]
@@ -174,19 +177,21 @@ def _check_fields(obj) -> None:
                                  f"got {value!r}")
 
 
-def _points(value, what: str, width: float, height: float) -> tuple:
-    """``value`` as a tuple of ``(x, y)`` float pairs, each inside the map."""
+def _points(value, name: str, area) -> tuple:
+    """The point list ``value`` of the field ``name`` (``Class.field``) as a
+    tuple of ``(x, y)`` float pairs, each on the map of the
+    ``MobilityConfig`` ``area``."""
     try:
         ok = all(_finite_real(x) and _finite_real(y) for x, y in value)
     except (TypeError, ValueError):  # not a list of pairs
         ok = False
     if not ok:
-        raise ValueError(f"{what} positions must be a list of [x, y] pairs of finite "
-                         f"numbers, got {value!r}")
+        raise ValueError(f"{name} must be a list of [x, y] pairs of finite numbers, got {value!r}")
     points = tuple((float(x), float(y)) for x, y in value)
     for x, y in points:
-        if not (0 <= x <= width and 0 <= y <= height):
-            raise ValueError(f"{what} ({x}, {y}) outside map")
+        if not (0 <= x <= area.map_width and 0 <= y <= area.map_height):
+            raise ValueError(f"{name} must lie on the {area.map_width} x {area.map_height} "
+                             f"map, got ({x}, {y})")
     return points
 
 
@@ -261,8 +266,8 @@ class MobilityConfig:
     def __post_init__(self):
         _check_fields(self)
         if self.anchors is not None:
-            object.__setattr__(self, "anchors", _points(self.anchors, "anchor",
-                                                        self.map_width, self.map_height))
+            object.__setattr__(self, "anchors",
+                               _points(self.anchors, "MobilityConfig.anchors", self))
 
 
 @dataclass(frozen=True)
@@ -352,7 +357,7 @@ class NetworkConfig:
             _check_type(f"NetworkConfig.{name}", getattr(self, name), cls)
         _check_fields(self)
         m = self.mobility
-        positions = _points(self.bs_positions, "station", m.map_width, m.map_height)
+        positions = _points(self.bs_positions, "NetworkConfig.bs_positions", m)
         object.__setattr__(self, "bs_positions", positions)
         if len(positions) != self.n_bs:
             raise ValueError(f"NetworkConfig.bs_positions must hold n_bs = {self.n_bs} "
@@ -422,6 +427,7 @@ def load_config(path) -> NetworkConfig:
 
 
 def save_config(cfg: NetworkConfig, path) -> None:
+    # Serialized before the file opens, so a failure leaves no file behind.
+    text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -265,12 +265,13 @@ class DatasetManifest:
 # (B, 3, n_bs, n_ues) station temporaries and per-user sums of up to
 # (B, n_actions, n_ues) (one preview peaks at 588 KiB of temporaries at
 # B=128 on the default map, under tracemalloc), and a block holds every
-# episode's positions, waypoint route and SNR matrices for the whole horizon
-# (about 8 KB, 8 KB and 12 KB per 100-step episode, 3.6 MB at B=128), plus
-# as much again as the SNR for |H|^2 when faded, so memory grows with B.
-# Scoring takes 16 rows per reward call: a faded 100-step random block at
-# B=128 holds 5.1 MiB before it and peaks at 5.9 MiB in it (reset peaks at
-# 6.7 MiB), under tracemalloc.
+# episode's SNR matrices for the whole horizon and its thresholds, rewards
+# and utilities (about 12 KB and 7 KB per 100-step episode, 2.5 MB at
+# B=128), plus as much again as the SNR for faded SNRs when faded, so memory
+# grows with B; the positions and the waypoint route (about 8 KB each)
+# live only through reset.  Scoring takes 16 rows per reward call: a faded
+# 100-step random block at B=128 holds 4.1 MiB before it and peaks at
+# 4.9 MiB in it (reset peaks at 4.0 MiB), under tracemalloc.
 # At ``workers`` > 1 the calling process runs one share of the blocks, so it
 # holds one block on top of every result gathered so far.
 # The time per 100-step expert episode still falls up to B=128 (best of 5

@@ -42,10 +42,12 @@ and only the generators are built one by one.  Motion and fading do not depend o
 the actions, so reset draws the whole exogenous episode: each user draws
 its start and ``horizon + 1`` waypoints from its own stream in one chunk,
 one ``mobility.step_motion`` call walks every user of the block
-``horizon`` steps along its route into one array of positions, and reset
-keeps those and the SNR matrices of every step; a faded episode also
-draws all its (n_bs, n_ues) |H|^2 blocks from its own fading stream, one
-for the reset's reward and one per step, step-major, in the order
+``horizon`` steps along its route into one array of positions, and one
+``radio.snr_matrix`` call turns those into the SNR matrices of every
+step.  Reset keeps the matrices and drops the route after the walk and
+the positions after the SNR pass.  A faded episode also draws all its
+(n_bs, n_ues) |H|^2 blocks from its own fading stream, one for the
+reset's reward and one per step, step-major, in the order
 per-step draws would take them, into the block's one array, which reset
 then multiplies by the SNR rows once, in place, so the block keeps faded
 SNRs and no |H|^2.  Step and preview only index these rows, and the
@@ -120,7 +122,6 @@ class EpisodeBatch:
             [decode_action(a, cfg.n_bs) for a in range(cfg.n_actions)])  # (n_actions, n_bs)
         # Each station's threshold move under the deltas -1, 0 and +1.
         self._shifts = np.array([[-1.0], [0.0], [1.0]]) * cfg.threshold_step
-        self._positions = None  # until the first reset
         self._done = True
 
     def reset(self, seeds) -> None:
@@ -144,11 +145,13 @@ class EpisodeBatch:
             cfg.mobility, [[generator(w) for w in user] for user in words[:, 2:]], cfg.horizon)
         # (horizon + 1, B, n_ues, 2) positions and (horizon + 1, B, n_bs,
         # n_ues) SNR matrices: row 0 for reset, t + 1 for step t.
-        self._positions = mobility.step_motion(start, route, cfg.mobility)
+        positions = mobility.step_motion(start, route, cfg.mobility)
         # The route, and for ``full`` mobility the uniform pairs its views
         # keep alive, are not needed past the walk.
         del start, route
-        self._snrs = radio.snr_matrix(self._bs, self._positions, cfg.radio)
+        self._snrs = radio.snr_matrix(self._bs, positions, cfg.radio)
+        # Nor are the positions past the SNR pass: no later stage reads them.
+        del positions
         # (horizon + 1, B, n_bs, n_ues) faded SNRs, rows as above: each
         # episode's |H|^2 rows, then multiplied by the SNR rows in place.
         # Drawn last, so these rows do not add to the peak of the route draw.
@@ -266,9 +269,3 @@ class CellularNetworkEnv:
     @property
     def done(self) -> bool:
         return self._batch._done
-
-    @property
-    def ue_positions(self) -> np.ndarray:
-        if self._batch._positions is None:
-            raise RuntimeError("no episode yet; call reset() first")
-        return self._batch._positions[self._batch._t, 0].copy()

@@ -95,6 +95,24 @@ def resets(monkeypatch):
     return calls
 
 
+def positions_of(reset, *args):
+    """Call ``reset(*args)``; return its result and the (horizon + 1, B,
+    n_ues, 2) positions it passed to its one ``radio.snr_matrix`` call,
+    which no batch keeps."""
+    walks = []
+    snr_matrix = cs.radio.snr_matrix
+
+    def recording(bs, positions, params):
+        walks.append(positions)
+        return snr_matrix(bs, positions, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cs.radio, "snr_matrix", recording)
+        result = reset(*args)
+    (walk,) = walks
+    return result, walk
+
+
 def _set_step(i, **fields):
     return lambda rec: rec["steps"][i].update(fields)
 

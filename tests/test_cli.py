@@ -332,9 +332,10 @@ class TestMalformedInputs:
         _config_with(episode={"horizon": True}),
         _config_with(mobility={"speed": -1}),
         _config_with(utility={"aggregate": "max"}),
+        _config_with(network={"bs_positions": [[250.0, 1.0]] * 3}),
     ], ids=["unknown-key", "section-not-object", "document-not-object",
             "string-speed", "scalar-anchors", "nan-omega", "fractional-n-bs",
-            "bool-horizon", "negative-speed", "unknown-aggregate"])
+            "bool-horizon", "negative-speed", "unknown-aggregate", "station-off-map"])
     @pytest.mark.parametrize("command", ["simulate", "show-config"])
     def test_bad_config_file(self, capsys, tmp_path, doc, command):
         path = tmp_path / "scenario.json"

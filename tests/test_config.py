@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,13 +92,16 @@ class TestFromDictBoundary:
     @pytest.mark.parametrize("anchors", [5, [[1.0]], [["a", 1.0]] * 5,
                                          [[math.nan, 1.0]] * 5, [[True, 1.0]] * 5])
     def test_bad_anchors_rejected(self, anchors):
-        with pytest.raises(ValueError, match="anchor positions must be"):
+        with pytest.raises(ValueError, match=r"^MobilityConfig\.anchors must be a list of "
+                                             r"\[x, y\] pairs of finite numbers, got "):
             NetworkConfig.from_dict(_doc(mobility={"anchors": anchors}))
 
     def test_bad_station_positions_rejected(self):
-        with pytest.raises(ValueError, match="station positions must be"):
+        with pytest.raises(ValueError, match=r"^NetworkConfig\.bs_positions must be a list "
+                                             r"of \[x, y\] pairs of finite numbers, got "):
             NetworkConfig.from_dict(_doc(network={"bs_positions": [[1.0, None]] * 3}))
-        with pytest.raises(ValueError, match=r"station \(250.0, 1.0\) outside map"):
+        message = "NetworkConfig.bs_positions must lie on the 200.0 x 200.0 map, got (250.0, 1.0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             NetworkConfig.from_dict(_doc(network={"bs_positions": [[250.0, 1.0]] * 3}))
 
     def test_missing_keys_take_defaults(self):
@@ -122,6 +126,28 @@ class TestFromDictBoundary:
         loaded = load_config(path)
         assert loaded.canonical_hash() == NetworkConfig.from_dict(
             _doc(mobility={"speed": 3.0})).canonical_hash()
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_counts_store_python_ints(self, integer, tmp_path):
+        # One scenario, one config hash and one file: an int field given a
+        # numpy integer stores a Python int, which JSON can write.
+        given = NetworkConfig(n_ues=integer(5), horizon=integer(7))
+        plain = NetworkConfig(n_ues=5, horizon=7)
+        assert type(given.n_ues) is int and type(given.horizon) is int
+        assert given == plain
+        assert given.canonical_hash() == plain.canonical_hash()
+        given_path, plain_path = tmp_path / "given.json", tmp_path / "plain.json"
+        save_config(given, given_path)
+        save_config(plain, plain_path)
+        assert given_path.read_bytes() == plain_path.read_bytes()
+        assert load_config(given_path) == plain
+
+    def test_failed_save_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(NetworkConfig, "to_dict", lambda self: {"n_ues": object()})
+        path = tmp_path / "scenario.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_config(NetworkConfig(), path)
+        assert not path.exists()
 
     def test_direct_construction_checks_numbers(self):
         with pytest.raises(ValueError, match=r"FadingModel\.omega must be a finite number"):

@@ -2,17 +2,19 @@
 
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cellsim as cs
-from cellsim import mac, radio
+from cellsim import mac, mobility, radio
 from cellsim.config import MobilityConfig, NetworkConfig, UtilityParams
 from cellsim._streams import generator, stream_words
 from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
 import reference_impl as ref
+from conftest import positions_of
 from reference_impl import encode_action
 
 
@@ -53,12 +55,12 @@ class TestActionCodes:
 class TestReset:
     def test_observation_layout(self, default_cfg):
         env = CellularNetworkEnv(default_cfg)
-        obs = env.reset(seed=0)
+        obs, walk = positions_of(env.reset, 0)
         assert obs.shape == (23,)
         assert env.obs_dim == 23
         assert env.n_actions == 27
         assert np.all(obs[:3] == 0.5), "thresholds start at the midpoint"
-        snr = radio.snr_matrix(np.array(default_cfg.bs_positions), env.ue_positions,
+        snr = radio.snr_matrix(np.array(default_cfg.bs_positions), walk[0, 0],
                                default_cfg.radio)
         assert np.array_equal(obs[3:18].reshape(3, 5), snr)
         assert np.all((obs >= 0.0) & (obs <= 1.0))
@@ -77,27 +79,54 @@ class TestReset:
         with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
             CellularNetworkEnv(default_cfg).reset(seed=-1)
 
-    def test_faded_reset_peak_is_what_the_batch_holds(self):
-        # Reset drops the route after the walk, before the SNR and |H|^2
-        # rows, so its peak is the arrays the batch keeps (1585 KiB here,
-        # numpy 2.4).  Keeping the route to the end peaked 319 KiB above them.
+    def test_faded_reset_holds_only_its_rows(self, monkeypatch):
+        # Reset drops the route after the walk and the positions after the
+        # SNR pass, so a reset block holds its rows and little else (39 KiB
+        # more here, numpy 2.4, mostly the policy streams).  Keeping the
+        # positions held 316 KiB more, and a check of the held bytes alone
+        # misses a kept route, which the weak references below catch.
         cfg = cs.default_config(mobility_variant="limited", fading="rayleigh")
         EpisodeBatch(cfg).reset(range(40))  # imports done before tracing
         batch = EpisodeBatch(cfg)
         tracemalloc.start()
         try:
             batch.reset(range(40, 80))
-            held, peak = tracemalloc.get_traced_memory()
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak - held <= 64 * 1024
+        rows = sum(a.nbytes for a in (batch._snrs, batch._faded, batch._taus,
+                                      batch._rewards, batch._utils))
+        assert 0 <= held - rows <= 64 * 1024
 
-    def test_positions_before_first_reset_raise(self, default_cfg):
-        env = CellularNetworkEnv(default_cfg)
-        with pytest.raises(RuntimeError, match=r"call reset\(\) first"):
-            env.ue_positions
-        env.reset(seed=0)
-        assert env.ue_positions.shape == (default_cfg.n_ues, 2)
+        # Which of the route and the positions are still alive at the SNR
+        # pass, at each fading draw and after reset.
+        refs, seen = {}, []
+        step_motion, snr_matrix = mobility.step_motion, radio.snr_matrix
+        fading_power = radio.episode_fading_power
+
+        def alive():
+            return sorted(name for name, ref in refs.items() if ref() is not None)
+
+        def walking(start, route, motion):
+            refs["route"] = weakref.ref(route)
+            return step_motion(start, route, motion)
+
+        def scoring(bs, positions, params):
+            seen.append(("snr pass", alive()))
+            refs["positions"] = weakref.ref(positions)
+            return snr_matrix(bs, positions, params)
+
+        def fading(*args):
+            seen.append(("fading draw", alive()))
+            return fading_power(*args)
+
+        monkeypatch.setattr(mobility, "step_motion", walking)
+        monkeypatch.setattr(radio, "snr_matrix", scoring)
+        monkeypatch.setattr(radio, "episode_fading_power", fading)
+        batch.reset(range(80, 120))
+        assert sorted(refs) == ["positions", "route"]
+        assert seen == [("snr pass", [])] + [("fading draw", [])] * 40
+        assert alive() == []
 
 
 class TestStep:
@@ -187,14 +216,9 @@ class TestDeterminism:
         faded = cs.default_config(fading="rayleigh", horizon=20)
 
         def positions(cfg):
-            env = CellularNetworkEnv(cfg)
-            env.reset(seed=9)
-            out = []
-            for _ in range(20):
-                env.step(13)
-                out.append(env.ue_positions.copy())
-            return np.stack(out)
+            return positions_of(CellularNetworkEnv(cfg).reset, 9)[1]
 
+        assert positions(base).shape == (21, 1, base.n_ues, 2)
         assert np.array_equal(positions(base), positions(faded))
 
 
@@ -254,7 +278,7 @@ class TestResetDrawsTheEpisode:
     def test_rows_equal_a_per_step_chain(self, motion, seeds):
         cfg = NetworkConfig(mobility=motion, horizon=40)
         batch = EpisodeBatch(cfg)
-        batch.reset(seeds)
+        walk = positions_of(batch.reset, seeds)[1]
         # Fresh per-user streams, derived as reset derives them, each user
         # stepped one step at a time by the reference loop.
         rngs = [[np.random.default_rng(ss)
@@ -269,7 +293,7 @@ class TestResetDrawsTheEpisode:
             position = np.array([[s.position for s in row] for row in states])
             positions.append(position)
             snrs.append(radio.snr_matrix(np.array(cfg.bs_positions), position, cfg.radio))
-        assert np.array_equal(batch._positions, np.array(positions))
+        assert np.array_equal(walk, np.array(positions))
         assert np.array_equal(batch._snrs, np.array(snrs))
         if motion.speed > 0:
             assert not np.array_equal(positions[0], positions[-1])
@@ -295,18 +319,26 @@ class TestResetDrawsTheEpisode:
             assert split._faded.tobytes() == whole._faded[:, cols].tobytes()
 
     def test_positions_do_not_depend_on_the_policy(self, short_cfg):
-        def positions(policy):
-            env = CellularNetworkEnv(short_cfg)
-            env.reset(seed=4)
-            out = [env.ue_positions]
-            while not env.done:
-                env.step(policy(env))
-                out.append(env.ue_positions)
-            return np.stack(out)
+        # The SNR block of each step's observation, under two policies, and
+        # the SNR matrices of the positions reset drew.
+        n_bs, n_ues = short_cfg.n_bs, short_cfg.n_ues
+        snr_block = slice(n_bs, n_bs + n_bs * n_ues)
 
-        random, expert = positions(cs.RandomPolicy()), positions(cs.GreedyExpertPolicy())
-        assert random.shape == (short_cfg.horizon + 1, short_cfg.n_ues, 2)
-        assert np.array_equal(random, positions(cs.RandomPolicy()))
+        def snr_blocks(policy):
+            env = CellularNetworkEnv(short_cfg)
+            obs, walk = positions_of(env.reset, 4)
+            out = [obs[snr_block]]
+            while not env.done:
+                out.append(env.step(policy(env))[0][snr_block])
+            return np.stack(out), walk
+
+        random, walk = snr_blocks(cs.RandomPolicy())
+        expert, expert_walk = snr_blocks(cs.GreedyExpertPolicy())
+        assert walk.shape == (short_cfg.horizon + 1, 1, n_ues, 2)
+        assert np.array_equal(walk, expert_walk)
+        drawn = radio.snr_matrix(np.array(short_cfg.bs_positions), walk[:, 0], short_cfg.radio)
+        assert np.array_equal(random, drawn.reshape(short_cfg.horizon + 1, -1))
+        assert np.array_equal(random, snr_blocks(cs.RandomPolicy())[0])
         assert np.array_equal(random, expert)
 
 

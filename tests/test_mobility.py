@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import reference_impl as ref
+from conftest import positions_of
 from cellsim.config import MobilityConfig, NetworkConfig
 from cellsim.env import EpisodeBatch
 from cellsim import mobility
@@ -335,8 +336,7 @@ class TestMatchesReference:
                                 waypoint_radius=radius_scale[1] * side, anchors=anchors)
         cfg = NetworkConfig(n_bs=1, n_ues=n_ues, bs_positions=((0.0, 0.0),),
                             mobility=motion, horizon=horizon)
-        batch = EpisodeBatch(cfg)
-        batch.reset(seeds)
+        walk = positions_of(EpisodeBatch(cfg).reset, seeds)[1]
 
         expected = []
         for seed in seeds:
@@ -349,4 +349,4 @@ class TestMatchesReference:
                 states = [ref.step_motion(s, motion, g) for s, g in zip(states, rngs)]
                 rows.append([s.position for s in states])
             expected.append(rows)
-        assert np.array_equal(batch._positions, np.swapaxes(expected, 0, 1))
+        assert np.array_equal(walk, np.swapaxes(expected, 0, 1))
