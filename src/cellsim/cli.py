@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import harness, mac
-from .config import DEFAULT_MEDIUM_EPSILON, _integer, default_config, load_config, parse_fading
+from .config import DEFAULT_MEDIUM_EPSILON, _checked, default_config, load_config, parse_fading
 from .policies import make_policy
 
 _POLICY_CHOICES = ("expert", "medium", "random")
@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_collect(args) -> int:
     cfg = _resolve_config(args, horizon=args.horizon)
-    _integer("--n", args.n, low=1)
+    _checked("--n", args.n, "int", low=1)
     if args.tier == "medium-expert":
         manifest = data_mod.collect_medium_expert(cfg, args.n, args.seed_base,
                                                   epsilon=args.epsilon,
@@ -213,7 +213,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _resolve_config(args)
     model = parse_fading(args.fading)
-    _integer("seed", args.seed, low=0)
+    _checked("seed", args.seed, "int", low=0)
     rng = np.random.default_rng(args.seed)
     snr = rng.random((cfg.n_bs, cfg.n_ues))
     tau = rng.random(cfg.n_bs)

@@ -10,12 +10,16 @@ The ``radio``, ``utility``, ``mobility`` and ``fading`` sections are
 serialized from their dataclass fields; ``network`` and ``episode`` regroup
 ``NetworkConfig``'s own fields.  Loading rejects unknown keys (a missing key
 takes its default).  Every section checks each of its fields once, in one
-walk: a number must be finite, an integer field must hold an integer, and a
-field that declares a range (``above``, ``low``, ``high``) or ``choices``
-beside its default must keep within it.  A few checks that relate two fields
-follow the walk.  So a bad config raises a ``ValueError`` that names the
-offending field and value, as in ``MobilityConfig.speed must be at least 0,
-got -1.0``.
+walk: a number must be finite, an integer field must hold an integer, a
+section must be its class, and a field that declares a range (``above``,
+``low``, ``high``) or ``choices`` beside its default must keep within it.  A
+few checks that relate two fields follow the walk.
+
+``_checked`` is the one check of a single value, for these fields and for
+the count, seed, fraction and type arguments of the rest of the package.
+Every refusal it makes is a ``ValueError`` that reads ``<name> must be
+<requirement>, got <value>``, as in ``MobilityConfig.speed must be at least
+0, got -1.0`` or ``epsilon must be at most 1, got 1.5``.
 """
 
 from __future__ import annotations
@@ -103,19 +107,6 @@ def _finite_real(value) -> bool:
             and math.isfinite(value))
 
 
-def _integer(name: str, value, low=None) -> int:
-    """The count or seed argument ``name`` as a Python int; numpy integers
-    pass.  A bool, a float or any other non-integer raises
-    ``ValueError("<name> must be an integer, got <value>")``, and a value
-    below ``low``, when given, ``ValueError("<name> must be at least <low>,
-    got <value>")``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    return int(value)
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on: its affinity set, or
     the machine's CPU count where the platform has no affinity."""
@@ -125,56 +116,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fraction(what: str, value) -> float:
-    """The fraction ``what`` as a Python float.  A bool, a non-number and a
-    number outside [0, 1] raise ``ValueError("<what> must lie in [0, 1]")``;
-    numpy numbers pass."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 <= value <= 1.0):
-        raise ValueError(f"{what} must lie in [0, 1]")
-    return float(value)
-
-
-def _check_type(name: str, value, cls) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a ``cls``."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
-
-
-# Each bound a field may declare in its metadata: the test its value must
-# pass, and the words of the refusal.
+# Each bound a value may be given: the test it must pass, and the words of
+# the refusal.
 _BOUNDS = {"above": (operator.gt, "greater than"), "low": (operator.ge, "at least"),
            "high": (operator.le, "at most"),
            "choices": (lambda value, choices: value in choices, "one of")}
-# The Python type a float or int field stores, whatever number it was given.
-_STORED = {"float": float, "int": int}
+# Each number kind: the test a value must pass, the words of the refusal,
+# and the Python type the value is stored as, whatever number it was.
+_KINDS = {"float": (_finite_real, "a finite number", float),
+          "int": (lambda value: not isinstance(value, bool)
+                  and isinstance(value, numbers.Integral), "an integer", int)}
+
+
+def _checked(name: str, value, kind, **bounds):
+    """The scalar ``value`` of the argument or field ``name``, checked and
+    returned as ``kind`` stores it.  ``kind`` is ``"float"`` (a finite real,
+    stored as a Python float), ``"int"`` (an integer, stored as a Python
+    int; a bool is neither, numpy numbers pass), a class (an instance of
+    it), or any other field annotation, such as ``"str"``, whose type is
+    not tested.  The stored value must then keep each of ``bounds``:
+    ``above`` (exclusive), ``low`` and ``high`` (inclusive), or a tuple of
+    ``choices``.  A refusal raises ``ValueError("<name> must be
+    <requirement>, got <value>")``, the value as stored once its type has
+    passed."""
+    if isinstance(kind, type):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    elif kind in _KINDS:
+        ok, words, stored = _KINDS[kind]
+        if not ok(value):
+            raise ValueError(f"{name} must be {words}, got {value!r}")
+        value = stored(value)
+    for key, bound in bounds.items():
+        ok, words = _BOUNDS[key]
+        if not ok(value, bound):
+            shown = ", ".join(bound) if key == "choices" else bound
+            raise ValueError(f"{name} must be {words} {shown}, got {value!r}")
+    return value
 
 
 def _check_fields(obj) -> None:
-    """Require every float field of a config dataclass to hold a finite real
-    number and every int field an integer; a bool is neither.  A float field
-    given an integer stores it as a float, so ``3`` and ``3.0`` describe, and
-    hash as, the same scenario, and an int field given a numpy integer
-    stores it as a Python int, which JSON can write.  Every field must also
-    keep the bounds its ``metadata`` declares: ``above`` (exclusive), ``low``
-    and ``high`` (inclusive), or a tuple of ``choices``; the message names
-    the class, the field, the bound and the stored value."""
+    """Check every field of a config dataclass with ``_checked``, named
+    ``Class.field``, as its annotation (or, for a section of
+    ``NetworkConfig``, its section class) and the bounds its ``metadata``
+    declares.  A float field given an integer stores it as a float, so
+    ``3`` and ``3.0`` describe, and hash as, the same scenario, and an int
+    field given a numpy integer stores it as a Python int, which JSON can
+    write."""
+    cls = type(obj).__name__
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "float" and not _finite_real(value) or f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            kind = "an integer" if f.type == "int" else "a finite number"
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be {kind}, "
-                             f"got {value!r}")
-        if f.type in _STORED and not isinstance(value, _STORED[f.type]):
-            value = _STORED[f.type](value)
-            object.__setattr__(obj, f.name, value)
-        for key, bound in f.metadata.items():
-            ok, words = _BOUNDS[key]
-            if not ok(value, bound):
-                shown = ", ".join(bound) if key == "choices" else bound
-                raise ValueError(f"{type(obj).__name__}.{f.name} must be {words} {shown}, "
-                                 f"got {value!r}")
+        stored = _checked(f"{cls}.{f.name}", value, _SECTIONS.get(f.name, f.type), **f.metadata)
+        if stored is not value:
+            object.__setattr__(obj, f.name, stored)
 
 
 def _points(value, name: str, area) -> tuple:
@@ -353,8 +347,6 @@ class NetworkConfig:
                                   metadata={"above": 0, "high": 1})
 
     def __post_init__(self):
-        for name, cls in _SECTIONS.items():
-            _check_type(f"NetworkConfig.{name}", getattr(self, name), cls)
         _check_fields(self)
         m = self.mobility
         positions = _points(self.bs_positions, "NetworkConfig.bs_positions", m)

@@ -36,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _fraction, _integer, _usable_cpus
+from .config import DEFAULT_MEDIUM_EPSILON, NetworkConfig, _checked, _usable_cpus
 from .env import EpisodeBatch, _action_code
 from .policies import make_policy
 
@@ -221,7 +221,7 @@ def _collect_two_tier_block(cfg: NetworkConfig, tiers, seeds) -> list:
 def collect_trajectory(cfg: NetworkConfig, policy, seed: int) -> Trajectory:
     """Run one full episode and package it with exact returns-to-go."""
     _policy_epsilon(policy)
-    return _collect_block(cfg, policy, (_integer("seed", seed, low=0),))[0]
+    return _collect_block(cfg, policy, (_checked("seed", seed, "int", low=0),))[0]
 
 
 @dataclass
@@ -269,9 +269,12 @@ class DatasetManifest:
 # and utilities (about 12 KB and 7 KB per 100-step episode, 2.5 MB at
 # B=128), plus as much again as the SNR for faded SNRs when faded, so memory
 # grows with B; the positions and the waypoint route (about 8 KB each)
-# live only through reset.  Scoring takes 16 rows per reward call: a faded
-# 100-step random block at B=128 holds 4.1 MiB before it and peaks at
-# 4.9 MiB in it (reset peaks at 4.0 MiB), under tracemalloc.
+# live only through reset, and the faded SNRs only until the last row is
+# scored.  Scoring takes 16 rows per reward call: a faded 100-step random
+# block at B=128 holds 4.1 MiB before it, peaks at 4.9 MiB in it and holds
+# 2.6 MiB after it (reset peaks at 4.0 MiB), under tracemalloc; a faded
+# expert block at B=128 peaks at 5.1 MiB, as a fading-free one does, while
+# it builds the observations.
 # At ``workers`` > 1 the calling process runs one share of the blocks, so it
 # holds one block on top of every result gathered so far.
 # The time per 100-step expert episode still falls up to B=128 (best of 5
@@ -310,7 +313,7 @@ def map_seeds(fn, jobs, workers: int) -> list:
     Either way no worker process and no pipe outlives the call.  Results do
     not depend on the worker count, the CPU count or the block size.
     """
-    workers = _integer("workers", workers, low=1)
+    workers = _checked("workers", workers, "int", low=1)
     blocks = []  # (cfg, policy, block)
     for cfg, policy, seed_base, n in jobs:
         count = workers * -(-n // (workers * CAP))
@@ -419,15 +422,16 @@ def _policy_epsilon(policy):
     """``policy``'s ``epsilon`` as a checked Python float, or None when it has
     none.  Callers check it before any episode runs: it may have been set
     after the policy was built, past ``MediumPolicy``'s own check."""
-    eps = getattr(policy, "epsilon", None)
-    return None if eps is None else _fraction("epsilon", eps)
+    if not hasattr(policy, "epsilon"):
+        return None
+    return _checked("epsilon", policy.epsilon, "float", low=0, high=1)
 
 
 def collect(cfg: NetworkConfig, policy, n_traj: int, seed_base: int = 0,
             workers: int = 1) -> DatasetManifest:
     """Collect ``n_traj`` episodes of one policy; seeds are seed_base + k."""
-    n_traj = _integer("n_traj", n_traj, low=0)
-    seed_base = _integer("seed_base", seed_base, low=0)
+    n_traj = _checked("n_traj", n_traj, "int", low=0)
+    seed_base = _checked("seed_base", seed_base, "int", low=0)
     meta = {"seed_ranges": {policy.policy_id: [seed_base, seed_base + n_traj]}}
     eps = _policy_epsilon(policy)
     if eps is not None:
@@ -445,8 +449,8 @@ def collect_medium_expert(cfg: NetworkConfig, n_per_tier: int, seed_base: int = 
     Both tiers run as one seed range, expert seeds first, so a block may
     hold episodes of both tiers; each episode is the same as in a block of
     its own tier alone."""
-    n_per_tier = _integer("n_per_tier", n_per_tier, low=0)
-    seed_base = _integer("seed_base", seed_base, low=0)
+    n_per_tier = _checked("n_per_tier", n_per_tier, "int", low=0)
+    seed_base = _checked("seed_base", seed_base, "int", low=0)
     # Both policies first, so a bad epsilon fails before any episode runs.
     expert, medium = make_policy("expert"), make_policy("medium", epsilon=epsilon)
     n, mid = n_per_tier, seed_base + n_per_tier
@@ -465,12 +469,12 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
     The surviving count per tier is round((1 - frac) * n) and survivors keep
     their original order.  Dropping from a tier that is absent or empty is a
     no-op recorded in the manifest warnings; dropping nothing at all returns
-    an identical manifest.  Each fraction must be a number in [0, 1] and
+    an identical manifest.  Each fraction must be a finite number in [0, 1] and
     ``seed`` an integer of at least 0; a bool is neither.
     """
-    fracs = {tier: _fraction(f"drop fraction for {tier}", frac)
+    fracs = {tier: _checked(f"drop_{tier}", frac, "float", low=0, high=1)
              for tier, frac in (("expert", drop_expert), ("medium", drop_medium))}
-    seed = _integer("seed", seed, low=0)
+    seed = _checked("seed", seed, "int", low=0)
     rng = np.random.default_rng(seed)
     tiers = {t: list(v) for t, v in manifest.tiers.items()}
     warnings = list(manifest.warnings)
@@ -497,7 +501,7 @@ def ablate(manifest: DatasetManifest, drop_expert: float = 0.0,
 def return_stats(manifest: DatasetManifest, bins: int = 30) -> dict:
     """Per-tier return statistics with histograms over the pooled range;
     ``bins`` is an integer of at least 1."""
-    bins = _integer("bins", bins, low=1)
+    bins = _checked("bins", bins, "int", low=1)
     summary = manifest.summary_stats()
     if not summary:
         return {"bin_edges": [], "tiers": {}}

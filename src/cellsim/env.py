@@ -28,9 +28,10 @@ reset state and row t + 1 the state after step t.  A row holds every
 episode's thresholds, SNR matrix and, when faded, faded SNR matrix, and
 once scored its rewards and per-user utilities.  ``score`` is the only code
 that scores rows, faded or not: it scores every row reached since its last
-call, in step order, in one ``mac.reward`` call per 16 rows.  ``rollout``
-scores once per block, after the last step; the B=1 view scores its row at
-reset and after each step, so its observation can carry the utilities.
+call, in step order, in one ``mac.reward`` call per 16 rows, and drops the
+faded SNRs once it has scored the last row.  ``rollout`` scores once per
+block, after the last step; the B=1 view scores its row at reset and after
+each step, so its observation can carry the utilities.
 
 Random streams stay per episode.  Reset checks that every seed is
 non-negative, then derives three independent streams from each episode's
@@ -65,7 +66,7 @@ import operator
 import numpy as np
 
 from . import mac, mobility, radio
-from .config import NetworkConfig, _integer
+from .config import NetworkConfig, _checked
 
 __all__ = ["CellularNetworkEnv", "decode_action"]
 
@@ -109,10 +110,10 @@ class EpisodeBatch:
 
     Each state is a time-major row, 0 for reset and t + 1 after step t, of
     thresholds ``_taus`` (B, n_bs), SNRs ``_snrs``, faded SNRs ``_faded``
-    (the rate-term SNRs) when faded, and, in the rows below ``_n_scored``,
-    rewards ``_rewards`` (B,) and utilities ``_utils`` (B, n_ues).  Only
-    ``score`` fills those, in step order; ``observations`` reads scored
-    rows.
+    (the rate-term SNRs) when faded, until the last row is scored, and, in
+    the rows below ``_n_scored``, rewards ``_rewards`` (B,) and utilities
+    ``_utils`` (B, n_ues).  Only ``score`` fills those, in step order;
+    ``observations`` reads scored rows.
     """
 
     def __init__(self, cfg: NetworkConfig):
@@ -128,9 +129,7 @@ class EpisodeBatch:
         """Start one fresh episode per non-negative seed; row 0 is left for
         ``score``."""
         cfg = self.cfg
-        low = min(seeds)
-        if low < 0:
-            raise ValueError(f"seed must be at least 0, got {low}")
+        _checked("seed", min(seeds), "int", low=0)
         # Imported here: loading numpy.random costs ~2 MB of RSS, which a
         # process that never resets an episode need not pay
         # (``data._block_results`` loads it just before it forks the workers
@@ -196,6 +195,9 @@ class EpisodeBatch:
             self._rewards[rows], self._utils[rows] = mac.reward(
                 self._snrs[rows], self._taus[rows], self.cfg.utility, faded)
         self._n_scored = stop
+        if stop > self.cfg.horizon:
+            # Every row is scored, and no later stage reads the faded SNRs.
+            self._faded = None
 
     def preview_step_rewards(self) -> np.ndarray:
         """Fading-free one-step reward of every action in every episode,
@@ -234,7 +236,7 @@ class CellularNetworkEnv:
     def reset(self, seed: int) -> np.ndarray:
         """Start a fresh episode from the non-negative integer ``seed``;
         returns the initial observation."""
-        self._batch.reset((_integer("seed", seed, low=0),))
+        self._batch.reset((_checked("seed", seed, "int", low=0),))
         self._batch.score()
         return self._batch.observations(0, 1)[0, 0]
 

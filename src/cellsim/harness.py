@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .config import FadingModel, NetworkConfig, _finite_real, _integer
+from .config import FadingModel, NetworkConfig, _checked
 from .data import _policy_epsilon, map_seeds, rollout
 
 __all__ = ["EvalResult", "evaluate", "rescale", "SweepRow", "SweepReport", "fading_sweep"]
@@ -48,8 +48,8 @@ def evaluate(cfg: NetworkConfig, policy, n_episodes: int = 30, seed_base: int = 
 
 def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -> list:
     """``evaluate`` of each config on the same seeds, in one ``map_seeds`` call."""
-    n_episodes = _integer("n_episodes", n_episodes, low=1)
-    seed_base = _integer("seed_base", seed_base, low=0)
+    n_episodes = _checked("n_episodes", n_episodes, "int", low=1)
+    seed_base = _checked("seed_base", seed_base, "int", low=0)
     policy_id = policy.policy_id
     _policy_epsilon(policy)
     rets = map_seeds(_block_returns, [(cfg, policy, seed_base, n_episodes) for cfg in cfgs],
@@ -67,12 +67,11 @@ def _evaluate_all(cfgs, policy, n_episodes: int, seed_base: int, workers: int) -
 def _baseline_pair(expert_mean, random_mean) -> tuple:
     """The (expert, random) baseline means as floats.  A pair that is not
     two finite, distinct numbers raises ``ValueError``."""
-    if not (_finite_real(expert_mean) and _finite_real(random_mean)):
-        raise ValueError(f"baselines must be finite numbers, got expert {expert_mean!r} "
-                         f"and random {random_mean!r}")
+    expert_mean = _checked("expert_mean", expert_mean, "float")
+    random_mean = _checked("random_mean", random_mean, "float")
     if expert_mean == random_mean:
         raise ValueError("degenerate baselines: expert and random means coincide")
-    return float(expert_mean), float(random_mean)
+    return expert_mean, random_mean
 
 
 def rescale(mean: float, expert_mean: float, random_mean: float) -> float:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FadingModel, UtilityParams, _check_type, _integer, _usable_cpus
+from .config import FadingModel, UtilityParams, _checked, _usable_cpus
 from .radio import _fading_chunks, _rayleigh, _rician
 
 __all__ = [
@@ -354,9 +354,9 @@ def verify_jensen(snr, tau, fading: FadingModel, params: UtilityParams,
     run over all the rewards at once, after the last chunk, so the report
     depends neither on the chunk size nor on the thread count.
     """
-    n_samples = _integer("n_samples", n_samples, low=10_000)
-    _check_type("fading", fading, FadingModel)
-    _check_type("params", params, UtilityParams)
+    n_samples = _checked("n_samples", n_samples, "int", low=10_000)
+    _checked("fading", fading, FadingModel)
+    _checked("params", params, UtilityParams)
     snr = np.asarray(snr, dtype=float)
     if snr.ndim != 2:
         raise ValueError(f"SNR must be an (n_bs, n_ues) matrix, got shape {snr.shape}")
@@ -476,8 +476,9 @@ def concavity_probe(params: UtilityParams, tau, n_trials: int = 10_000,
     ``UtilityParams``, ``n_trials`` and ``n_ues`` at least 1 and ``tau`` one
     threshold in [0, 1] per station.
     """
-    _check_type("params", params, UtilityParams)
-    n_trials, n_ues = _integer("n_trials", n_trials, low=1), _integer("n_ues", n_ues, low=1)
+    _checked("params", params, UtilityParams)
+    n_trials = _checked("n_trials", n_trials, "int", low=1)
+    n_ues = _checked("n_ues", n_ues, "int", low=1)
     tau = _thresholds(tau)
     rng = np.random.default_rng(rng)
     shape = (n_trials, tau.shape[-1], n_ues)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_MEDIUM_EPSILON, _fraction
+from .config import DEFAULT_MEDIUM_EPSILON, _checked
 
 __all__ = ["RandomPolicy", "GreedyExpertPolicy", "MediumPolicy", "make_policy"]
 
@@ -70,7 +70,7 @@ class MediumPolicy:
     policy_id = "medium"
 
     def __init__(self, epsilon: float = DEFAULT_MEDIUM_EPSILON):
-        self.epsilon = _fraction("epsilon", epsilon)
+        self.epsilon = _checked("epsilon", epsilon, "float", low=0, high=1)
 
     def act(self, batch) -> np.ndarray:
         return self._coins(batch, batch.preview_step_rewards().argmax(axis=-1), 0)
@@ -90,9 +90,9 @@ class MediumPolicy:
 
 
 def make_policy(name: str, epsilon: float = DEFAULT_MEDIUM_EPSILON):
-    """Build a policy from its tier name; ``epsilon`` must be a number in
-    [0, 1] whatever the tier."""
-    epsilon = _fraction("epsilon", epsilon)
+    """Build a policy from its tier name; ``epsilon`` must be a finite
+    number in [0, 1] whatever the tier."""
+    epsilon = _checked("epsilon", epsilon, "float", low=0, high=1)
     if name == "expert":
         return GreedyExpertPolicy()
     if name == "medium":

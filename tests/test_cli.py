@@ -151,6 +151,15 @@ class TestStatsAndAblate:
         assert not out_file.exists()
         assert not (tmp_path / "empty.jsonl.manifest.json").exists()
 
+    def test_drop_fraction_out_of_range_writes_nothing(self, capsys, dataset, tmp_path):
+        out_file = tmp_path / "ablated.jsonl"
+        code, out, err = run(capsys, "ablate", "--in", str(dataset), "--drop-expert", "1.5",
+                             "--out", str(out_file))
+        assert code == 1 and out == ""
+        assert err == "error: drop_expert must be at most 1, got 1.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.jsonl",
+                                                              "base.jsonl.manifest.json"]
+
     def test_missing_input_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", "--in", str(tmp_path / "nope.jsonl"))
         assert code == 1
@@ -430,17 +439,18 @@ class TestMalformedInputs:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["evaluate", "--policy", "expert", "--episodes", "1", "--horizon", "2",
-         "--epsilon", "7"],
-        ["collect", "--tier", "random", "--n", "1", "--horizon", "2", "--epsilon", "-3"],
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--policy", "expert", "--episodes", "1", "--horizon", "2",
+          "--epsilon", "7"], "epsilon must be at most 1, got 7.0"),
+        (["collect", "--tier", "random", "--n", "1", "--horizon", "2", "--epsilon", "-3"],
+         "epsilon must be at least 0, got -3.0"),
     ], ids=["evaluate-expert", "collect-random"])
-    def test_epsilon_out_of_range_for_every_tier(self, capsys, tmp_path, argv):
+    def test_epsilon_out_of_range_for_every_tier(self, capsys, tmp_path, argv, message):
         if argv[0] == "collect":
             argv = argv + ["--out", str(tmp_path / "e.jsonl")]
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err == "error: epsilon must lie in [0, 1]\n"
+        assert err == f"error: {message}\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 

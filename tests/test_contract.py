@@ -1,9 +1,10 @@
 """The Python contract: the README quickstart runs as written, the package
 exports exactly its documented surface, every module's ``__all__`` names
 only what exists, every kernel a step module exports is used, every
-callable the benchmark traces stays at its module path, and every count or
-seed argument is an integer, checked against its lowest value before any
-episode runs or any worker is forked."""
+callable the benchmark traces stays at its module path, every count or
+seed argument is an integer, checked against its lowest value, and every
+fraction argument a finite number in [0, 1], each before any episode runs
+or any worker is forked."""
 
 import ast
 import json
@@ -203,3 +204,69 @@ def test_count_arguments_accept_numpy_integers(fn):
     call, valid = COUNTED[fn]
     got = call(**{arg: np.int64(v) for arg, v in valid.items()})
     assert _comparable(got) == _comparable(call(**valid))
+
+
+def _medium(epsilon):
+    """A medium policy whose ``epsilon`` was set after it was built, past
+    ``MediumPolicy``'s own check."""
+    policy = cs.make_policy("medium")
+    policy.epsilon = epsilon
+    return policy
+
+
+def _state(policy):
+    # A policy's epsilon goes into the sidecar as JSON, so it must be a plain float.
+    return policy.policy_id, json.dumps(vars(policy))
+
+
+_TIERED = cs.collect_medium_expert(_CFG, 2)
+
+# Each API entry point that takes a fraction, with a valid value for each.
+# The calls that run episodes ask for two workers, so they would fork.
+FRACTIONS = {
+    **{f"make_policy-{tier}": (lambda tier=tier, **kw: _state(cs.make_policy(tier, **kw)),
+                               {"epsilon": 0.3})
+       for tier in ("expert", "medium", "random")},
+    "MediumPolicy": (lambda **kw: _state(cs.MediumPolicy(**kw)), {"epsilon": 0.3}),
+    "collect_medium_expert": (lambda **kw: cs.collect_medium_expert(_CFG, 1, workers=2, **kw),
+                              {"epsilon": 0.3}),
+    "collect": (lambda epsilon: cs.collect(_CFG, _medium(epsilon), 2, workers=2),
+                {"epsilon": 0.3}),
+    "collect_trajectory": (lambda epsilon: cs.collect_trajectory(_CFG, _medium(epsilon),
+                                                                 3).to_record(),
+                           {"epsilon": 0.3}),
+    "evaluate": (lambda epsilon: cs.evaluate(_CFG, _medium(epsilon), 2, workers=2),
+                 {"epsilon": 0.3}),
+    "fading_sweep": (lambda epsilon: cs.fading_sweep(_CFG, _medium(epsilon),
+                                                     [cs.parse_fading("none")], 2, workers=2),
+                     {"epsilon": 0.3}),
+    "ablate": (lambda **kw: cs.ablate(_TIERED, **kw), {"drop_expert": 0.5, "drop_medium": 0.5}),
+}
+FRACTION_ARGUMENTS = [(fn, arg) for fn in FRACTIONS for arg in FRACTIONS[fn][1]]
+# Each refused value and the requirement its message names.
+BAD_FRACTIONS = {"True": (True, "a finite number"), "np.True_": (np.True_, "a finite number"),
+                 "str": ("0.3", "a finite number"), "None": (None, "a finite number"),
+                 "nan": (float("nan"), "a finite number"),
+                 "inf": (float("inf"), "a finite number"),
+                 "-0.1": (-0.1, "at least 0"), "1.5": (1.5, "at most 1")}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FRACTIONS))
+@pytest.mark.parametrize("fn, arg", FRACTION_ARGUMENTS,
+                         ids=[f"{fn}-{arg}" for fn, arg in FRACTION_ARGUMENTS])
+def test_fraction_argument_refused_before_any_episode(fn, arg, bad, forks, resets):
+    call, valid = FRACTIONS[fn]
+    value, requirement = BAD_FRACTIONS[bad]
+    message = rf"^{arg} must be {requirement}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(**{**valid, arg: value})
+    assert (forks, resets) == ([], [])
+
+
+@pytest.mark.parametrize("value", [0, 1, np.float32(0.25)], ids=["0", "1", "np.float32"])
+@pytest.mark.parametrize("fn, arg", FRACTION_ARGUMENTS,
+                         ids=[f"{fn}-{arg}" for fn, arg in FRACTION_ARGUMENTS])
+def test_fraction_argument_accepted_as_its_float(fn, arg, value):
+    call, valid = FRACTIONS[fn]
+    got = call(**{**valid, arg: value})
+    assert _comparable(got) == _comparable(call(**{**valid, arg: float(value)}))

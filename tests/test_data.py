@@ -64,9 +64,11 @@ class TestTrajectory:
         blocks = []
         monkeypatch.setattr(cs.data, "_collect_block", lambda *args: blocks.append(args))
         policy = make_policy("medium")
-        for eps in (7, 1.5, True, "x"):
+        for eps, message in ((7, "at most 1, got 7.0"), (1.5, "at most 1, got 1.5"),
+                             (True, "a finite number, got True"),
+                             ("x", "a finite number, got 'x'")):
             policy.epsilon = eps
-            with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+            with pytest.raises(ValueError, match=f"^epsilon must be {re.escape(message)}$"):
                 collect_trajectory(short_cfg, policy, 3)
         assert blocks == []
 
@@ -141,9 +143,10 @@ class TestCollect:
         assert load_dataset(tmp_path / "d.jsonl").meta["epsilon"] == 0.25
         blocks = []
         monkeypatch.setattr(cs.data, "map_seeds", lambda *args: blocks.append(args))
-        for eps in (1.5, True, "0.2"):
+        for eps, message in ((1.5, "at most 1, got 1.5"), (True, "a finite number, got True"),
+                             ("0.2", "a finite number, got '0.2'")):
             policy.epsilon = eps
-            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            with pytest.raises(ValueError, match=f"^epsilon must be {re.escape(message)}$"):
                 collect(short_cfg, policy, 2)
         assert blocks == []
 
@@ -659,7 +662,7 @@ class TestCollectMediumExpert:
             return rollout(cfg, policy, seeds, *args, **kwargs)
 
         monkeypatch.setattr(cs.data, "rollout", counting)
-        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^epsilon must be at most 1, got 7\.0$"):
             collect_medium_expert(short_cfg, 3, epsilon=7)
         assert blocks == []
 
@@ -816,8 +819,8 @@ class TestAblate:
     @pytest.mark.parametrize("frac", ["0.5", True, False, np.True_, None],
                              ids=["str", "True", "False", "np.True_", "None"])
     def test_non_numeric_fraction_rejected(self, tier, frac):
-        with pytest.raises(ValueError,
-                           match=rf"^drop fraction for {tier} must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^drop_{tier} must be a finite number, "
+                                             rf"got {re.escape(repr(frac))}$"):
             ablate(self._manifest(), **{f"drop_{tier}": frac})
 
     @pytest.mark.parametrize("frac", [np.float64(0.5), np.float32(0.5), 1, np.int64(1)],

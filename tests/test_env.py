@@ -14,7 +14,7 @@ from cellsim.config import MobilityConfig, NetworkConfig, UtilityParams
 from cellsim._streams import generator, stream_words
 from cellsim.env import CellularNetworkEnv, EpisodeBatch, _unit, decode_action
 import reference_impl as ref
-from conftest import positions_of
+from conftest import peak_traced_bytes, positions_of
 from reference_impl import encode_action
 
 
@@ -188,6 +188,34 @@ class TestStep:
         # With nothing moving the SNR block never changes from reset.
         assert np.array_equal(first[3:18], ref[0][3:18])
 
+    def test_scored_block_drops_its_faded_rows(self, monkeypatch):
+        # Nothing reads the faded SNRs once the last row is scored, so a
+        # faded expert block of 128 peaks no higher than a fading-free one:
+        # both peak while they build the observations (5.13 MiB, numpy 2.4;
+        # 6.61 MiB while the faded block kept them to the end).
+        env = CellularNetworkEnv(cs.default_config(fading="rayleigh", horizon=3))
+        env.reset(seed=1)
+        for _ in range(3):
+            assert env._batch._faded is not None
+            env.step(13)
+        assert env._batch._faded is None
+
+        batches, peaks = [], {}
+
+        class Recording(EpisodeBatch):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                batches.append(self)
+
+        monkeypatch.setattr(cs.data, "EpisodeBatch", Recording)
+        for fading in ("none", "rayleigh"):
+            cfg = cs.default_config(fading=fading)
+            cs.data.rollout(cfg, cs.make_policy("expert"), range(128))  # warm-up block
+            peaks[fading] = peak_traced_bytes(cs.data.rollout, cfg, cs.make_policy("expert"),
+                                              range(128, 256))
+        assert len(batches) == 4 and all(b._faded is None for b in batches)
+        assert peaks["rayleigh"] <= peaks["none"] + 64 * 1024
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("fading", ["none", "rayleigh", "rician:3"])
@@ -257,7 +285,7 @@ class TestStreams:
         assert np.array_equal(copy.integers(27, size=50), g.integers(27, size=50))
 
     def test_non_integer_seed_rejected(self, short_cfg):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
             EpisodeBatch(short_cfg).reset([1.5])
 
     def test_negative_seed_rejected_with_the_lowest(self, short_cfg):

@@ -1,5 +1,7 @@
 """Evaluation harness: scoring, rescaling, and fading sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,19 +71,22 @@ class TestPolicyEpsilon:
     episode runs, as ``collect`` checks it."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("eps", [1.5, True, "0.2"], ids=["1.5", "True", "str"])
+    @pytest.mark.parametrize("eps, message", [
+        (1.5, "at most 1, got 1.5"), (True, "a finite number, got True"),
+        ("0.2", "a finite number, got '0.2'"),
+    ], ids=["1.5", "True", "str"])
     @pytest.mark.parametrize("run", [
         lambda cfg, policy, workers: evaluate(cfg, policy, n_episodes=2, workers=workers),
         lambda cfg, policy, workers: fading_sweep(cfg, policy, [parse_fading("rayleigh")],
                                                   n_episodes=2, workers=workers),
     ], ids=["evaluate", "fading_sweep"])
-    def test_bad_epsilon_fails_before_any_episode(self, short_cfg, run, eps, workers,
+    def test_bad_epsilon_fails_before_any_episode(self, short_cfg, run, eps, message, workers,
                                                   monkeypatch):
         blocks = []
         monkeypatch.setattr(cs.harness, "map_seeds", lambda *args: blocks.append(args))
         policy = make_policy("medium")
         policy.epsilon = eps
-        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=f"^epsilon must be {re.escape(message)}$"):
             run(short_cfg, policy, workers)
         assert blocks == []
 
@@ -154,10 +159,13 @@ class TestRescale:
     def test_degenerate_baselines(self, short_cfg, monkeypatch):
         blocks = []
         monkeypatch.setattr(cs.harness, "map_seeds", lambda *args: blocks.append(args))
-        for pair in ((60.0, 60.0), (np.nan, 0.0), (0.0, np.inf)):
-            with pytest.raises(ValueError):
+        for pair, message in (
+                ((60.0, 60.0), "degenerate baselines: expert and random means coincide"),
+                ((np.nan, 0.0), "expert_mean must be a finite number, got nan"),
+                ((0.0, np.inf), "random_mean must be a finite number, got inf")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 rescale(70.0, *pair)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 fading_sweep(short_cfg, make_policy("random"), [parse_fading("none")],
                              n_episodes=2, baselines=pair)
         assert blocks == []

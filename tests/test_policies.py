@@ -1,5 +1,7 @@
 """Behavioral tiers: expert lookahead, epsilon mixing, random baseline."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -87,7 +89,8 @@ class TestMedium:
     @pytest.mark.parametrize("epsilon", [True, np.True_, "0.3", None, float("nan")],
                              ids=["True", "np.True_", "str", "None", "nan"])
     def test_epsilon_must_be_a_number(self, build, epsilon):
-        with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^epsilon must be a finite number, "
+                                             rf"got {re.escape(repr(epsilon))}$"):
             build(epsilon)
 
 
@@ -196,7 +199,9 @@ class TestFactory:
     @pytest.mark.parametrize("name", ["expert", "random"])
     @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
     def test_epsilon_checked_for_every_tier(self, name, epsilon):
-        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        requirement = {-0.1: "at least 0", 1.5: "at most 1"}.get(epsilon, "a finite number")
+        with pytest.raises(ValueError, match=rf"^epsilon must be {requirement}, "
+                                             rf"got {re.escape(repr(epsilon))}$"):
             make_policy(name, epsilon=epsilon)
 
     def test_unknown_name_rejected(self):
